@@ -22,8 +22,9 @@ the procedure a function of the trace rather than of the type language.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from itertools import count, permutations
+from itertools import permutations
 from typing import Iterator
 
 from .reduction import ReductionTrace, Strategy, reduce, subterm_at
@@ -47,6 +48,8 @@ from .typelang import (
     env_meet,
     inter_eq,
     inter_list_eq,
+    letter_names,
+    normalize,
 )
 
 
@@ -99,10 +102,11 @@ _IOK = InterCheckResult(True)
 def check_inter(d: InterDerivation, flavor: Flavor = Flavor.A) -> InterCheckResult:
     """Replay a derivation against the four rules.
 
-    The flavor controls how intersection lists are compared: A demands
-    the exact sequences, AC permutations, ACI set equality.  Derivations
-    produced by this module are A-strict and therefore pass under every
-    flavor.
+    The flavor controls how intersection lists are compared, each by its
+    normal form (typelang.normalize): A demands the exact sequences, AC
+    equal multisets, ACI equal sets.  Argument premises pair one to one
+    with domain members under every flavor.  Derivations produced by this
+    module are A-strict and therefore pass under every flavor.
     """
     return _icheck(d, flavor, ())
 
@@ -187,18 +191,14 @@ def _icheck(
 def _doms_matched(
     doms: tuple[InterType, ...], args: list[InterType], flavor: Flavor
 ) -> bool:
-    """Argument premises against domain members: positional under A, any
-    bijection otherwise."""
-    if len(doms) != len(args):
-        return False
-    if all(inter_eq(a, m, flavor) for a, m in zip(args, doms)):
+    """Argument premises against domain members: positional under A; under
+    AC and ACI the multisets of flavor-normal members must agree.  ACI too
+    pairs members one to one, since each member has its own premise."""
+    members = [normalize(m, flavor) for m in doms]
+    given = [normalize(a, flavor) for a in args]
+    if members == given:
         return True
-    if flavor is Flavor.A or len(doms) > 8:
-        return False
-    return any(
-        all(inter_eq(args[i], m, flavor) for i, m in zip(perm, doms))
-        for perm in permutations(range(len(args)))
-    )
+    return flavor is not Flavor.A and Counter(members) == Counter(given)
 
 
 # ---------------------------------------------------------------------------
@@ -288,17 +288,9 @@ def canonical_tyvars(d: InterDerivation) -> InterDerivation:
     for v in _deriv_ty_vars(d):
         if not seen(v):
             add(v)
-    names = _letter_names()
+    names = letter_names()
     ren = {v: TVar(next(names)) for v in order}
     return rename_tyvars(d, ren)
-
-
-def _letter_names() -> Iterator[str]:
-    letters = "abcdefghijklmnopqrstuvwxyz"
-    yield from letters
-    for i in count(1):
-        for c in letters:
-            yield f"{c}{i}"
 
 
 class _TyFresh:
@@ -837,7 +829,7 @@ def match_requested(
         leftovers = [v for v in _deriv_ty_vars(out) if v.startswith("_m")]
         if leftovers:
             taken = set(_deriv_ty_vars(out)) | set(ty_vars(requested))
-            names = (n for n in _letter_names() if n not in taken)
+            names = (n for n in letter_names() if n not in taken)
             out = rename_tyvars(out, {v: TVar(next(names)) for v in leftovers})
         if check_inter(out, flavor):
             return out

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import count
 from typing import Iterator
 
 from .terms import (
@@ -44,6 +43,7 @@ from .typelang import (
     SimpleType,
     TVar,
     Type,
+    letter_names,
 )
 
 
@@ -482,11 +482,13 @@ def _split_arrow(system: System, ty: Type) -> tuple[Type, Type]:
 
 
 # ---------------------------------------------------------------------------
-# Curry-style inference (principal simple types via unification)
+# unification: one trail-based unifier serves Curry inference and the
+# ordered search.  Metavariables stand for unknown types inside Arrow,
+# LolliL and LolliR nodes; arrows unify only with the same connective.
 
 
-class _UVar:
-    """Mutable unification variable; arrows are encoded as pairs."""
+class _MVar:
+    """Metavariable for an unknown type."""
 
     __slots__ = ("link",)
 
@@ -494,35 +496,80 @@ class _UVar:
         self.link: object | None = None
 
 
-def _uwalk(t: object) -> object:
-    while isinstance(t, _UVar) and t.link is not None:
+_ARROWS = (Arrow, LolliL, LolliR)
+
+
+def _mwalk(t: object) -> object:
+    while isinstance(t, _MVar) and t.link is not None:
         t = t.link
     return t
 
 
-def _uoccurs(v: _UVar, t: object) -> bool:
-    t = _uwalk(t)
+def _moccurs(v: _MVar, t: object) -> bool:
+    t = _mwalk(t)
     if t is v:
         return True
-    if isinstance(t, tuple):
-        return _uoccurs(v, t[0]) or _uoccurs(v, t[1])
+    if isinstance(t, _ARROWS):
+        return _moccurs(v, t.dom) or _moccurs(v, t.cod)
     return False
 
 
-def _unify(a: object, b: object) -> bool:
-    a, b = _uwalk(a), _uwalk(b)
+class _Trail:
+    """Undo log for metavariable bindings."""
+
+    def __init__(self) -> None:
+        self._log: list[_MVar] = []
+
+    def mark(self) -> int:
+        return len(self._log)
+
+    def bind(self, v: _MVar, t: object) -> None:
+        v.link = t
+        self._log.append(v)
+
+    def undo(self, mark: int) -> None:
+        while len(self._log) > mark:
+            self._log.pop().link = None
+
+
+def _munify(a: object, b: object, trail: _Trail) -> bool:
+    a, b = _mwalk(a), _mwalk(b)
     if a is b:
         return True
-    if isinstance(a, _UVar):
-        if _uoccurs(a, b):
+    if isinstance(a, _MVar):
+        if _moccurs(a, b):
             return False
-        a.link = b
+        trail.bind(a, b)
         return True
-    if isinstance(b, _UVar):
-        return _unify(b, a)
-    if isinstance(a, tuple) and isinstance(b, tuple):
-        return _unify(a[0], b[0]) and _unify(a[1], b[1])
+    if isinstance(b, _MVar):
+        return _munify(b, a, trail)
+    if type(a) is type(b) and isinstance(a, _ARROWS):
+        return _munify(a.dom, b.dom, trail) and _munify(a.cod, b.cod, trail)
     return a == b
+
+
+def _freezer(taken: set[Type] | frozenset[Type] = frozenset()):
+    """Read solved types back: each unbound metavariable becomes a type
+    variable named a, b, c, ... in first-occurrence order, skipping the
+    variables in `taken`."""
+    names = (v for v in map(TVar, letter_names()) if v not in taken)
+    seen: dict[int, TVar] = {}
+
+    def freeze(t: object) -> Type:
+        t = _mwalk(t)
+        if isinstance(t, _MVar):
+            if id(t) not in seen:
+                seen[id(t)] = next(names)
+            return seen[id(t)]
+        if isinstance(t, _ARROWS):
+            return type(t)(freeze(t.dom), freeze(t.cod))
+        return t  # type: ignore[return-value]
+
+    return freeze
+
+
+# ---------------------------------------------------------------------------
+# Curry-style inference (principal simple types via unification)
 
 
 def _curry_solve(term: Term):
@@ -533,7 +580,8 @@ def _curry_solve(term: Term):
     Binder records are keyed by (binder name, body) so shadowed names
     stay apart even on non-canonical input.
     """
-    env: dict[str, object] = {x: _UVar() for x in free_vars(term)}
+    trail = _Trail()
+    env: dict[str, object] = {x: _MVar() for x in free_vars(term)}
     binders: list[tuple[Abs, object]] = []
 
     def go(t: Term, env: dict[str, object]) -> object | None:
@@ -541,40 +589,23 @@ def _curry_solve(term: Term):
             case Var(x):
                 return env[x]
             case Abs(b, body):
-                v = _UVar()
+                v = _MVar()
                 binders.append((t, v))
                 r = go(body, {**env, b: v})
-                return None if r is None else (v, r)
+                return None if r is None else Arrow(v, r)
             case App(f, a):
                 tf = go(f, env)
                 ta = go(a, env)
                 if tf is None or ta is None:
                     return None
-                res = _UVar()
-                return res if _unify(tf, (ta, res)) else None
+                res = _MVar()
+                return res if _munify(tf, Arrow(ta, res), trail) else None
         raise AssertionError
 
     raw = go(term, env)
     if raw is None:
         return None
     return raw, env, binders
-
-
-def _freezer():
-    names = _tvar_names()
-    seen: dict[int, SimpleType] = {}
-
-    def freeze(t: object) -> SimpleType:
-        t = _uwalk(t)
-        if isinstance(t, _UVar):
-            if id(t) not in seen:
-                seen[id(t)] = TVar(next(names))
-            return seen[id(t)]
-        if isinstance(t, tuple):
-            return Arrow(freeze(t[0]), freeze(t[1]))
-        raise AssertionError(t)
-
-    return freeze
 
 
 def infer_curry(term: Term) -> SimpleType | None:
@@ -589,30 +620,6 @@ def infer_curry(term: Term) -> SimpleType | None:
         return None
     raw, _, _ = solved
     return _freezer()(raw)
-
-
-def infer_curry_pair(term: Term) -> tuple[SimpleType, Basis] | None:
-    """Principal type together with the minimal basis for the free variables.
-
-    The subject type is named exactly as by infer_curry; basis entries
-    follow first free occurrence order and share the same naming pass.
-    """
-    solved = _curry_solve(term)
-    if solved is None:
-        return None
-    raw, env, _ = solved
-    freeze = _freezer()
-    ty = freeze(raw)
-    basis = Basis(tuple((x, freeze(env[x])) for x in free_vars(term)))
-    return ty, basis
-
-
-def _tvar_names() -> Iterator[str]:
-    letters = "abcdefghijklmnopqrstuvwxyz"
-    yield from letters
-    for i in count(1):
-        for c in letters:
-            yield f"{c}{i}"
 
 
 def to_linear(t: SimpleType) -> Type:
@@ -667,71 +674,11 @@ class SizeBoundExceeded(Exception):
     """Raised when the ordered search exceeds its node budget."""
 
 
-class _MVar:
-    """Metavariable for unknown ordered types during search."""
-
-    __slots__ = ("link",)
-
-    def __init__(self) -> None:
-        self.link: object | None = None
-
-
-def _mwalk(t: object) -> object:
-    while isinstance(t, _MVar) and t.link is not None:
-        t = t.link
-    return t
-
-
-def _moccurs(v: _MVar, t: object) -> bool:
-    t = _mwalk(t)
-    if t is v:
-        return True
-    if isinstance(t, (LolliL, LolliR)):
-        return _moccurs(v, t.dom) or _moccurs(v, t.cod)
-    return False
-
-
-class _Trail:
-    """Undo log for metavariable bindings."""
-
-    def __init__(self) -> None:
-        self._log: list[_MVar] = []
-
-    def mark(self) -> int:
-        return len(self._log)
-
-    def bind(self, v: _MVar, t: object) -> None:
-        v.link = t
-        self._log.append(v)
-
-    def undo(self, mark: int) -> None:
-        while len(self._log) > mark:
-            self._log.pop().link = None
-
-
-def _munify(a: object, b: object, trail: _Trail) -> bool:
-    a, b = _mwalk(a), _mwalk(b)
-    if a is b:
-        return True
-    if isinstance(a, _MVar):
-        if _moccurs(a, b):
-            return False
-        trail.bind(a, b)
-        return True
-    if isinstance(b, _MVar):
-        return _munify(b, a, trail)
-    if isinstance(a, LolliL) and isinstance(b, LolliL):
-        return _munify(a.dom, b.dom, trail) and _munify(a.cod, b.cod, trail)
-    if isinstance(a, LolliR) and isinstance(b, LolliR):
-        return _munify(a.dom, b.dom, trail) and _munify(a.cod, b.cod, trail)
-    return a == b
-
-
 def _mground(t: object) -> bool:
     t = _mwalk(t)
     if isinstance(t, _MVar):
         return False
-    if isinstance(t, (LolliL, LolliR)):
+    if isinstance(t, _ARROWS):
         return _mground(t.dom) and _mground(t.cod)
     return True
 
@@ -859,23 +806,7 @@ def infer_ordered(
     """
     search = _OrderedSearch(budget)
     goal = _MVar()
-    fresh = _tvar_names()
-    taken = {e[1] for e in basis.entries}
-
-    def ground(t: object) -> OrderedType:
-        t = _mwalk(t)
-        if isinstance(t, _MVar):
-            g = TVar(next(fresh))
-            while g in taken:
-                g = TVar(next(fresh))
-            t.link = g
-            return g
-        if isinstance(t, LolliL):
-            return LolliL(ground(t.dom), ground(t.cod))
-        if isinstance(t, LolliR):
-            return LolliR(ground(t.dom), ground(t.cod))
-        return t  # type: ignore[return-value]
-
+    taken = {ty for _, ty in basis.entries}
     for _ in search.solutions(tuple(basis.entries), term, goal):
-        return ground(goal)
+        return _freezer(taken)(goal)
     return None

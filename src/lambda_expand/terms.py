@@ -238,24 +238,6 @@ def rename_free(t: Term, ren: dict[str, str]) -> Term:
     raise TypeError(t)
 
 
-def rename_names(t: Term, ren: dict[str, str]) -> Term:
-    """Literal renaming of every variable, bound or free, binders included.
-
-    No capture avoidance: callers must pick target names that stay clear
-    of the other names in play.
-    """
-    if not ren:
-        return t
-    match t:
-        case Var(v):
-            return Var(ren.get(v, v))
-        case Abs(b, body):
-            return Abs(ren.get(b, b), rename_names(body, ren))
-        case App(fun, arg):
-            return App(rename_names(fun, ren), rename_names(arg, ren))
-    raise TypeError(t)
-
-
 def simultaneous_substitute(t: Term, bindings: list[tuple[str, Term]]) -> Term:
     """Replace each xi by si at once; the xi must be pairwise distinct."""
     names = [x for x, _ in bindings]
@@ -304,46 +286,3 @@ def de_bruijn(t: Term):
 
 def alpha_eq(a: Term, b: Term) -> bool:
     return de_bruijn(a) == de_bruijn(b)
-
-
-# ---- one-hole contexts ----
-
-
-@dataclass(frozen=True)
-class Hole:
-    pass
-
-
-@dataclass(frozen=True)
-class AppL:
-    ctx: "OneHoleContext"
-    arg: Term
-
-
-@dataclass(frozen=True)
-class AppR:
-    fun: Term
-    ctx: "OneHoleContext"
-
-
-@dataclass(frozen=True)
-class AbsC:
-    binder: str
-    ctx: "OneHoleContext"
-
-
-OneHoleContext = Hole | AppL | AppR | AbsC
-
-
-def plug(c: OneHoleContext, t: Term) -> Term:
-    """Literal hole replacement; no renaming is performed."""
-    match c:
-        case Hole():
-            return t
-        case AppL(ctx, arg):
-            return App(plug(ctx, t), arg)
-        case AppR(fun, ctx):
-            return App(fun, plug(ctx, t))
-        case AbsC(b, ctx):
-            return Abs(b, plug(ctx, t))
-    raise TypeError(c)

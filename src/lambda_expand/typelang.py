@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import enum
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
+from typing import Iterator
 
 
 @dataclass(frozen=True)
@@ -68,6 +70,15 @@ class Flavor(enum.Enum):
     ACI = "aci"
     AC = "ac"
     A = "a"
+
+
+def letter_names() -> Iterator[str]:
+    """Type-variable names a, b, ..., z, a1, b1, ..., z1, a2, ..."""
+    letters = "abcdefghijklmnopqrstuvwxyz"
+    yield from letters
+    for i in itertools.count(1):
+        for c in letters:
+            yield f"{c}{i}"
 
 
 def type_key(t: InterType):
@@ -324,7 +335,11 @@ def set_ctx_eq(a: SetExpCtx, b: SetExpCtx, flavor: Flavor) -> bool:
 
 def ctx_match(a: ExpansionContext, b: ExpansionContext, flavor: Flavor):
     """Renamings of a's expansion variables onto b's that respect owners and
-    types. Used to compare independently produced contexts."""
+    types. Used to compare independently produced contexts.
+
+    Set contexts: each owner's bindings are bucketed by their type's
+    flavor-normal form, and the renamings are the bucket-wise bijections,
+    yielded lazily, each once."""
     if isinstance(a, ListExpCtx) != isinstance(b, ListExpCtx):
         return
     if isinstance(a, ListExpCtx):
@@ -340,25 +355,35 @@ def ctx_match(a: ExpansionContext, b: ExpansionContext, flavor: Flavor):
                 ren[ya] = yb
         yield ren
         return
-    groups_a = {x: g for x, g in a.groups.items() if g}
-    groups_b = {x: g for x, g in b.groups.items() if g}
-    if set(groups_a) != set(groups_b):
+    # (owner, normal type) -> b's variables in that bucket; empty owner
+    # groups contribute no bucket, so they match absent owners
+    buckets: dict[tuple[str, InterType], list[str]] = {}
+    for x, gb in b.groups.items():
+        for yb, tb in gb.items():
+            buckets.setdefault((x, normalize(tb, flavor)), []).append(yb)
+    wanted = [
+        (ya, (x, normalize(ta, flavor)))
+        for x, ga in a.groups.items()
+        for ya, ta in ga.items()
+    ]
+    if Counter(key for _, key in wanted) != {
+        key: len(ys) for key, ys in buckets.items()
+    }:
         return
-    per_owner: list[list[dict[str, str]]] = []
-    for x, ga in groups_a.items():
-        gb = groups_b[x]
-        if len(ga) != len(gb):
+    ren = {}
+    used: set[str] = set()
+
+    def assign(i: int):
+        # each of a's variables takes an unused b variable of its bucket
+        if i == len(wanted):
+            yield dict(ren)
             return
-        items_a = list(ga.items())
-        choices: list[dict[str, str]] = []
-        for perm in itertools.permutations(gb.items()):
-            if all(inter_eq(ta, tb, flavor) for (_, ta), (_, tb) in zip(items_a, perm)):
-                choices.append({ya: yb for (ya, _), (yb, _) in zip(items_a, perm)})
-        if not choices:
-            return
-        per_owner.append(choices)
-    for combo in itertools.product(*per_owner):
-        ren = {}
-        for piece in combo:
-            ren.update(piece)
-        yield ren
+        ya, key = wanted[i]
+        for yb in buckets[key]:
+            if yb not in used:
+                used.add(yb)
+                ren[ya] = yb
+                yield from assign(i + 1)
+                used.discard(yb)
+
+    yield from assign(0)

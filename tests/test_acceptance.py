@@ -234,8 +234,10 @@ def test_criterion_5_context_algebra_identities():
         for variables, pool, arity in dimensions:
             envs = list(enumerate_environments(variables, pool, arity))
             for g1, g2 in itertools.product(envs, repeat=2):
-                assert env_union_distributes(g1, g2), (g1, g2)
-                assert collapse_distributes(g1, g2), (g1, g2)
+                ok, why = env_union_distributes(g1, g2)
+                assert ok, (g1, g2, why)
+                ok, why = collapse_distributes(g1, g2)
+                assert ok, (g1, g2, why)
 
         # Substitution composes with expansion on every small redex.
         redexes = [

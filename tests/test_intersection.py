@@ -139,6 +139,22 @@ def test_check_inter_flavor_sensitivity():
     assert check_inter(tampered, Flavor.ACI)
 
 
+@pytest.mark.parametrize("width", [8, 9])
+def test_check_inter_wide_domain_in_any_order(width):
+    # f : (a0 & ... & a_{width-1}) -> b applied to z, one argument premise
+    # per member, listed in reverse order
+    members = [TVar(f"a{i}") for i in range(width)]
+    fun_ty = InterArrow(tuple(members), B)
+    f = InterDerivation("ax", (("f", (fun_ty,)),), Var("f"), fun_ty)
+    args = [InterDerivation("ax", (("z", (m,)),), Var("z"), m) for m in reversed(members)]
+    env = (("f", (fun_ty,)), ("z", tuple(reversed(members))))
+    d = InterDerivation("arrow_e", env, App(Var("f"), Var("z")), B, (f, *args))
+    assert check_inter(d, Flavor.AC)
+    assert check_inter(d, Flavor.ACI)
+    res = check_inter(d, Flavor.A)
+    assert not res and res.reason == "argument types must match the domain members"
+
+
 def test_check_inter_rejects_broken_env():
     d = infer(t("\\x. x x"))
     tampered = InterDerivation(d.rule, (("w", (A,)),), d.subject, d.ty, d.premises)

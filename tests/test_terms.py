@@ -3,12 +3,9 @@ from hypothesis import strategies as st
 
 from lambda_expand.terms import (
     Abs,
-    AbsC,
     App,
-    AppL,
     DuplicateBinderError,
     FreshSupply,
-    Hole,
     Var,
     alpha_eq,
     all_names,
@@ -17,7 +14,6 @@ from lambda_expand.terms import (
     count_free_occurrences,
     de_bruijn,
     free_vars,
-    plug,
     simultaneous_substitute,
     size,
     substitute,
@@ -159,12 +155,6 @@ def test_alpha_eq():
 def test_de_bruijn_key_is_alpha_invariant():
     assert de_bruijn(t("\\x. \\y. x y")) == de_bruijn(t("\\a. \\b. a b"))
     assert de_bruijn(t("\\x. x")) != de_bruijn(t("\\x. \\y. y"))
-
-
-def test_plug_is_literal():
-    # no renaming: plugging x under \x. captures it, by design
-    assert plug(AbsC("x", Hole()), Var("x")) == t("\\x. x")
-    assert plug(AppL(Hole(), Var("y")), t("\\x. x")) == t("(\\x. x) y")
 
 
 @given(terms)

@@ -20,6 +20,7 @@ from lambda_expand.typelang import (
     TVar,
     ctx_append,
     ctx_leq,
+    ctx_match,
     ctx_to_basis,
     ctx_union,
     env_eq,
@@ -187,6 +188,57 @@ def test_env_ctx_round_trip():
     ctx = env_to_set_ctx(env, FreshSupply())
     assert set_ctx_to_env(ctx) == env
     assert list(ctx.groups["x"]) == ["x1", "x2"]
+
+
+# Members the flavors tell apart: ACI identifies a & a -> b with a -> b,
+# AC and ACI identify a & b -> b with b & a -> b.
+_MATCH_POOL = [it(s) for s in ("a", "b", "a -> b", "a & a -> b", "a & b -> b", "b & a -> b")]
+
+
+@st.composite
+def ctx_pairs(draw):
+    owners = draw(st.lists(st.sampled_from("xyz"), unique=True, max_size=3))
+    members = st.lists(st.sampled_from(_MATCH_POOL), max_size=4)
+    a, b = SetExpCtx(), SetExpCtx()
+    for x in owners:
+        tys_a = draw(members)
+        # mostly a reordering of a's group, so that renamings exist
+        tys_b = draw(st.one_of(st.permutations(tys_a), members))
+        a.groups[x] = {f"{x}{i}": ty for i, ty in enumerate(tys_a)}
+        b.groups[x] = {f"{x}_{i}": ty for i, ty in enumerate(tys_b)}
+    return a, b
+
+
+def _brute_force_renamings(a, b, flavor):
+    groups_a = {x: g for x, g in a.groups.items() if g}
+    groups_b = {x: g for x, g in b.groups.items() if g}
+    if set(groups_a) != set(groups_b):
+        return []
+    per_owner = []
+    for x, ga in groups_a.items():
+        gb = groups_b[x]
+        if len(ga) != len(gb):
+            return []
+        per_owner.append(
+            [
+                dict(zip(ga, perm))
+                for perm in itertools.permutations(gb)
+                if all(inter_eq(ga[ya], gb[yb], flavor) for ya, yb in zip(ga, perm))
+            ]
+        )
+    return [
+        {ya: yb for piece in combo for ya, yb in piece.items()}
+        for combo in itertools.product(*per_owner)
+    ]
+
+
+@given(ctx_pairs(), st.sampled_from(list(Flavor)))
+def test_ctx_match_yields_exactly_the_brute_force_renamings(pair, flavor):
+    a, b = pair
+    got = [tuple(sorted(r.items())) for r in ctx_match(a, b, flavor)]
+    want = {tuple(sorted(r.items())) for r in _brute_force_renamings(a, b, flavor)}
+    assert len(got) == len(set(got))
+    assert set(got) == want
 
 
 def test_ctx_to_basis_set_flavor_translates():
