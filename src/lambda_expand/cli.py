@@ -7,7 +7,9 @@ or stdin.  Output formats are ``text`` (the same grammar the parser reads),
 default step budget wherever a fuel applies.
 
 Exit codes: 0 success or typable; 1 not typable or no result at the request;
-2 inconclusive (fuel ran out before an answer); 3 usage or syntax errors.
+2 inconclusive (fuel or the ordered search budget ran out, the replay could
+not rebuild a derivation, or the input nests past the recursion limit);
+3 usage or syntax errors.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import sys
 
 from . import serialize
 from .expansion import ExpansionError, Orientation, expand
-from .intersection import check_inter, infer, match_requested
+from .intersection import ReplayError, check_inter, infer, match_requested
 from .reduction import Strategy, reduce
 from .syntax import (
     ParseError,
@@ -32,6 +34,7 @@ from .syntax import (
     render_type,
 )
 from .systems import (
+    SizeBoundExceeded,
     System,
     build_derivation,
     check_derivation,
@@ -444,6 +447,9 @@ def main(argv: list[str] | None = None) -> int:
     except serialize.SerializeError as exc:
         print(f"serialization error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except (SizeBoundExceeded, ReplayError, RecursionError) as exc:
+        print(f"inconclusive: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INCONCLUSIVE
 
 
 if __name__ == "__main__":

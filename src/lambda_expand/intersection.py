@@ -194,11 +194,13 @@ def _doms_matched(
     """Argument premises against domain members: positional under A; under
     AC and ACI the multisets of flavor-normal members must agree.  ACI too
     pairs members one to one, since each member has its own premise."""
+    if tuple(doms) == tuple(args):
+        return True
+    if flavor is Flavor.A:
+        return False
     members = [normalize(m, flavor) for m in doms]
     given = [normalize(a, flavor) for a in args]
-    if members == given:
-        return True
-    return flavor is not Flavor.A and Counter(members) == Counter(given)
+    return Counter(members) == Counter(given)
 
 
 # ---------------------------------------------------------------------------
@@ -216,81 +218,68 @@ def subst_ty(t: InterType, s: dict[str, InterType]) -> InterType:
     raise TypeError(t)
 
 
+def _add_ty_vars(t: InterType, seen: dict[str, None]) -> None:
+    """Add t's type variables to `seen` in first-occurrence order."""
+    if isinstance(t, TVar):
+        seen.setdefault(t.name)
+    else:
+        for m in t.doms:
+            _add_ty_vars(m, seen)
+        _add_ty_vars(t.cod, seen)
+
+
 def ty_vars(t: InterType) -> list[str]:
     """Type variables in first-occurrence order."""
-    out: list[str] = []
-
-    def go(u: InterType) -> None:
-        match u:
-            case TVar(name):
-                if name not in out:
-                    out.append(name)
-            case InterArrow(doms, cod):
-                for m in doms:
-                    go(m)
-                go(cod)
-
-    go(t)
-    return out
-
-
-def map_types(d: InterDerivation, f) -> InterDerivation:
-    env = tuple(
-        (x, tuple(f(m) for m in members)) for x, members in d.env
-    )
-    return InterDerivation(
-        d.rule, env, d.subject, f(d.ty), tuple(map_types(p, f) for p in d.premises)
-    )
+    seen: dict[str, None] = {}
+    _add_ty_vars(t, seen)
+    return list(seen)
 
 
 def rename_tyvars(d: InterDerivation, s: dict[str, InterType]) -> InterDerivation:
-    return map_types(d, lambda t: subst_ty(t, s))
+    """Substitute s into every type of d.  Each distinct type node (by
+    identity; d keeps them all alive) is rewritten once."""
+    done: dict[int, InterType] = {}
+
+    def sub(t: InterType) -> InterType:
+        out = done.get(id(t))
+        if out is None:
+            if isinstance(t, TVar):
+                out = s.get(t.name, t)
+            else:
+                out = InterArrow(tuple(sub(m) for m in t.doms), sub(t.cod))
+            done[id(t)] = out
+        return out
+
+    def walk(n: InterDerivation) -> InterDerivation:
+        env = tuple((x, tuple(sub(m) for m in members)) for x, members in n.env)
+        return InterDerivation(
+            n.rule, env, n.subject, sub(n.ty), tuple(walk(p) for p in n.premises)
+        )
+
+    return walk(d)
 
 
 def _deriv_ty_vars(d: InterDerivation) -> list[str]:
     """First-occurrence order: root type, then environment, then premises."""
-    out: list[str] = []
-
-    def add(t: InterType) -> None:
-        for v in ty_vars(t):
-            if v not in out:
-                out.append(v)
+    seen: dict[str, None] = {}
 
     def walk(n: InterDerivation) -> None:
-        add(n.ty)
+        _add_ty_vars(n.ty, seen)
         for _, members in n.env:
             for m in members:
-                add(m)
+                _add_ty_vars(m, seen)
         for p in n.premises:
             walk(p)
 
     walk(d)
-    return out
+    return list(seen)
 
 
 def canonical_tyvars(d: InterDerivation) -> InterDerivation:
     """Rename type variables to a, b, c, ... in first-occurrence order of
     the root type, then the root environment, then the premises."""
-    order: list[str] = []
-    add = order.append
-
-    def seen(v: str) -> bool:
-        return v in order
-
-    for v in ty_vars(d.ty):
-        if not seen(v):
-            add(v)
-    for _, members in d.env:
-        for m in members:
-            for v in ty_vars(m):
-                if not seen(v):
-                    add(v)
-    for v in _deriv_ty_vars(d):
-        if not seen(v):
-            add(v)
     names = letter_names()
-    ren = {v: TVar(next(names)) for v in order}
-    return rename_tyvars(d, ren)
+    return rename_tyvars(d, {v: TVar(next(names)) for v in _deriv_ty_vars(d)})
 
 
 class _TyFresh:
@@ -472,11 +461,14 @@ def _expand_at(
 
     if not isinstance(before, App) or d.rule != "arrow_e":
         raise ReplayError("path walks into a non-application")
+    # the reduct was canonicalized as a whole, so the side the step did not
+    # touch may be spelled apart from `before`; retarget it back
     pf, *pas = d.premises
     if step == "left":
         pf = _expand_at(pf, before.fun, rest, fuel, fresh)
-        new_args = list(pas)
+        new_args = [retarget(a, before.arg) for a in pas]
     elif step == "right":
+        pf = retarget(pf, before.fun)
         new_args = [_expand_at(a, before.arg, rest, fuel, fresh) for a in pas]
     else:
         raise ReplayError(f"bad path component {step!r}")

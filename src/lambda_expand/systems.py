@@ -31,6 +31,7 @@ from .terms import (
     canonicalize,
     classify,
     free_vars,
+    occurrence_counts,
     rename_free,
 )
 from .typelang import (
@@ -381,7 +382,8 @@ def build_derivation(
     if supply is None:
         supply = FreshSupply(all_names(term) | set(var_types))
 
-    d = _build(system, term, var_types, supply)
+    binder_uses, _ = occurrence_counts(term)
+    d = _build(system, term, var_types, supply, binder_uses)
     if basis_order is not None:
         present = set(d.basis.vars())
         for x in basis_order:
@@ -398,22 +400,24 @@ def _build(
     term: Term,
     var_types: dict[str, Type],
     supply: FreshSupply,
+    binder_uses: dict[int, int],
 ) -> Derivation:
     """Core builder; the resulting basis lists the free variables of
-    the term in first-occurrence order, one entry each."""
+    the term in first-occurrence order, one entry each.  binder_uses
+    counts each abstraction's binder occurrences (terms.occurrence_counts)."""
     match term:
         case Var(x):
             ty = var_types[x]
             return Derivation(system, "ax", Basis(((x, ty),)), term, ty)
         case Abs(x, body):
             tx = var_types[x]
-            if x in free_vars(body):
-                p = _build(system, body, var_types, supply)
+            if binder_uses[id(term)]:
+                p = _build(system, body, var_types, supply, binder_uses)
                 p = _move_to_end(p, x)
             else:
                 if "weak" not in STRUCTURAL[system]:
                     raise ValueError(f"{system.value} cannot discharge unused {x!r}")
-                p = _build(system, body, var_types, supply)
+                p = _build(system, body, var_types, supply, binder_uses)
                 p = _weaken(p, x, tx)
             arrow = _arrow_of(system, tx, p.ty)
             return Derivation(
@@ -425,8 +429,10 @@ def _build(
                 (p,),
             )
         case App(f, a):
-            df = _build(system, f, var_types, supply)
-            da = _build(system, a, var_types, supply)
+            df = _build(system, f, var_types, supply, binder_uses)
+            da = _build(system, a, var_types, supply, binder_uses)
+            # free variables of the application in first-occurrence order
+            order = tuple(dict.fromkeys(df.basis.vars() + da.basis.vars()))
             overlap = [x for x in da.basis.vars() if x in set(df.basis.vars())]
             ren: dict[str, str] = {}
             for x in overlap:
@@ -448,20 +454,8 @@ def _build(
             )
             for x, y in ren.items():
                 d = _contract_pair(d, x, y)
-            order = tuple(dict.fromkeys(_occurrence_order(term)))
             d = permute_basis(d, order)
             return d
-    raise AssertionError
-
-
-def _occurrence_order(t: Term, bound: frozenset[str] = frozenset()) -> list[str]:
-    match t:
-        case Var(x):
-            return [] if x in bound else [x]
-        case Abs(b, body):
-            return _occurrence_order(body, bound | {b})
-        case App(f, a):
-            return _occurrence_order(f, bound) + _occurrence_order(a, bound)
     raise AssertionError
 
 
@@ -806,7 +800,15 @@ def infer_ordered(
     """
     search = _OrderedSearch(budget)
     goal = _MVar()
-    taken = {ty for _, ty in basis.entries}
+    # every type variable of the basis, nested ones included
+    taken: set[Type] = set()
+    pending = [ty for _, ty in basis.entries]
+    while pending:
+        ty = pending.pop()
+        if isinstance(ty, _ARROWS):
+            pending += (ty.dom, ty.cod)
+        else:
+            taken.add(ty)
     for _ in search.solutions(tuple(basis.entries), term, goal):
         return _freezer(taken)(goal)
     return None

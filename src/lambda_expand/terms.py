@@ -112,6 +112,41 @@ class TermClass:
     is_linear: bool
 
 
+def occurrence_counts(t: Term) -> tuple[dict[int, int], dict[str, int]]:
+    """One walk over t: for each abstraction, keyed by node identity, how
+    often its binder occurs free in its body; and how often each free
+    variable of t occurs.  A subterm object shared between positions gets
+    one entry, which is right because the count depends on the subterm
+    alone."""
+    binders: dict[int, int] = {}
+    frees: dict[str, int] = {}
+    # each name's enclosing binders, innermost last, as [count] cells; a
+    # (node, cell) pair on the stack marks the end of that binder's scope
+    scopes: dict[str, list[list[int]]] = {}
+    stack: list = [t]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, Var):
+            cells = scopes.get(t.name)
+            if cells:
+                cells[-1][0] += 1
+            else:
+                frees[t.name] = frees.get(t.name, 0) + 1
+        elif isinstance(t, App):
+            stack.append(t.arg)
+            stack.append(t.fun)
+        elif isinstance(t, Abs):
+            cell = [0]
+            scopes.setdefault(t.binder, []).append(cell)
+            stack.append((t, cell))
+            stack.append(t.body)
+        else:
+            node, cell = t
+            scopes[node.binder].pop()
+            binders[id(node)] = cell[0]
+    return binders, frees
+
+
 def classify(t: Term) -> TermClass:
     """Occurrence discipline of t.
 
@@ -119,25 +154,10 @@ def classify(t: Term) -> TermClass:
     affine: every binder occurs at most once, every free variable exactly once.
     linear: every binder occurs exactly once, every free variable exactly once.
     """
-    at_least = True
-    at_most = True
-
-    def binders(t: Term) -> None:
-        nonlocal at_least, at_most
-        match t:
-            case Abs(b, body):
-                n = count_free_occurrences(body, b)
-                if n < 1:
-                    at_least = False
-                if n > 1:
-                    at_most = False
-                binders(body)
-            case App(fun, arg):
-                binders(fun)
-                binders(arg)
-
-    binders(t)
-    frees_once = all(count_free_occurrences(t, v) == 1 for v in free_vars(t))
+    binders, frees = occurrence_counts(t)
+    at_least = all(n >= 1 for n in binders.values())
+    at_most = all(n <= 1 for n in binders.values())
+    frees_once = all(n == 1 for n in frees.values())
     return TermClass(
         is_lambda_i=at_least,
         is_affine=at_most and frees_once,

@@ -93,31 +93,37 @@ def type_key(t: InterType):
 
 def normalize(t: InterType, flavor: Flavor) -> InterType:
     """Canonical form per flavor: ACI sorts and dedups each domain list,
-    AC sorts, A leaves lists untouched."""
-    match t:
-        case TVar():
-            return t
-        case InterArrow(doms, cod):
-            members = [normalize(d, flavor) for d in doms]
-            if flavor is Flavor.ACI:
-                members = sorted(set(members), key=type_key)
-            elif flavor is Flavor.AC:
-                members = sorted(members, key=type_key)
-            return InterArrow(tuple(members), normalize(cod, flavor))
+    AC sorts, A leaves lists untouched (and so returns t itself)."""
+    if flavor is Flavor.A or isinstance(t, TVar):
+        return t
+    if isinstance(t, InterArrow):
+        members = [normalize(d, flavor) for d in t.doms]
+        if flavor is Flavor.ACI:
+            members = sorted(set(members), key=type_key)
+        else:
+            members = sorted(members, key=type_key)
+        return InterArrow(tuple(members), normalize(t.cod, flavor))
     raise TypeError(t)
 
 
 def inter_eq(a: InterType, b: InterType, flavor: Flavor) -> bool:
-    return normalize(a, flavor) == normalize(b, flavor)
+    """Equality under a flavor.  Types equal as given are equal under every
+    flavor, so normal forms are built only when they differ under AC/ACI."""
+    if a == b:
+        return True
+    return flavor is not Flavor.A and normalize(a, flavor) == normalize(b, flavor)
 
 
 def inter_list_eq(xs, ys, flavor: Flavor) -> bool:
     """Equality of intersection-member lists under a flavor: sequences for A,
     multisets for AC, sets for ACI."""
+    xs, ys = tuple(xs), tuple(ys)
+    if xs == ys:
+        return True
+    if flavor is Flavor.A:
+        return False
     xs = [normalize(x, flavor) for x in xs]
     ys = [normalize(y, flavor) for y in ys]
-    if flavor is Flavor.A:
-        return xs == ys
     if flavor is Flavor.AC:
         return sorted(xs, key=type_key) == sorted(ys, key=type_key)
     return set(xs) == set(ys)

@@ -2,7 +2,8 @@
 
 Runs ``main`` in process and reads captured stdout/stderr, so these tests
 also pin the exit-code contract: 0 success/typable, 1 absent, 2 inconclusive
-(fuel), 3 usage or syntax errors.
+(fuel or search budget, a failed replay, nesting past the recursion limit),
+3 usage or syntax errors.
 """
 
 import io
@@ -13,6 +14,7 @@ import pytest
 from lambda_expand import serialize
 from lambda_expand.cli import main
 from lambda_expand.expansion import ExpansionResult
+from lambda_expand.intersection import ReplayError
 from lambda_expand.syntax import parse_inter_type, parse_term
 from lambda_expand.terms import alpha_eq
 from lambda_expand.typelang import Flavor, inter_eq
@@ -53,6 +55,12 @@ def test_parse_syntax_error_exits_3(capsys):
     assert "syntax error" in err and "1:" in err
 
 
+def test_parse_past_the_recursion_limit_is_inconclusive(capsys):
+    code, out, err = run(capsys, "parse", "(" * 3000 + "x" + ")" * 3000)
+    assert (code, out) == (2, "")
+    assert err.startswith("inconclusive: RecursionError") and "\n" not in err
+
+
 def test_parse_json_document_round_trips(capsys):
     code, out, _ = run(capsys, "parse", "--format", "json", "\\x. x x")
     assert code == 0
@@ -82,6 +90,15 @@ def test_check_ordered_judges_assumption_order(capsys, basis, valid):
         assert code == 0 and out.startswith("valid")
     else:
         assert code == 1 and out == "invalid"
+
+
+def test_check_ordered_past_the_search_budget_is_inconclusive(capsys):
+    args = [f"z{i}" for i in range(12)]
+    basis = ", ".join([f"f: {' -o_r '.join(['a'] * 12)} -o_r b"] + [f"{z}: a" for z in args])
+    code, out, err = run(capsys, "check", "--system", "ordered", "--basis", basis,
+                         " ".join(["f", *args]))
+    assert (code, out) == (2, "")
+    assert err.startswith("inconclusive: SizeBoundExceeded") and "\n" not in err
 
 
 def test_check_ordered_requires_a_basis(capsys):
@@ -145,6 +162,33 @@ def test_infer_nonterminating_term_is_inconclusive(capsys):
     code, _, err = run(capsys, "infer", "--system", "intersection", "(\\x. x x)(\\x. x x)")
     assert code == 2
     assert "fuel" in err
+
+
+TWO_TWO_TWO = " ".join(["(\\f x. f (f x))"] * 3)
+
+
+def test_infer_two_two_two_prints_a_type(capsys):
+    code, out, err = run(capsys, "infer", "--system", "intersection", TWO_TWO_TWO)
+    assert code == 0, err
+    subject, ty = out.splitlines()[0].split(" : ", 1)
+    assert alpha_eq(parse_term(subject), parse_term(TWO_TWO_TWO))
+    assert ty.endswith("-> q -> b")
+
+
+def test_expand_two_two_two(capsys):
+    code, out, err = run(capsys, "expand", "--flavor", "aci", TWO_TWO_TWO)
+    assert code == 0, err
+    assert "derivation (curry): ok" in out.splitlines()
+
+
+def test_replay_failure_is_inconclusive(capsys, monkeypatch):
+    def fail(term, fuel):
+        raise ReplayError("path walks into a non-application")
+
+    monkeypatch.setattr("lambda_expand.cli.infer", fail)
+    code, out, err = run(capsys, "infer", "--system", "intersection", "x")
+    assert (code, out) == (2, "")
+    assert err == "inconclusive: ReplayError: path walks into a non-application"
 
 
 def test_infer_reports_the_environment(capsys):

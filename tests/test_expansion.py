@@ -6,6 +6,8 @@ where relevant the induced derivation's annotations.  Properties lean on
 check_derivation/check_inter as independent oracles.
 """
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,7 +26,7 @@ from lambda_expand.expansion import (
     verify_whd_diagram,
 )
 from lambda_expand.intersection import InterDerivation, infer, match_requested
-from lambda_expand.syntax import parse_inter_type, parse_term, render_type
+from lambda_expand.syntax import parse_inter_type, parse_term, render_term, render_type
 from lambda_expand.systems import System, check_derivation
 from lambda_expand.terms import (
     Abs,
@@ -42,6 +44,7 @@ from lambda_expand.typelang import (
     Flavor,
     InterArrow,
     Lolli,
+    SetExpCtx,
     Target,
     TVar,
     ctx_match,
@@ -51,6 +54,7 @@ from lambda_expand.typelang import (
     set_ctx_to_env,
     translate,
 )
+from lambda_expand.verify import enumerate_terms
 
 t = parse_term
 ity = parse_inter_type
@@ -384,3 +388,42 @@ def test_beta_diagram_closes_on_li_terms(u):
     for flavor in (Flavor.ACI, Flavor.AC):
         rep = verify_beta_diagram_lambdai(u, flavor, fuel=300)
         assert rep.ok, (flavor, [s.reason for s in rep.steps if not s.ok])
+
+
+# ---------------------------------------------------------------------------
+# spelling pin: inference and expansion output, exactly as spelled
+
+
+def _spellings(u) -> list[str]:
+    """infer's subject, type and environment, then each flavor's expanded
+    term, type and context, or the class of the refusal."""
+    d = infer(u)
+    if d is None:
+        return ["untypable"]
+    lines = [f"{render_term(d.subject)} : {render_type(d.ty)}"]
+    lines += [f"  {x}: {' & '.join(map(render_type, ms))}" for x, ms in d.env]
+    for flavor in Flavor:
+        try:
+            r = expand(d, flavor)
+        except ExpansionError as exc:
+            lines.append(f"  {flavor.value}: {type(exc).__name__}")
+            continue
+        groups = r.context.groups.items() if isinstance(r.context, SetExpCtx) else r.context.groups
+        ctx = "; ".join(
+            f"{owner}: " + ", ".join(f"{y}: {render_type(ty)}" for y, ty in dict(g).items())
+            for owner, g in groups
+        )
+        lines.append(f"  {flavor.value}: {render_term(r.expanded)} : {render_type(r.ty)} | {ctx}")
+    return lines
+
+
+# sha256 of the lines below for every open term up to size 6; a change that
+# moves a binder name, a type-variable letter or a member's position moves it
+SPELLINGS_TO_SIZE_6 = "b444bb6bca40e3e8c1275a2af5f9a9fab1279502a681c866096c6fc624aec35b"
+
+
+def test_inference_and_expansion_spellings_are_pinned():
+    corpus = enumerate_terms(6, closed_only=False)
+    assert len(corpus) == 268
+    text = "\n".join(line for u in corpus for line in _spellings(u))
+    assert hashlib.sha256(text.encode()).hexdigest() == SPELLINGS_TO_SIZE_6

@@ -11,6 +11,9 @@ from hypothesis import strategies as st
 
 from lambda_expand.intersection import (
     InterDerivation,
+    _infer,
+    _TyFresh,
+    canonical_tyvars,
     check_inter,
     infer,
     infer_nf,
@@ -32,7 +35,8 @@ from lambda_expand.terms import (
     classify,
     free_vars,
 )
-from lambda_expand.typelang import Flavor, InterArrow, TVar, normalize
+from lambda_expand.typelang import Flavor, InterArrow, TVar, letter_names, normalize
+from lambda_expand.verify import enumerate_terms
 
 A = TVar("a")
 B = TVar("b")
@@ -120,6 +124,19 @@ def test_infer_nested_erasure_under_binder():
     assert check_inter(d)
     assert d.ty == arr(A, arr(B, B))
     assert d.environment() == {}
+
+
+def test_replay_spells_the_untouched_side_as_the_subject():
+    # every beta step re-canonicalizes the reduct's binders; the argument
+    # premises kept across a step in the function part must still derive
+    # the subject's own argument spelling
+    two = "(\\f x. f (f x))"
+    d = infer(t(f"{two} {two} {two}"))
+    assert d is not None
+    for flavor in Flavor:
+        assert check_inter(d, flavor), flavor
+    _, *args = d.premises
+    assert all(a.subject == d.subject.arg for a in args)
 
 
 def test_principal_pair():
@@ -267,3 +284,54 @@ def test_lambda_i_round_trip(u):
     assert check_inter(back)
     assert back.ty == d.ty
     assert back.subject == term
+
+
+def _three_loop_canonical_tyvars(d):
+    """Oracle: the root type's variables, then the root environment's, then
+    a walk of the whole derivation, each list searched before appending;
+    then a fresh substitution into every type."""
+    order = []
+
+    def add(ty):
+        if isinstance(ty, TVar):
+            if ty.name not in order:
+                order.append(ty.name)
+        else:
+            for m in ty.doms:
+                add(m)
+            add(ty.cod)
+
+    def walk(n):
+        add(n.ty)
+        for _, members in n.env:
+            for m in members:
+                add(m)
+        for p in n.premises:
+            walk(p)
+
+    add(d.ty)
+    for _, members in d.env:
+        for m in members:
+            add(m)
+    walk(d)
+    names = letter_names()
+    ren = {v: TVar(next(names)) for v in order}
+
+    def sub(ty):
+        if isinstance(ty, TVar):
+            return ren.get(ty.name, ty)
+        return InterArrow(tuple(sub(m) for m in ty.doms), sub(ty.cod))
+
+    def rebuild(n):
+        env = tuple((x, tuple(sub(m) for m in ms)) for x, ms in n.env)
+        return InterDerivation(
+            n.rule, env, n.subject, sub(n.ty), tuple(rebuild(p) for p in n.premises)
+        )
+
+    return rebuild(d)
+
+
+def test_canonical_tyvars_matches_the_three_loop_renaming():
+    for u in enumerate_terms(6, closed_only=False):
+        raw = _infer(canonicalize(u, FreshSupply()), 10_000, _TyFresh())
+        assert canonical_tyvars(raw) == _three_loop_canonical_tyvars(raw), u

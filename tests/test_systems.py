@@ -104,6 +104,11 @@ def test_infer_ordered_golden():
     assert infer_ordered(basis, t("(\\x1. x1 z1) z2")) == B
 
 
+def test_infer_ordered_fresh_names_avoid_nested_basis_variables():
+    basis = Basis((("x", oty("a -o_r b")),))
+    assert infer_ordered(basis, t("\\f. f x")) == oty("((a -o_r b) -o_l c) -o_r c")
+
+
 def test_infer_ordered_exhausted():
     assert infer_ordered(Basis(()), t("\\x. x x")) is None
 

@@ -17,8 +17,10 @@ from lambda_expand.terms import (
     simultaneous_substitute,
     size,
     substitute,
+    TermClass,
 )
 from lambda_expand.syntax import parse_term, render_term
+from lambda_expand.verify import enumerate_terms
 
 import pytest
 
@@ -75,6 +77,35 @@ def test_classify_examples():
     for src, (li, aff, lin) in cases:
         c = classify(t(src))
         assert (c.is_lambda_i, c.is_affine, c.is_linear) == (li, aff, lin), src
+
+
+def _classify_per_binder(t):
+    """Oracle: one count_free_occurrences per binder and per free variable."""
+    counts = []
+
+    def binders(u):
+        if isinstance(u, Abs):
+            counts.append(count_free_occurrences(u.body, u.binder))
+            binders(u.body)
+        elif isinstance(u, App):
+            binders(u.fun)
+            binders(u.arg)
+
+    binders(t)
+    frees_once = all(count_free_occurrences(t, v) == 1 for v in free_vars(t))
+    at_least = all(n >= 1 for n in counts)
+    at_most = all(n <= 1 for n in counts)
+    return TermClass(at_least, at_most and frees_once, at_least and at_most and frees_once)
+
+
+def test_classify_matches_a_per_binder_count_on_every_open_term_to_size_7():
+    for u in enumerate_terms(7, closed_only=False):
+        assert classify(u) == _classify_per_binder(u), u
+
+
+@given(terms)
+def test_classify_matches_a_per_binder_count_with_shadowing(u):
+    assert classify(u) == _classify_per_binder(u)
 
 
 def test_fresh_supply_continues_indexed_bases():

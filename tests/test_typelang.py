@@ -31,6 +31,7 @@ from lambda_expand.typelang import (
     normalize,
     set_ctx_to_env,
     translate,
+    type_key,
 )
 from lambda_expand.syntax import parse_inter_type, parse_ordered_type
 
@@ -149,6 +150,90 @@ def test_inter_eq_refinement(x, y):
         assert inter_eq(x, y, Flavor.AC)
     if inter_eq(x, y, Flavor.AC):
         assert inter_eq(x, y, Flavor.ACI)
+
+
+# ---- flavor equalities against their normalize-both-sides definitions ----
+
+
+def _normal_form(t, flavor):
+    """Oracle: rebuild every arrow, sorting (AC) or sorting and deduplicating
+    (ACI) its members."""
+    if isinstance(t, TVar):
+        return t
+    members = [_normal_form(m, flavor) for m in t.doms]
+    if flavor is Flavor.ACI:
+        members = sorted(set(members), key=type_key)
+    elif flavor is Flavor.AC:
+        members = sorted(members, key=type_key)
+    return InterArrow(tuple(members), _normal_form(t.cod, flavor))
+
+
+def _list_eq_oracle(xs, ys, flavor):
+    xs = [_normal_form(x, flavor) for x in xs]
+    ys = [_normal_form(y, flavor) for y in ys]
+    if flavor is Flavor.A:
+        return xs == ys
+    if flavor is Flavor.AC:
+        return sorted(xs, key=type_key) == sorted(ys, key=type_key)
+    return set(xs) == set(ys)
+
+
+def _types_to_depth(depth):
+    if depth == 0:
+        return tvars
+    sub = _types_to_depth(depth - 1)
+    arrows = st.tuples(st.lists(sub, min_size=1, max_size=3), sub).map(
+        lambda p: InterArrow(tuple(p[0]), p[1])
+    )
+    return st.one_of(tvars, arrows)
+
+
+types_to_depth_3 = _types_to_depth(3)
+
+
+def _variant(draw, t):
+    """t with each arrow's members permuted and, at random, one repeated:
+    equal under ACI, often under AC, seldom under A."""
+    if isinstance(t, TVar):
+        return t
+    members = draw(st.permutations([_variant(draw, m) for m in t.doms]))
+    if draw(st.booleans()):
+        members.append(draw(st.sampled_from(members)))
+    return InterArrow(tuple(members), _variant(draw, t.cod))
+
+
+def _partner(draw, t):
+    """t itself, a variant of t, or an unrelated type."""
+    kind = draw(st.sampled_from(["same", "variant", "other"]))
+    if kind == "same":
+        return t
+    if kind == "variant":
+        return _variant(draw, t)
+    return draw(types_to_depth_3)
+
+
+@given(st.data(), st.sampled_from(list(Flavor)))
+def test_flavor_equalities_match_the_normal_form_definitions(data, flavor):
+    draw = data.draw
+    x = draw(types_to_depth_3)
+    y = _partner(draw, x)
+    assert normalize(x, flavor) == _normal_form(x, flavor)
+    assert inter_eq(x, y, flavor) == (_normal_form(x, flavor) == _normal_form(y, flavor))
+
+    xs = tuple(draw(st.lists(types_to_depth_3, min_size=1, max_size=3)))
+    ys = [_partner(draw, m) for m in draw(st.permutations(xs))]
+    if draw(st.booleans()):
+        ys.append(draw(st.sampled_from(ys)))
+    assert inter_list_eq(xs, ys, flavor) == _list_eq_oracle(xs, ys, flavor)
+
+    ga = {v: xs for v in draw(st.lists(st.sampled_from("xy"), unique=True))}
+    gb = {v: tuple(_partner(draw, m) for m in ms) for v, ms in ga.items()}
+    if draw(st.booleans()):
+        gb[draw(st.sampled_from("xyz"))] = ys
+    want = ga.keys() == gb.keys() and all(
+        _list_eq_oracle(ga[v], gb[v], flavor) for v in ga
+    )
+    assert env_eq(ga, gb, flavor) == want
 
 
 def test_basis_rejects_duplicates():
