@@ -43,7 +43,7 @@ from .systems import (
     infer_curry,
     infer_ordered,
 )
-from .typelang import Basis, Flavor, ListExpCtx, SetExpCtx, normalize, type_key
+from .typelang import Basis, Flavor, ListExpCtx, SetExpCtx, normal_members, normalize
 from .verify import CapExceeded, PROPERTIES, enumerate_terms, enumerated_corpus, reports_to_json, run_matrix, summarize
 
 EXIT_OK = 0
@@ -149,16 +149,6 @@ def _fuel(args) -> int:
     return DEFAULT_FUEL
 
 
-def _display_members(members, flavor: Flavor):
-    """Member list in the flavor's canonical order (matching ``normalize``)."""
-    out = [normalize(m, flavor) for m in members]
-    if flavor is Flavor.ACI:
-        out = sorted(set(out), key=type_key)
-    elif flavor is Flavor.AC:
-        out = sorted(out, key=type_key)
-    return out
-
-
 def _members_text(members, unicode: bool) -> str:
     parts = []
     for m in members:
@@ -170,7 +160,7 @@ def _members_text(members, unicode: bool) -> str:
 
 def _env_lines(env, unicode: bool, flavor: Flavor | None = None) -> list[str]:
     return [
-        f"  {x}: {_members_text(_display_members(members, flavor) if flavor else members, unicode)}"
+        f"  {x}: {_members_text(normal_members(members, flavor) if flavor else members, unicode)}"
         for x, members in env
     ]
 

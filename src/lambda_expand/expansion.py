@@ -527,14 +527,6 @@ def _bindings_count(ctx: SetExpCtx) -> int:
     return sum(len(g) for g in ctx.groups.values())
 
 
-def _expander(flavor: Flavor):
-    if flavor is Flavor.ACI:
-        return expand_aci
-    if flavor is Flavor.AC:
-        return expand_ac
-    return expand_ordered
-
-
 def verify_whd_diagram(
     t: Term, flavor: Flavor = Flavor.ACI, fuel: int = 1000
 ) -> DiagramReport:
@@ -550,7 +542,6 @@ def verify_whd_diagram(
     d = infer(t)
     if d is None:
         raise ExpansionError("subject is not typable within the default fuel")
-    exp = _expander(flavor)
     steps: list[DiagramStep] = []
     cur_t, cur_d = d.subject, d
     while True:
@@ -559,8 +550,8 @@ def verify_whd_diagram(
             break
         t2, pos = nxt
         d2 = subject_reduce(cur_d, t2, pos)
-        r1 = exp(cur_d)
-        r2 = exp(d2)
+        r1 = expand(cur_d, flavor)
+        r2 = expand(d2, flavor)
         ok, shrank, reason = _whd_close(r1, r2, fuel)
         steps.append(
             DiagramStep(cur_t, t2, r1.expanded, r2.expanded, ok, shrank, reason)
@@ -599,10 +590,9 @@ def verify_beta_diagram_lambdai(
     d = infer(t)
     if d is None:
         raise ExpansionError("subject is not typable within the default fuel")
-    exp = _expander(flavor)
     steps: list[DiagramStep] = []
     base = d.subject
-    r1 = exp(d)
+    r1 = expand(d, flavor)
     for pos in redex_positions(base):
         t2 = beta_step(base, pos)
         try:
@@ -616,7 +606,7 @@ def verify_beta_diagram_lambdai(
             )
             continue
         try:
-            r2 = exp(d2)
+            r2 = expand(d2, flavor)
         except ExpansionError as e:
             steps.append(
                 DiagramStep(base, t2, r1.expanded, None, False, False, str(e))

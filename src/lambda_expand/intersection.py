@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import permutations
 from typing import Iterator
 
 from .reduction import ReductionTrace, Strategy, reduce, subterm_at
@@ -207,17 +206,6 @@ def _doms_matched(
 # type-variable plumbing
 
 
-def subst_ty(t: InterType, s: dict[str, InterType]) -> InterType:
-    match t:
-        case TVar(name):
-            return s.get(name, t)
-        case InterArrow(doms, cod):
-            return InterArrow(
-                tuple(subst_ty(m, s) for m in doms), subst_ty(cod, s)
-            )
-    raise TypeError(t)
-
-
 def _add_ty_vars(t: InterType, seen: dict[str, None]) -> None:
     """Add t's type variables to `seen` in first-occurrence order."""
     if isinstance(t, TVar):
@@ -319,17 +307,12 @@ def infer_nf(t: Term, fresh: _TyFresh | None = None) -> InterDerivation:
     """
     if fresh is None:
         fresh = _TyFresh()
-    d = _infer_nf(t, fresh)
-    return d
-
-
-def _infer_nf(t: Term, fresh: _TyFresh) -> InterDerivation:
     match t:
         case Var(x):
             a = fresh.fresh()
             return _node("ax", {x: (a,)}, t, a)
         case Abs(x, body):
-            p = _infer_nf(body, fresh)
+            p = infer_nf(body, fresh)
             penv = p.environment()
             if x in penv:
                 ty = InterArrow(penv[x], p.ty)
@@ -341,7 +324,7 @@ def _infer_nf(t: Term, fresh: _TyFresh) -> InterDerivation:
             spine, args = _spine(t)
             if not isinstance(spine, Var):
                 raise NotNormalError(f"redex in head position: {t}")
-            arg_ds = [_infer_nf(a, fresh) for a in args]
+            arg_ds = [infer_nf(a, fresh) for a in args]
             result = fresh.fresh()
             head_ty: InterType = result
             for a in reversed(arg_ds):
@@ -651,7 +634,7 @@ def _infer(t: Term, fuel: int, fresh: _TyFresh) -> InterDerivation:
     res = reduce(t, Strategy.LEFTMOST, fuel)
     if res.status != "normal-form":
         raise _Untypable(t)
-    d = _infer_nf(res.term, fresh)
+    d = infer_nf(res.term, fresh)
     trace: ReductionTrace = res.trace
     states = [trace.start] + [s.result for s in trace.steps]
     for i in range(len(trace.steps) - 1, -1, -1):
@@ -659,16 +642,6 @@ def _infer(t: Term, fuel: int, fresh: _TyFresh) -> InterDerivation:
         if d.subject != states[i]:
             raise ReplayError("replay lost the subject spelling")
     return d
-
-
-def principal_pair(
-    t: Term, fuel: int = 10_000
-) -> tuple[TypeEnv, InterType] | None:
-    """Environment and type of the replayed derivation, or None."""
-    d = infer(t, fuel)
-    if d is None:
-        return None
-    return d.environment(), d.ty
 
 
 # ---------------------------------------------------------------------------
@@ -831,62 +804,42 @@ def match_requested(
 def _match_ty(
     pat: InterType, tgt: InterType, s: dict[str, InterType], flavor: Flavor
 ) -> Iterator[dict[str, InterType]]:
-    pat = subst_ty(pat, s)
-    match pat, tgt:
-        case TVar(name), _:
-            # only the derivation's own (prefixed) variables are flexible
-            if name.startswith("_m"):
-                yield {**s, name: tgt}
-            elif pat == tgt:
-                yield s
-        case InterArrow(pdoms, pcod), InterArrow(tdoms, tcod):
-            for s2 in _match_members(list(pdoms), list(tdoms), s, flavor):
-                yield from _match_ty(pcod, tcod, s2, flavor)
-        case _:
-            return
+    """Extensions of s that map pat onto tgt.  Every variable of pat is
+    the derivation's own: unbound, it binds; bound, its binding must equal
+    tgt under the flavor."""
+    if isinstance(pat, TVar):
+        bound = s.get(pat.name)
+        if bound is None:
+            yield {**s, pat.name: tgt}
+        elif inter_eq(bound, tgt, flavor):
+            yield s
+    elif isinstance(tgt, InterArrow):
+        for s2 in _match_members(pat.doms, tgt.doms, s, flavor):
+            yield from _match_ty(pat.cod, tgt.cod, s2, flavor)
 
 
 def _match_members(
-    pats: list[InterType], tgts: list[InterType], s: dict[str, InterType], flavor: Flavor
-) -> Iterator[dict[str, InterType]]:
-    if flavor is Flavor.A:
-        if len(pats) != len(tgts):
-            return
-        yield from _match_seq(list(zip(pats, tgts)), s, flavor)
-        return
-    if flavor is Flavor.AC:
-        if len(pats) != len(tgts):
-            return
-        for perm in permutations(range(len(tgts))):
-            yield from _match_seq(
-                [(p, tgts[i]) for p, i in zip(pats, perm)], s, flavor
-            )
-        return
-    # ACI: every pattern member covers some target member and every
-    # target member is covered at least once
-    for assign in _aci_assignments(len(pats), len(tgts)):
-        yield from _match_seq(
-            [(p, tgts[i]) for p, i in zip(pats, assign)], s, flavor
-        )
-
-
-def _match_seq(
-    pairs: list[tuple[InterType, InterType]],
+    pats: tuple[InterType, ...],
+    tgts: tuple[InterType, ...],
     s: dict[str, InterType],
     flavor: Flavor,
 ) -> Iterator[dict[str, InterType]]:
-    if not pairs:
-        yield s
+    """Backtracking over pattern members in order: under A each takes the
+    target member at its own position, under AC an unused one, under ACI
+    any one, and in the end every target member must be taken."""
+    if flavor is not Flavor.ACI and len(pats) != len(tgts):
         return
-    (p, t), rest = pairs[0], pairs[1:]
-    for s2 in _match_ty(p, t, s, flavor):
-        yield from _match_seq(rest, s2, flavor)
 
+    def place(i: int, s: dict[str, InterType], used: frozenset[int]):
+        if len(pats) - i < len(tgts) - len(used):
+            return  # too few pattern members left to cover the targets
+        if i == len(pats):
+            yield s
+            return
+        for j in (i,) if flavor is Flavor.A else range(len(tgts)):
+            if flavor is Flavor.AC and j in used:
+                continue  # the cover check would reject it one member later
+            for s2 in _match_ty(pats[i], tgts[j], s, flavor):
+                yield from place(i + 1, s2, used | {j})
 
-def _aci_assignments(n_pats: int, n_tgts: int) -> Iterator[tuple[int, ...]]:
-    """Surjective maps from pattern positions onto target positions."""
-    from itertools import product
-
-    for assign in product(range(n_tgts), repeat=n_pats):
-        if set(assign) == set(range(n_tgts)):
-            yield assign
+    yield from place(0, s, frozenset())

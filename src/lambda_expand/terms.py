@@ -223,26 +223,7 @@ def canonicalize(t: Term, supply: FreshSupply | None = None) -> Term:
 
 def substitute(t: Term, x: str, s: Term) -> Term:
     """Capture-avoiding t[x := s]; result is canonicalized."""
-    fv_s = set(free_vars(s))
-    supply = FreshSupply(all_names(t) | all_names(s))
-
-    def go(t: Term, ren: dict[str, str]) -> Term:
-        match t:
-            case Var(v):
-                v = ren.get(v, v)
-                return s if v == x else Var(v)
-            case Abs(b, body):
-                if b == x:
-                    return Abs(b, rename_free(body, ren))
-                if b in fv_s:
-                    b2 = supply.fresh(b)
-                    return Abs(b2, go(body, {**ren, b: b2}))
-                return Abs(b, go(body, ren))
-            case App(fun, arg):
-                return App(go(fun, ren), go(arg, ren))
-        raise TypeError(t)
-
-    return canonicalize(go(t, {}), supply)
+    return simultaneous_substitute(t, [(x, s)])
 
 
 def rename_free(t: Term, ren: dict[str, str]) -> Term:
@@ -260,27 +241,35 @@ def rename_free(t: Term, ren: dict[str, str]) -> Term:
 
 def simultaneous_substitute(t: Term, bindings: list[tuple[str, Term]]) -> Term:
     """Replace each xi by si at once; the xi must be pairwise distinct."""
-    names = [x for x, _ in bindings]
-    if len(set(names)) != len(names):
-        raise DuplicateBinderError(f"repeated identifiers: {sorted(names)}")
     table = dict(bindings)
-    fv_all = set().union(*[free_vars(s) for _, s in bindings]) if bindings else set()
-    supply = FreshSupply(all_names(t) | {n for _, s in bindings for n in all_names(s)})
+    if len(table) != len(bindings):
+        raise DuplicateBinderError(
+            f"repeated identifiers: {sorted(x for x, _ in bindings)}"
+        )
+    fv_all: set[str] = set()
+    names = all_names(t)
+    for s in table.values():
+        fv_all.update(free_vars(s))
+        names |= all_names(s)
+    supply = FreshSupply(names)
 
+    # runs once per beta step (through substitute): isinstance dispatch,
+    # as in canonicalize
     def go(t: Term, ren: dict[str, str]) -> Term:
-        match t:
-            case Var(v):
-                v = ren.get(v, v)
-                return table.get(v, Var(v))
-            case Abs(b, body):
-                if b in table:
-                    return Abs(b, rename_free(body, ren))
-                if b in fv_all:
-                    b2 = supply.fresh(b)
-                    return Abs(b2, go(body, {**ren, b: b2}))
-                return Abs(b, go(body, ren))
-            case App(fun, arg):
-                return App(go(fun, ren), go(arg, ren))
+        if isinstance(t, Var):
+            v = ren.get(t.name, t.name)
+            s = table.get(v)
+            return Var(v) if s is None else s
+        if isinstance(t, App):
+            return App(go(t.fun, ren), go(t.arg, ren))
+        if isinstance(t, Abs):
+            b = t.binder
+            if b in table:
+                return Abs(b, rename_free(t.body, ren))
+            if b in fv_all:
+                b2 = supply.fresh(b)
+                return Abs(b2, go(t.body, {**ren, b: b2}))
+            return Abs(b, go(t.body, ren))
         raise TypeError(t)
 
     return canonicalize(go(t, {}), supply)

@@ -4,7 +4,7 @@ Four type languages share a variable constructor: simple types (->), linear
 types (-o), ordered types (-o_l / -o_r), and intersection types, whose arrows
 carry a nonempty list of domain members. One data shape stores all
 intersection flavors; flavor semantics (set / multiset / sequence) live in
-`normalize` and the equality helpers.
+`normal_members`, `normalize` and the equality helpers.
 
 Environments map identifiers to nonempty intersection-member lists. Expansion
 contexts come in two shapes: a set context maps owners to {fresh var: type}
@@ -91,18 +91,24 @@ def type_key(t: InterType):
     raise TypeError(t)
 
 
+def normal_members(members, flavor: Flavor) -> tuple[InterType, ...]:
+    """A member list's flavor normal form: its members normalized and
+    sorted under AC, also deduplicated under ACI, unchanged under A."""
+    if flavor is Flavor.A:
+        return tuple(members)
+    out = [normalize(m, flavor) for m in members]
+    if flavor is Flavor.ACI:
+        out = set(out)
+    return tuple(sorted(out, key=type_key))
+
+
 def normalize(t: InterType, flavor: Flavor) -> InterType:
-    """Canonical form per flavor: ACI sorts and dedups each domain list,
-    AC sorts, A leaves lists untouched (and so returns t itself)."""
+    """Canonical form per flavor: every domain list in its normal form
+    (`normal_members`); under A that is t itself."""
     if flavor is Flavor.A or isinstance(t, TVar):
         return t
     if isinstance(t, InterArrow):
-        members = [normalize(d, flavor) for d in t.doms]
-        if flavor is Flavor.ACI:
-            members = sorted(set(members), key=type_key)
-        else:
-            members = sorted(members, key=type_key)
-        return InterArrow(tuple(members), normalize(t.cod, flavor))
+        return InterArrow(normal_members(t.doms, flavor), normalize(t.cod, flavor))
     raise TypeError(t)
 
 
@@ -122,11 +128,7 @@ def inter_list_eq(xs, ys, flavor: Flavor) -> bool:
         return True
     if flavor is Flavor.A:
         return False
-    xs = [normalize(x, flavor) for x in xs]
-    ys = [normalize(y, flavor) for y in ys]
-    if flavor is Flavor.AC:
-        return sorted(xs, key=type_key) == sorted(ys, key=type_key)
-    return set(xs) == set(ys)
+    return normal_members(xs, flavor) == normal_members(ys, flavor)
 
 
 # ---- environments ----
@@ -187,20 +189,16 @@ class Basis:
     """Ordered assumption list; variables must be pairwise distinct."""
 
     entries: tuple[tuple[str, Type], ...] = ()
+    _names: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        names = [x for x, _ in self.entries]
+        names = tuple(x for x, _ in self.entries)
         if len(set(names)) != len(names):
-            raise ValueError(f"repeated basis variable in {names}")
+            raise ValueError(f"repeated basis variable in {list(names)}")
+        object.__setattr__(self, "_names", names)
 
     def vars(self) -> tuple[str, ...]:
-        return tuple(x for x, _ in self.entries)
-
-    def type_of(self, x: str) -> Type:
-        for v, ty in self.entries:
-            if v == x:
-                return ty
-        raise KeyError(x)
+        return self._names
 
     def __len__(self):
         return len(self.entries)

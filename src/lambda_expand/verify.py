@@ -331,7 +331,9 @@ def run_matrix(
     """Run every requested property over every corpus term, in order.
 
     The result depends only on the corpus and the property list; reruns
-    produce identical reports.
+    produce identical reports.  A property that raises on a subject gets a
+    ``fail`` verdict there whose note names the exception, and the run
+    goes on.
     """
     ids = list(properties) if properties is not None else list(PROPERTIES)
     unknown = [p for p in ids if p not in PROPERTIES]
@@ -340,9 +342,16 @@ def run_matrix(
     reports = []
     for pid in ids:
         fn = PROPERTIES[pid]
-        verdicts = tuple(Verdict(t, *fn(t)) for t in corpus.terms)
+        verdicts = tuple(_run_property(fn, t) for t in corpus.terms)
         reports.append(PropertyReport(pid, corpus.name, verdicts))
     return tuple(reports)
+
+
+def _run_property(fn, t: Term) -> Verdict:
+    try:
+        return Verdict(t, *fn(t))
+    except Exception as e:
+        return Verdict(t, "fail", f"{type(e).__name__}: {e}")
 
 
 def summarize(reports: Iterable[PropertyReport]) -> str:

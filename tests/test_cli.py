@@ -18,6 +18,7 @@ from lambda_expand.intersection import ReplayError
 from lambda_expand.syntax import parse_inter_type, parse_term
 from lambda_expand.terms import alpha_eq
 from lambda_expand.typelang import Flavor, inter_eq
+from lambda_expand.verify import PROPERTIES
 
 
 def run(capsys, *argv):
@@ -340,6 +341,22 @@ def test_verify_summary_and_exit_code(capsys):
     assert code == 0
     assert "expansion-checks-aci" in out and "whd-diagram-ac" in out
     assert "all-open-le-4" in out
+
+
+def test_verify_reports_a_raising_property_as_a_failure(capsys, monkeypatch):
+    def fail(term):
+        raise ReplayError("cannot rewrite the type of a non-spine function")
+
+    monkeypatch.setitem(PROPERTIES, "whd-diagram-ac", fail)
+    code, out, err = run(
+        capsys, "verify", "--corpus", "open:1", "--props", "expansion-checks-aci,whd-diagram-ac",
+    )
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    assert any(line.startswith("expansion-checks-aci") for line in lines)
+    assert lines[-1] == (
+        "FAIL whd-diagram-ac: v1 -- ReplayError: cannot rewrite the type of a non-spine function"
+    )
 
 
 def test_verify_json_reports(capsys):

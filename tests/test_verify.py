@@ -208,6 +208,24 @@ def test_run_matrix_rejects_unknown_properties():
         run_matrix(golden_corpus("x", []), ["no-such-claim"])
 
 
+def test_a_raising_property_fails_that_subject_and_the_run_goes_on(monkeypatch):
+    def replay_breaks_on_x(t):
+        if t == Var("x"):
+            raise RuntimeError("replay broke")
+        return "ok", ""
+
+    monkeypatch.setitem(PROPERTIES, "expansion-checks-aci", replay_breaks_on_x)
+    corpus = golden_corpus("demo", [parse_term("x"), parse_term("\\y. y")])
+    report, after = run_matrix(corpus, ["expansion-checks-aci", "expansion-checks-ac"])
+    assert [v.status for v in report.verdicts] == ["fail", "ok"]
+    assert report.failures()[0].note == "RuntimeError: replay broke"
+    assert after.ok and after.tally("ok") == 2
+    # the JSON keeps its shape: the exception is an ordinary failure
+    (data,) = json.loads(reports_to_json([report]))["reports"]
+    assert data["failures"] == [{"term": "x", "note": "RuntimeError: replay broke"}]
+    assert data["ok"] == 1 and data["passed"] is False
+
+
 def test_matrix_full_sweep_has_no_failures_on_small_terms():
     reports = run_matrix(enumerated_corpus(5, closed_only=False))
     assert set(r.prop for r in reports) == set(PROPERTIES)
