@@ -35,7 +35,14 @@ from .intersection import (
     subject_reduce,
 )
 from .reduction import beta_step, redex_positions, weak_head_step
-from .systems import Derivation, System, build_derivation, check_derivation
+from .systems import (
+    Derivation,
+    System,
+    build_derivation,
+    check_derivation,
+    elim,
+    intro,
+)
 from .terms import (
     Abs,
     App,
@@ -43,8 +50,7 @@ from .terms import (
     Term,
     Var,
     all_names,
-    alpha_eq,
-    canonicalize,
+    alpha_eq_renamed,
     classify,
     de_bruijn,
     free_vars,
@@ -278,14 +284,16 @@ def _exp_ord(
     supply: FreshSupply,
     prefer_left: bool,
     at_fun: bool,
-) -> tuple[Term, ListExpCtx, Derivation]:
+) -> tuple[ListExpCtx, Derivation]:
+    """The context and the induced ordered derivation, whose subject is
+    the expanded term."""
     if d.rule == "ax":
         x = d.subject.name
         y = supply.fresh(x)
         oty = translate(d.ty, Target.ORDERED)
         ctx = ListExpCtx([(x, [(y, oty)])])
         deriv = Derivation(System.ORDERED, "ax", Basis(((y, oty),)), Var(y), oty)
-        return Var(y), ctx, deriv
+        return ctx, deriv
 
     if d.rule == "arrow_i_prime":
         raise ExpansionError(
@@ -294,7 +302,7 @@ def _exp_ord(
 
     if d.rule == "arrow_i":
         (p,) = d.premises
-        body, ctx, bd = _exp_ord(p, supply, prefer_left, at_fun=False)
+        ctx, bd = _exp_ord(p, supply, prefer_left, at_fun=False)
         x = d.subject.binder
         tdoms = [translate(t, Target.ORDERED) for t in d.ty.doms]
 
@@ -329,33 +337,11 @@ def _exp_ord(
             order = entries if leftward else list(reversed(entries))
             for y, t in order:
                 pe = cur.basis.entries
-                if leftward:
-                    if not pe or pe[0] != (y, t):
-                        raise OrderViolation(
-                            f"binding {y} is not at the front of the basis"
-                        )
-                    cur = Derivation(
-                        System.ORDERED,
-                        "arrow_i_l",
-                        Basis(pe[1:]),
-                        Abs(y, cur.subject),
-                        LolliL(t, cur.ty),
-                        (cur,),
-                    )
-                else:
-                    if not pe or pe[-1] != (y, t):
-                        raise OrderViolation(
-                            f"binding {y} is not at the back of the basis"
-                        )
-                    cur = Derivation(
-                        System.ORDERED,
-                        "arrow_i_r",
-                        Basis(pe[:-1]),
-                        Abs(y, cur.subject),
-                        LolliR(t, cur.ty),
-                        (cur,),
-                    )
-            return cur.subject, rest, cur
+                if not pe or pe[0 if leftward else -1] != (y, t):
+                    side = "front" if leftward else "back"
+                    raise OrderViolation(f"binding {y} is not at the {side} of the basis")
+                cur = intro(cur, "arrow_i_l" if leftward else "arrow_i_r")
+            return rest, cur
         raise OrderViolation(
             f"binder {x}: its bindings sit neither at the usable end of the "
             "context nor in the required order"
@@ -363,7 +349,7 @@ def _exp_ord(
 
     if d.rule == "arrow_e":
         pf, *pas = d.premises
-        fun, fctx, fd = _exp_ord(pf, supply, prefer_left, at_fun=True)
+        fctx, fd = _exp_ord(pf, supply, prefer_left, at_fun=True)
         peeled: list[tuple[str, Type]] = []
         t = fd.ty
         for _ in pas:
@@ -383,23 +369,13 @@ def _exp_ord(
 
         parts = [_exp_ord(pa, supply, prefer_left, at_fun=False) for pa in pas]
         cur = fd
-        term = fun
-        for (at, _actx, ad), (_s, want) in zip(parts, peeled):
+        for (_actx, ad), (_s, want) in zip(parts, peeled):
             if ad.ty != want:
                 raise OrderViolation(
                     "argument annotation does not match the function's domain"
                 )
-            term = App(term, at)
-            rule = "arrow_e_l" if leftward else "arrow_e_r"
-            entries = (
-                ad.basis.entries + cur.basis.entries
-                if leftward
-                else cur.basis.entries + ad.basis.entries
-            )
-            cur = Derivation(
-                System.ORDERED, rule, Basis(entries), term, cur.ty.cod, (cur, ad)
-            )
-        arg_ctxs = [actx for _at, actx, _ad in parts]
+            cur = elim(cur, ad, "arrow_e_l" if leftward else "arrow_e_r")
+        arg_ctxs = [actx for actx, _ad in parts]
         if leftward:
             ctx = arg_ctxs[-1]
             for actx in reversed(arg_ctxs[:-1]):
@@ -414,7 +390,7 @@ def _exp_ord(
                 "appending the contexts interleaves bindings the derivation "
                 "keeps apart"
             )
-        return term, ctx, cur
+        return ctx, cur
 
     raise AssertionError(d.rule)
 
@@ -443,15 +419,13 @@ def expand_ordered(
     if orientation not in (Orientation.RIGHT, Orientation.MIXED):
         raise ValueError(f"unknown orientation {orientation!r}")
     supply = _supply_for(d.subject, supply)
-    term, ctx, deriv = _exp_ord(
-        d, supply, orientation == Orientation.MIXED, at_fun=False
-    )
+    ctx, deriv = _exp_ord(d, supply, orientation == Orientation.MIXED, at_fun=False)
     res = check_derivation(deriv)
     if not res:
         raise OrderViolation(
             f"induced ordered derivation fails at {list(res.path)}: {res.reason}"
         )
-    return ExpansionResult(term, deriv.ty, ctx, deriv, None)
+    return ExpansionResult(deriv.subject, deriv.ty, ctx, deriv, None)
 
 
 def expand(
@@ -508,13 +482,7 @@ def _free_renaming(pattern: Term, candidate: Term) -> dict[str, str] | None:
     ren = dict(zip(fp, fc))
     if len(set(ren.values())) != len(ren):
         return None
-    # refresh binders so the renaming cannot capture
-    safe = canonicalize(
-        pattern, FreshSupply(all_names(pattern) | all_names(candidate))
-    )
-    if alpha_eq(rename_free(safe, ren), candidate):
-        return ren
-    return None
+    return ren if alpha_eq_renamed(pattern, ren, candidate) else None
 
 
 def _rename_set_ctx(ctx: SetExpCtx, ren: dict[str, str]) -> SetExpCtx:
@@ -627,12 +595,9 @@ def _beta_close(
         if not renamings:
             return False, "ordered contexts do not match"
         ren = renamings[0]
-        safe = canonicalize(
-            r2.expanded,
-            FreshSupply(all_names(r2.expanded) | set(ren.values())),
-        )
-        target = rename_free(safe, ren)
-        if _beta_reaches(r1.expanded, lambda c: alpha_eq(c, target), fuel):
+        if _beta_reaches(
+            r1.expanded, lambda c: alpha_eq_renamed(r2.expanded, ren, c), fuel
+        ):
             return True, ""
         return False, "no beta reduct matches the expanded target"
 

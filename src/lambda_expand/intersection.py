@@ -26,7 +26,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator
 
-from .reduction import ReductionTrace, Strategy, reduce, subterm_at
+from .reduction import ReductionTrace, Strategy, reduce
 from .terms import (
     Abs,
     App,
@@ -61,7 +61,7 @@ class InterDerivation:
     premises: tuple["InterDerivation", ...] = ()
 
     def environment(self) -> TypeEnv:
-        return {x: members for x, members in self.env}
+        return dict(self.env)
 
     def size(self) -> int:
         return 1 + sum(p.size() for p in self.premises)
@@ -83,6 +83,29 @@ def _node(
 
 def _env_without(env: TypeEnv, x: str) -> TypeEnv:
     return {k: v for k, v in env.items() if k != x}
+
+
+def _abs_node(
+    x: str, p: InterDerivation, vacuous_doms: tuple[InterType, ...]
+) -> InterDerivation:
+    """Abstraction of x over p: arrow_i discharging x's whole list when x
+    occurs in p, else arrow_i_prime with domain `vacuous_doms`."""
+    penv = p.environment()
+    subject = Abs(x, p.subject)
+    if x in penv:
+        ty = InterArrow(penv[x], p.ty)
+        return _node("arrow_i", _env_without(penv, x), subject, ty, (p,))
+    return _node("arrow_i_prime", penv, subject, InterArrow(vacuous_doms, p.ty), (p,))
+
+
+def _app_node(
+    pf: InterDerivation, pas: list[InterDerivation], subject: Term
+) -> InterDerivation:
+    """arrow_e applying pf to the argument premises pas; the environments
+    meet pointwise."""
+    assert isinstance(pf.ty, InterArrow)
+    env = env_meet(pf.environment(), *[a.environment() for a in pas])
+    return _node("arrow_e", env, subject, pf.ty.cod, (pf, *pas))
 
 
 @dataclass(frozen=True)
@@ -107,84 +130,83 @@ def check_inter(d: InterDerivation, flavor: Flavor = Flavor.A) -> InterCheckResu
     with domain members under every flavor.  Derivations produced by this
     module are A-strict and therefore pass under every flavor.
     """
-    return _icheck(d, flavor, ())
+    return _icheck(d, flavor)
 
 
-def _ifail(path: tuple[int, ...], reason: str) -> InterCheckResult:
-    return InterCheckResult(False, path, reason)
+def _ifail(reason: str) -> InterCheckResult:
+    return InterCheckResult(False, (), reason)
 
 
-def _icheck(
-    d: InterDerivation, flavor: Flavor, path: tuple[int, ...]
-) -> InterCheckResult:
+def _icheck(d: InterDerivation, flavor: Flavor) -> InterCheckResult:
+    # as in systems._check, a failing premise's path is extended on the way out
     for i, p in enumerate(d.premises):
-        sub = _icheck(p, flavor, path + (i,))
+        sub = _icheck(p, flavor)
         if not sub:
-            return sub
+            return InterCheckResult(False, (i,) + sub.path, sub.reason)
 
     env = d.environment()
     if d.rule == "ax":
         if d.premises:
-            return _ifail(path, "ax takes no premises")
+            return _ifail("ax takes no premises")
         if not isinstance(d.subject, Var):
-            return _ifail(path, "ax subject must be a variable")
+            return _ifail("ax subject must be a variable")
         want = {d.subject.name: (d.ty,)}
         if env != want:
-            return _ifail(path, "ax environment must be the single assumption")
+            return _ifail("ax environment must be the single assumption")
         return _IOK
 
     if d.rule in ("arrow_i", "arrow_i_prime"):
         if len(d.premises) != 1:
-            return _ifail(path, f"{d.rule} takes one premise")
+            return _ifail(f"{d.rule} takes one premise")
         (p,) = d.premises
         penv = p.environment()
         if not isinstance(d.subject, Abs):
-            return _ifail(path, f"{d.rule} concludes an abstraction")
+            return _ifail(f"{d.rule} concludes an abstraction")
         x = d.subject.binder
         if d.subject.body != p.subject:
-            return _ifail(path, f"{d.rule} premise subject must be the body")
+            return _ifail(f"{d.rule} premise subject must be the body")
         if not isinstance(d.ty, InterArrow):
-            return _ifail(path, f"{d.rule} concludes an arrow")
+            return _ifail(f"{d.rule} concludes an arrow")
         if not inter_eq(d.ty.cod, p.ty, flavor):
-            return _ifail(path, f"{d.rule} codomain must be the premise type")
+            return _ifail(f"{d.rule} codomain must be the premise type")
         if d.rule == "arrow_i":
             if x not in penv:
-                return _ifail(path, "arrow_i needs the binder in the environment")
+                return _ifail("arrow_i needs the binder in the environment")
             if not inter_list_eq(d.ty.doms, penv[x], flavor):
-                return _ifail(path, "arrow_i discharges the binder's full list")
+                return _ifail("arrow_i discharges the binder's full list")
         else:
             if x in penv:
-                return _ifail(path, "arrow_i_prime needs the binder unused")
+                return _ifail("arrow_i_prime needs the binder unused")
             if len(d.ty.doms) != 1:
-                return _ifail(path, "arrow_i_prime domains are singletons")
+                return _ifail("arrow_i_prime domains are singletons")
         if not env_eq(env, _env_without(penv, x), flavor):
-            return _ifail(path, f"{d.rule} environment must drop the binder")
+            return _ifail(f"{d.rule} environment must drop the binder")
         return _IOK
 
     if d.rule == "arrow_e":
         if len(d.premises) < 2:
-            return _ifail(path, "arrow_e takes a function and argument premises")
+            return _ifail("arrow_e takes a function and argument premises")
         pf, *pas = d.premises
         if not isinstance(pf.ty, InterArrow):
-            return _ifail(path, "arrow_e function premise needs an arrow type")
+            return _ifail("arrow_e function premise needs an arrow type")
         if len(pas) != len(pf.ty.doms):
-            return _ifail(path, "arrow_e needs one argument premise per member")
+            return _ifail("arrow_e needs one argument premise per member")
         if not _doms_matched(pf.ty.doms, [a.ty for a in pas], flavor):
-            return _ifail(path, "argument types must match the domain members")
+            return _ifail("argument types must match the domain members")
         if not isinstance(d.subject, App):
-            return _ifail(path, "arrow_e concludes an application")
+            return _ifail("arrow_e concludes an application")
         if d.subject.fun != pf.subject:
-            return _ifail(path, "arrow_e function premise subject mismatch")
+            return _ifail("arrow_e function premise subject mismatch")
         if any(a.subject != d.subject.arg for a in pas):
-            return _ifail(path, "argument premises must all derive the argument")
+            return _ifail("argument premises must all derive the argument")
         if not inter_eq(d.ty, pf.ty.cod, flavor):
-            return _ifail(path, "arrow_e concludes the codomain")
+            return _ifail("arrow_e concludes the codomain")
         met = env_meet(pf.environment(), *[a.environment() for a in pas])
         if not env_eq(env, met, flavor):
-            return _ifail(path, "arrow_e environment must be the pointwise meet")
+            return _ifail("arrow_e environment must be the pointwise meet")
         return _IOK
 
-    return _ifail(path, f"unknown rule {d.rule!r}")
+    return _ifail(f"unknown rule {d.rule!r}")
 
 
 def _doms_matched(
@@ -313,13 +335,8 @@ def infer_nf(t: Term, fresh: _TyFresh | None = None) -> InterDerivation:
             return _node("ax", {x: (a,)}, t, a)
         case Abs(x, body):
             p = infer_nf(body, fresh)
-            penv = p.environment()
-            if x in penv:
-                ty = InterArrow(penv[x], p.ty)
-                return _node("arrow_i", _env_without(penv, x), t, ty, (p,))
-            dom = fresh.fresh()
-            ty = InterArrow((dom,), p.ty)
-            return _node("arrow_i_prime", penv, t, ty, (p,))
+            used = x in p.environment()
+            return _abs_node(x, p, () if used else (fresh.fresh(),))
         case App(_, _):
             spine, args = _spine(t)
             if not isinstance(spine, Var):
@@ -332,17 +349,8 @@ def infer_nf(t: Term, fresh: _TyFresh | None = None) -> InterDerivation:
             d: InterDerivation = _node(
                 "ax", {spine.name: (head_ty,)}, spine, head_ty
             )
-            cur = spine
             for a in arg_ds:
-                assert isinstance(d.ty, InterArrow)
-                cur = App(cur, a.subject)
-                d = _node(
-                    "arrow_e",
-                    env_meet(d.environment(), a.environment()),
-                    cur,
-                    d.ty.cod,
-                    (d, a),
-                )
+                d = _app_node(d, [a], App(d.subject, a.subject))
             return d
     raise TypeError(t)
 
@@ -440,7 +448,12 @@ def _expand_at(
         if d.subject.binder != before.binder:  # type: ignore[union-attr]
             raise ReplayError("binder spelling changed above the redex")
         p = _expand_at(d.premises[0], before.body, rest, fuel, fresh)
-        return _rebuild_abs(d, before.binder, p)
+        # the premise may have gained occurrences of the binder (an erased
+        # argument mentioned it), turning arrow_i_prime into arrow_i
+        n = _abs_node(before.binder, p, d.ty.doms)  # type: ignore[union-attr]
+        if d.rule == "arrow_i" and n.rule != "arrow_i":
+            raise ReplayError("binder occurrences vanished while expanding")
+        return n
 
     if not isinstance(before, App) or d.rule != "arrow_e":
         raise ReplayError("path walks into a non-application")
@@ -458,25 +471,6 @@ def _expand_at(
     return _rebuild_app(pf, new_args, App(before.fun, before.arg))
 
 
-def _rebuild_abs(d: InterDerivation, x: str, p: InterDerivation) -> InterDerivation:
-    """Abstraction node over a rebuilt premise.
-
-    The premise may have gained occurrences of the binder (an erased
-    argument mentioned it), so arrow_i_prime can turn into arrow_i here,
-    changing the type.
-    """
-    penv = p.environment()
-    subject = Abs(x, p.subject)
-    if x in penv:
-        ty = InterArrow(penv[x], p.ty)
-        return _node("arrow_i", _env_without(penv, x), subject, ty, (p,))
-    if d.rule == "arrow_i_prime":
-        assert isinstance(d.ty, InterArrow)
-        ty = InterArrow(d.ty.doms, p.ty)
-        return _node("arrow_i_prime", penv, subject, ty, (p,))
-    raise ReplayError("binder occurrences vanished while expanding")
-
-
 def _rebuild_app(
     pf: InterDerivation, pas: list[InterDerivation], subject: App
 ) -> InterDerivation:
@@ -486,9 +480,7 @@ def _rebuild_app(
     arg_tys = tuple(a.ty for a in pas)
     if pf.ty.doms != arg_tys:
         pf = _respine(pf, InterArrow(arg_tys, pf.ty.cod))
-    assert isinstance(pf.ty, InterArrow)
-    env = env_meet(pf.environment(), *[a.environment() for a in pas])
-    return _node("arrow_e", env, subject, pf.ty.cod, (pf, *pas))
+    return _app_node(pf, pas, subject)
 
 
 def _respine(d: InterDerivation, ty: InterType) -> InterDerivation:
@@ -505,9 +497,7 @@ def _respine(d: InterDerivation, ty: InterType) -> InterDerivation:
         pf, *pas = d.premises
         assert isinstance(pf.ty, InterArrow)
         pf = _respine(pf, InterArrow(pf.ty.doms, ty))
-        env = env_meet(pf.environment(), *[a.environment() for a in pas])
-        assert isinstance(d.subject, App)
-        return _node("arrow_e", env, d.subject, ty, (pf, *pas))
+        return _app_node(pf, pas, d.subject)
     raise ReplayError("cannot rewrite the type of a non-spine function")
 
 
@@ -522,15 +512,8 @@ def _expand_site(
         # erasing step: the contractum is m itself
         body_d = retarget(d, m)
         arg_d = _infer(n, fuel, fresh)
-        lam = _node(
-            "arrow_i_prime",
-            body_d.environment(),
-            redex.fun,
-            InterArrow((arg_d.ty,), body_d.ty),
-            (body_d,),
-        )
-        env = env_meet(lam.environment(), arg_d.environment())
-        return _node("arrow_e", env, redex, body_d.ty, (lam, arg_d))
+        lam = _abs_node(x, body_d, (arg_d.ty,))
+        return _app_node(lam, [arg_d], redex)
 
     detached: list[InterDerivation] = []
     p = _extract(m, d, {}, x, detached)
@@ -538,12 +521,8 @@ def _expand_site(
     doms = tuple(a.ty for a in detached)
     if penv.get(x) != doms:
         raise ReplayError("detached occurrence types disagree with the environment")
-    lam = _node(
-        "arrow_i", _env_without(penv, x), redex.fun, InterArrow(doms, p.ty), (p,)
-    )
-    args = [retarget(a, n) for a in detached]
-    env = env_meet(lam.environment(), *[a.environment() for a in args])
-    return _node("arrow_e", env, redex, p.ty, (lam, *args))
+    lam = _abs_node(x, p, ())
+    return _app_node(lam, [retarget(a, n) for a in detached], redex)
 
 
 def _extract(
@@ -577,7 +556,14 @@ def _extract(
             if d.subject.binder != b:
                 inner[b] = d.subject.binder
             p = _extract(body, d.premises[0], inner, x, detached)
-            return _rebuild_abs_extract(d, b, p)
+            n = _abs_node(b, p, d.ty.doms)  # type: ignore[union-attr]
+            if n.rule != d.rule:
+                raise ReplayError(
+                    "binder gained occurrences during extraction"
+                    if n.rule == "arrow_i"
+                    else "binder lost its occurrences during extraction"
+                )
+            return n
         case App(f, a):
             if d.rule != "arrow_e":
                 raise ReplayError("application does not line up")
@@ -587,28 +573,8 @@ def _extract(
             assert isinstance(nf.ty, InterArrow)
             if tuple(p.ty for p in nas) != nf.ty.doms:
                 raise ReplayError("extraction changed an argument type")
-            env = env_meet(nf.environment(), *[p.environment() for p in nas])
-            return _node("arrow_e", env, App(f, a), nf.ty.cod, (nf, *nas))
+            return _app_node(nf, nas, App(f, a))
     raise TypeError(m)
-
-
-def _rebuild_abs_extract(
-    d: InterDerivation, b: str, p: InterDerivation
-) -> InterDerivation:
-    penv = p.environment()
-    subject = Abs(b, p.subject)
-    if d.rule == "arrow_i":
-        if b not in penv:
-            raise ReplayError("binder lost its occurrences during extraction")
-        return _node(
-            "arrow_i", _env_without(penv, b), subject, InterArrow(penv[b], p.ty), (p,)
-        )
-    if b in penv:
-        raise ReplayError("binder gained occurrences during extraction")
-    assert isinstance(d.ty, InterArrow)
-    return _node(
-        "arrow_i_prime", penv, subject, InterArrow(d.ty.doms, p.ty), (p,)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -676,7 +642,14 @@ def _reduce_at(
         if d.rule not in ("arrow_i", "arrow_i_prime") or not isinstance(reduct, Abs):
             raise ReplayError("path walks under a non-abstraction")
         p = _reduce_at(d.premises[0], reduct.body, rest)
-        return _reduce_rebuild_abs(d, reduct.binder, p)
+        # binder occurrences can only disappear here (the step erased a
+        # subterm mentioning it)
+        n = _abs_node(reduct.binder, p, d.ty.doms)  # type: ignore[union-attr]
+        if d.rule == "arrow_i" and n.rule != "arrow_i" and len(n.ty.doms) != 1:
+            raise ReductionTypeError(
+                "binder lost all occurrences but its domain is not a singleton"
+            )
+        return n
     if d.rule != "arrow_e" or not isinstance(reduct, App):
         raise ReplayError("path walks into a non-application")
     pf, *pas = d.premises
@@ -687,30 +660,6 @@ def _reduce_at(
     else:
         raise ReplayError(f"bad path component {step!r}")
     return _rebuild_app(pf, pas, reduct)
-
-
-def _reduce_rebuild_abs(
-    d: InterDerivation, x: str, p: InterDerivation
-) -> InterDerivation:
-    """Abstraction node over a reduced premise: binder occurrences can
-    only disappear here (the step erased a subterm mentioning it)."""
-    penv = p.environment()
-    subject = Abs(x, p.subject)
-    if x in penv:
-        return _node(
-            "arrow_i", _env_without(penv, x), subject, InterArrow(penv[x], p.ty), (p,)
-        )
-    if d.rule == "arrow_i":
-        assert isinstance(d.ty, InterArrow)
-        if len(d.ty.doms) != 1:
-            raise ReductionTypeError(
-                "binder lost all occurrences but its domain is not a singleton"
-            )
-        return _node(
-            "arrow_i_prime", penv, subject, InterArrow(d.ty.doms, p.ty), (p,)
-        )
-    assert isinstance(d.ty, InterArrow)
-    return _node("arrow_i_prime", penv, subject, InterArrow(d.ty.doms, p.ty), (p,))
 
 
 def _reduce_site(d: InterDerivation, contractum: Term) -> InterDerivation:
@@ -748,26 +697,17 @@ def _graft(
             raise ReplayError("argument type does not match the occurrence")
         return a
     if d.rule in ("arrow_i", "arrow_i_prime"):
-        assert isinstance(d.subject, Abs)
+        assert isinstance(d.subject, Abs) and isinstance(d.ty, InterArrow)
         p = _graft(d.premises[0], x, queue)
-        penv = p.environment()
-        b = d.subject.binder
-        subject = Abs(b, p.subject)
-        assert isinstance(d.ty, InterArrow)
-        if d.rule == "arrow_i":
-            if penv.get(b) != d.ty.doms:
-                raise ReplayError("grafting changed the discharged list")
-            return _node("arrow_i", _env_without(penv, b), subject, d.ty, (p,))
-        return _node("arrow_i_prime", penv, subject, d.ty, (p,))
+        n = _abs_node(d.subject.binder, p, d.ty.doms)
+        if n.rule != d.rule or n.ty != d.ty:
+            raise ReplayError("grafting changed the discharged list")
+        return n
     if d.rule == "arrow_e":
         pf, *pas = d.premises
         nf = _graft(pf, x, queue)
         nas = [_graft(a, x, queue) for a in pas]
-        env = env_meet(nf.environment(), *[a.environment() for a in nas])
-        assert isinstance(nf.ty, InterArrow)
-        return _node(
-            "arrow_e", env, App(nf.subject, nas[0].subject), nf.ty.cod, (nf, *nas)
-        )
+        return _app_node(nf, nas, App(nf.subject, nas[0].subject))
     raise ReplayError(f"unknown rule {d.rule!r}")
 
 
@@ -826,12 +766,20 @@ def _match_members(
 ) -> Iterator[dict[str, InterType]]:
     """Backtracking over pattern members in order: under A each takes the
     target member at its own position, under AC an unused one, under ACI
-    any one, and in the end every target member must be taken."""
+    any one, and in the end every target member must be covered.  Under
+    ACI a pattern member covers its target's whole class of ACI-equal
+    members, so (a & a) -> a takes a one-member pattern."""
     if flavor is not Flavor.ACI and len(pats) != len(tgts):
         return
+    if flavor is Flavor.ACI:
+        classes: dict[InterType, int] = {}
+        cover = [classes.setdefault(normalize(t, flavor), len(classes)) for t in tgts]
+    else:
+        cover = list(range(len(tgts)))
+    n_cover = len(set(cover))
 
     def place(i: int, s: dict[str, InterType], used: frozenset[int]):
-        if len(pats) - i < len(tgts) - len(used):
+        if len(pats) - i < n_cover - len(used):
             return  # too few pattern members left to cover the targets
         if i == len(pats):
             yield s
@@ -840,6 +788,6 @@ def _match_members(
             if flavor is Flavor.AC and j in used:
                 continue  # the cover check would reject it one member later
             for s2 in _match_ty(pats[i], tgts[j], s, flavor):
-                yield from place(i + 1, s2, used | {j})
+                yield from place(i + 1, s2, used | {cover[j]})
 
     yield from place(0, s, frozenset())

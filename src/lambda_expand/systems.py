@@ -17,7 +17,7 @@ its system.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator
 
@@ -65,8 +65,25 @@ STRUCTURAL: dict[System, frozenset[str]] = {
     System.ORDERED: frozenset(),
 }
 
-ARROW_RULES = frozenset({"arrow_i", "arrow_e"})
-ORDERED_RULES = frozenset({"arrow_i_l", "arrow_i_r", "arrow_e_l", "arrow_e_r"})
+# The connective of each system's arrow rules.  The set-like systems have
+# one introduction and one elimination; ordered has a left and a right one
+# of each.  arrow_i_l discharges the first basis entry and arrow_e_l puts
+# the argument's basis first; the other rules discharge the last entry and
+# put the function's basis first.
+CONNECTIVE: dict[tuple[System, str], type] = {
+    (System.CURRY, "arrow_i"): Arrow,
+    (System.CURRY, "arrow_e"): Arrow,
+    (System.RELEVANT, "arrow_i"): Arrow,
+    (System.RELEVANT, "arrow_e"): Arrow,
+    (System.AFFINE, "arrow_i"): Lolli,
+    (System.AFFINE, "arrow_e"): Lolli,
+    (System.LINEAR, "arrow_i"): Lolli,
+    (System.LINEAR, "arrow_e"): Lolli,
+    (System.ORDERED, "arrow_i_l"): LolliL,
+    (System.ORDERED, "arrow_i_r"): LolliR,
+    (System.ORDERED, "arrow_e_l"): LolliL,
+    (System.ORDERED, "arrow_e_r"): LolliR,
+}
 
 
 @dataclass(frozen=True)
@@ -99,8 +116,8 @@ class CheckResult:
         return self.ok
 
 
-def _fail(path: tuple[int, ...], reason: str) -> CheckResult:
-    return CheckResult(False, path, reason)
+def _fail(reason: str) -> CheckResult:
+    return CheckResult(False, (), reason)
 
 
 _OK = CheckResult(True)
@@ -108,181 +125,133 @@ _OK = CheckResult(True)
 
 def check_derivation(d: Derivation) -> CheckResult:
     """Replay one derivation tree against the rule table of d.system."""
-    return _check(d, ())
+    return _check(d)
 
 
-def _check(d: Derivation, path: tuple[int, ...]) -> CheckResult:
+def _check(d: Derivation) -> CheckResult:
+    # a failing premise's path is extended on the way out, so only the
+    # failing branch ever holds a path
     for i, p in enumerate(d.premises):
         if p.system is not d.system:
-            return _fail(path + (i,), "premise belongs to a different system")
-        sub = _check(p, path + (i,))
+            return CheckResult(False, (i,), "premise belongs to a different system")
+        sub = _check(p)
         if not sub:
-            return sub
+            return CheckResult(False, (i,) + sub.path, sub.reason)
 
     sys = d.system
     rule = d.rule
     if rule == "ax":
-        return _check_ax(d, path)
+        return _check_ax(d)
     if rule in STRUCTURAL[sys]:
-        return _check_structural(d, path)
-    if sys is System.ORDERED:
-        if rule in ORDERED_RULES:
-            return _check_ordered_rule(d, path)
-    elif rule in ARROW_RULES:
-        return _check_arrow_rule(d, path)
-    return _fail(path, f"rule {rule!r} not available in {sys.value}")
+        return _check_structural(d)
+    conn = CONNECTIVE.get((sys, rule))
+    if conn is None:
+        return _fail(f"rule {rule!r} not available in {sys.value}")
+    if rule.startswith("arrow_i"):
+        return _check_intro(d, conn)
+    return _check_elim(d, conn)
 
 
-def _check_ax(d: Derivation, path: tuple[int, ...]) -> CheckResult:
+def _check_ax(d: Derivation) -> CheckResult:
     if d.premises:
-        return _fail(path, "ax takes no premises")
+        return _fail("ax takes no premises")
     if len(d.basis.entries) != 1:
-        return _fail(path, "ax needs a singleton basis")
+        return _fail("ax needs a singleton basis")
     x, ty = d.basis.entries[0]
     if d.subject != Var(x):
-        return _fail(path, "ax subject must be the basis variable")
+        return _fail("ax subject must be the basis variable")
     if d.ty != ty:
-        return _fail(path, "ax type must match the basis entry")
+        return _fail("ax type must match the basis entry")
     return _OK
 
 
-def _check_structural(d: Derivation, path: tuple[int, ...]) -> CheckResult:
+def _check_structural(d: Derivation) -> CheckResult:
     if len(d.premises) != 1:
-        return _fail(path, f"{d.rule} takes one premise")
+        return _fail(f"{d.rule} takes one premise")
     (p,) = d.premises
     if d.rule != "ctr" and d.subject != p.subject:
-        return _fail(path, f"{d.rule} must not change the subject")
+        return _fail(f"{d.rule} must not change the subject")
     if d.ty != p.ty:
-        return _fail(path, f"{d.rule} must not change the type")
+        return _fail(f"{d.rule} must not change the type")
 
     pe = p.basis.entries
     ce = d.basis.entries
     if d.rule == "weak":
         # conclusion appends one fresh entry at the end
         if len(ce) != len(pe) + 1 or ce[:-1] != pe:
-            return _fail(path, "weak appends exactly one entry")
+            return _fail("weak appends exactly one entry")
         x, _ = ce[-1]
         if x in p.basis.vars():
-            return _fail(path, "weakened variable already in basis")
+            return _fail("weakened variable already in basis")
         return _OK
     if d.rule == "ex":
         # conclusion swaps one adjacent pair
         if len(ce) != len(pe):
-            return _fail(path, "ex preserves basis length")
+            return _fail("ex preserves basis length")
         diffs = [i for i in range(len(ce)) if ce[i] != pe[i]]
         if len(diffs) != 2 or diffs[1] != diffs[0] + 1:
-            return _fail(path, "ex swaps one adjacent pair")
+            return _fail("ex swaps one adjacent pair")
         i = diffs[0]
         if ce[i] != pe[i + 1] or ce[i + 1] != pe[i]:
-            return _fail(path, "ex swaps one adjacent pair")
+            return _fail("ex swaps one adjacent pair")
         return _OK
     if d.rule == "ctr":
         # premise ends with x:t, y:t; conclusion keeps x and renames y to
         # x in the subject
         if len(pe) < 2 or len(ce) != len(pe) - 1:
-            return _fail(path, "ctr drops exactly one entry")
+            return _fail("ctr drops exactly one entry")
         (x, tx), (y, ty) = pe[-2], pe[-1]
         if tx != ty:
-            return _fail(path, "ctr needs equal types on the merged pair")
+            return _fail("ctr needs equal types on the merged pair")
         if ce != pe[:-1]:
-            return _fail(path, "ctr keeps the basis prefix")
+            return _fail("ctr keeps the basis prefix")
         if d.subject != rename_free(p.subject, {y: x}):
-            return _fail(path, "ctr must rename the dropped variable")
+            return _fail("ctr must rename the dropped variable")
         return _OK
     raise AssertionError(d.rule)
 
 
-def _check_arrow_rule(d: Derivation, path: tuple[int, ...]) -> CheckResult:
-    arrow_cls = Lolli if d.system in (System.LINEAR, System.AFFINE) else Arrow
-    if d.rule == "arrow_i":
-        if len(d.premises) != 1:
-            return _fail(path, "arrow_i takes one premise")
-        (p,) = d.premises
-        if not isinstance(d.subject, Abs):
-            return _fail(path, "arrow_i concludes an abstraction")
-        pe = p.basis.entries
-        if not pe:
-            return _fail(path, "arrow_i discharges the last basis entry")
-        x, tx = pe[-1]
-        if d.basis.entries != pe[:-1]:
-            return _fail(path, "arrow_i keeps the basis prefix")
-        if d.subject != Abs(x, p.subject):
-            return _fail(path, "arrow_i subject must bind the discharged variable")
-        if d.ty != arrow_cls(tx, p.ty):
-            return _fail(path, "arrow_i type must be discharged arrow premise")
-        return _OK
-    if d.rule == "arrow_e":
-        if len(d.premises) != 2:
-            return _fail(path, "arrow_e takes two premises")
-        pf, pa = d.premises
-        if not isinstance(pf.ty, arrow_cls):
-            return _fail(path, "arrow_e function premise needs an arrow type")
-        if pf.ty.dom != pa.ty:
-            return _fail(path, "arrow_e argument type must match the domain")
-        if d.ty != pf.ty.cod:
-            return _fail(path, "arrow_e concludes the codomain")
-        if d.subject != App(pf.subject, pa.subject):
-            return _fail(path, "arrow_e subject must apply fun to arg")
-        if d.basis.entries != pf.basis.entries + pa.basis.entries:
-            return _fail(path, "arrow_e basis is fun basis then arg basis")
-        shared = set(pf.basis.vars()) & set(pa.basis.vars())
-        if shared:
-            return _fail(path, f"premise bases share {sorted(shared)}")
-        return _OK
-    raise AssertionError(d.rule)
+def _check_intro(d: Derivation, conn: type) -> CheckResult:
+    if len(d.premises) != 1:
+        return _fail(f"{d.rule} takes one premise")
+    (p,) = d.premises
+    if not isinstance(d.subject, Abs):
+        return _fail(f"{d.rule} concludes an abstraction")
+    pe = p.basis.entries
+    if not pe:
+        return _fail(f"{d.rule} discharges a basis entry")
+    if d.rule == "arrow_i_l":
+        (x, tx), rest = pe[0], pe[1:]
+    else:
+        (x, tx), rest = pe[-1], pe[:-1]
+    if d.basis.entries != rest:
+        return _fail(f"{d.rule} keeps the remaining basis in order")
+    if d.subject != Abs(x, p.subject):
+        return _fail(f"{d.rule} subject must bind the discharged variable")
+    if d.ty != conn(tx, p.ty):
+        return _fail(f"{d.rule} type must match the discharged entry")
+    return _OK
 
 
-def _check_ordered_rule(d: Derivation, path: tuple[int, ...]) -> CheckResult:
-    if d.rule in ("arrow_i_l", "arrow_i_r"):
-        if len(d.premises) != 1:
-            return _fail(path, f"{d.rule} takes one premise")
-        (p,) = d.premises
-        if not isinstance(d.subject, Abs):
-            return _fail(path, f"{d.rule} concludes an abstraction")
-        pe = p.basis.entries
-        if not pe:
-            return _fail(path, f"{d.rule} discharges a basis entry")
-        if d.rule == "arrow_i_l":
-            # binder sits at the front of the premise basis
-            x, tx = pe[0]
-            rest = pe[1:]
-            want: Type = LolliL(tx, p.ty)
-        else:
-            x, tx = pe[-1]
-            rest = pe[:-1]
-            want = LolliR(tx, p.ty)
-        if d.basis.entries != rest:
-            return _fail(path, f"{d.rule} keeps the remaining basis in order")
-        if d.subject != Abs(x, p.subject):
-            return _fail(path, f"{d.rule} subject must bind the discharged variable")
-        if d.ty != want:
-            return _fail(path, f"{d.rule} type must match the discharged entry")
-        return _OK
-    if d.rule in ("arrow_e_l", "arrow_e_r"):
-        if len(d.premises) != 2:
-            return _fail(path, f"{d.rule} takes two premises")
-        pf, pa = d.premises
-        arrow_cls = LolliL if d.rule == "arrow_e_l" else LolliR
-        if not isinstance(pf.ty, arrow_cls):
-            return _fail(path, f"{d.rule} function premise needs {arrow_cls.__name__}")
-        if pf.ty.dom != pa.ty:
-            return _fail(path, f"{d.rule} argument type must match the domain")
-        if d.ty != pf.ty.cod:
-            return _fail(path, f"{d.rule} concludes the codomain")
-        if d.subject != App(pf.subject, pa.subject):
-            return _fail(path, f"{d.rule} subject must apply fun to arg")
-        if d.rule == "arrow_e_l":
-            # argument basis lands on the left of the conclusion
-            want_basis = pa.basis.entries + pf.basis.entries
-        else:
-            want_basis = pf.basis.entries + pa.basis.entries
-        if d.basis.entries != want_basis:
-            return _fail(path, f"{d.rule} arranges the premise bases the other way")
-        shared = set(pf.basis.vars()) & set(pa.basis.vars())
-        if shared:
-            return _fail(path, f"premise bases share {sorted(shared)}")
-        return _OK
-    raise AssertionError(d.rule)
+def _check_elim(d: Derivation, conn: type) -> CheckResult:
+    if len(d.premises) != 2:
+        return _fail(f"{d.rule} takes two premises")
+    pf, pa = d.premises
+    if not isinstance(pf.ty, conn):
+        return _fail(f"{d.rule} function premise needs {conn.__name__}")
+    if pf.ty.dom != pa.ty:
+        return _fail(f"{d.rule} argument type must match the domain")
+    if d.ty != pf.ty.cod:
+        return _fail(f"{d.rule} concludes the codomain")
+    if d.subject != App(pf.subject, pa.subject):
+        return _fail(f"{d.rule} subject must apply fun to arg")
+    first, second = (pa, pf) if d.rule == "arrow_e_l" else (pf, pa)
+    if d.basis.entries != first.basis.entries + second.basis.entries:
+        return _fail(f"{d.rule} arranges the premise bases the other way")
+    shared = set(pf.basis.vars()) & set(pa.basis.vars())
+    if shared:
+        return _fail(f"premise bases share {sorted(shared)}")
+    return _OK
 
 
 def rename_in_derivation(d: Derivation, ren: dict[str, str]) -> Derivation:
@@ -354,6 +323,27 @@ def _weaken(d: Derivation, x: str, ty: Type) -> Derivation:
     return Derivation(d.system, "weak", Basis(entries), d.subject, d.ty, (d,))
 
 
+def intro(p: Derivation, rule: str) -> Derivation:
+    """The introduction `rule` over p: arrow_i_l discharges p's first
+    basis entry, the other introductions its last."""
+    pe = p.basis.entries
+    (x, tx), rest = (pe[0], pe[1:]) if rule == "arrow_i_l" else (pe[-1], pe[:-1])
+    ty = CONNECTIVE[p.system, rule](tx, p.ty)
+    return Derivation(p.system, rule, Basis(rest), Abs(x, p.subject), ty, (p,))
+
+
+def elim(pf: Derivation, pa: Derivation, rule: str) -> Derivation:
+    """The elimination `rule` applying pf to pa; raises ValueError when
+    pf's type is not an arrow of the rule's connective from pa's type."""
+    conn = CONNECTIVE[pf.system, rule]
+    if not isinstance(pf.ty, conn) or pf.ty.dom != pa.ty:
+        raise ValueError(f"function part needs {conn.__name__} from the argument type")
+    first, second = (pa, pf) if rule == "arrow_e_l" else (pf, pa)
+    basis = Basis(first.basis.entries + second.basis.entries)
+    subject = App(pf.subject, pa.subject)
+    return Derivation(pf.system, rule, basis, subject, pf.ty.cod, (pf, pa))
+
+
 # ---------------------------------------------------------------------------
 # building derivations for the four set-like systems
 
@@ -410,24 +400,12 @@ def _build(
             ty = var_types[x]
             return Derivation(system, "ax", Basis(((x, ty),)), term, ty)
         case Abs(x, body):
-            tx = var_types[x]
-            if binder_uses[id(term)]:
-                p = _build(system, body, var_types, supply, binder_uses)
-                p = _move_to_end(p, x)
-            else:
-                if "weak" not in STRUCTURAL[system]:
-                    raise ValueError(f"{system.value} cannot discharge unused {x!r}")
-                p = _build(system, body, var_types, supply, binder_uses)
-                p = _weaken(p, x, tx)
-            arrow = _arrow_of(system, tx, p.ty)
-            return Derivation(
-                system,
-                "arrow_i",
-                Basis(p.basis.entries[:-1]),
-                Abs(x, p.subject),
-                arrow,
-                (p,),
-            )
+            used = binder_uses[id(term)]
+            if not used and "weak" not in STRUCTURAL[system]:
+                raise ValueError(f"{system.value} cannot discharge unused {x!r}")
+            p = _build(system, body, var_types, supply, binder_uses)
+            p = _move_to_end(p, x) if used else _weaken(p, x, var_types[x])
+            return intro(p, "arrow_i")
         case App(f, a):
             df = _build(system, f, var_types, supply, binder_uses)
             da = _build(system, a, var_types, supply, binder_uses)
@@ -441,38 +419,12 @@ def _build(
                 ren[x] = supply.fresh(x)
             if ren:
                 da = rename_in_derivation(da, ren)
-            dom, cod = _split_arrow(system, df.ty)
-            if dom != da.ty:
-                raise ValueError("argument type does not match the function domain")
-            d = Derivation(
-                system,
-                "arrow_e",
-                Basis(df.basis.entries + da.basis.entries),
-                App(df.subject, da.subject),
-                cod,
-                (df, da),
-            )
+            d = elim(df, da, "arrow_e")
             for x, y in ren.items():
                 d = _contract_pair(d, x, y)
             d = permute_basis(d, order)
             return d
     raise AssertionError
-
-
-def _arrow_of(system: System, dom: Type, cod: Type) -> Type:
-    if system in (System.LINEAR, System.AFFINE):
-        return Lolli(dom, cod)
-    return Arrow(dom, cod)
-
-
-def _split_arrow(system: System, ty: Type) -> tuple[Type, Type]:
-    if system in (System.LINEAR, System.AFFINE):
-        if not isinstance(ty, Lolli):
-            raise ValueError("function part is not a -o type")
-        return ty.dom, ty.cod
-    if not isinstance(ty, Arrow):
-        raise ValueError("function part is not an arrow type")
-    return ty.dom, ty.cod
 
 
 # ---------------------------------------------------------------------------

@@ -295,3 +295,11 @@ def de_bruijn(t: Term):
 
 def alpha_eq(a: Term, b: Term) -> bool:
     return de_bruijn(a) == de_bruijn(b)
+
+
+def alpha_eq_renamed(t: Term, ren: dict[str, str], u: Term) -> bool:
+    """Is t, with its free names renamed by ren, alpha-equal to u?  t's
+    binders are refreshed apart from ren's targets first, so no renamed
+    name is captured."""
+    safe = canonicalize(t, FreshSupply(all_names(t) | set(ren.values())))
+    return alpha_eq(rename_free(safe, ren), u)

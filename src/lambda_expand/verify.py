@@ -32,11 +32,10 @@ from .terms import (
     Var,
     all_names,
     alpha_eq,
-    canonicalize,
+    alpha_eq_renamed,
     classify,
     count_free_occurrences,
     free_vars,
-    rename_free,
     simultaneous_substitute,
     size,
 )
@@ -414,18 +413,6 @@ def collapse_distributes(g1: TypeEnv, g2: TypeEnv) -> tuple[bool, str]:
 # --------------------------------------------------------------------------
 # substitution composition (two routes to an expansion of a contractum)
 
-def _match_modulo_renaming(
-    term_a: Term, ctx_a, term_b: Term, ctx_b, flavor: Flavor
-) -> bool:
-    """Does some context renaming carry (term_a, ctx_a) onto (term_b, ctx_b)?"""
-    names = all_names(term_a) | all_names(term_b)
-    for ren in ctx_match(ctx_a, ctx_b, flavor):
-        safe = canonicalize(term_a, FreshSupply(names | set(ren.values())))
-        if alpha_eq(rename_free(safe, ren), term_b):
-            return True
-    return False
-
-
 def substitution_composes(t: Term, flavor: Flavor) -> tuple[str, str]:
     """Compare two routes from a top-level redex to an expansion of its
     contractum.
@@ -478,7 +465,9 @@ def substitution_composes(t: Term, flavor: Flavor) -> tuple[str, str]:
 
     if rb.ty != r2.ty:
         return "fail", "the two routes give different result types"
-    if _match_modulo_renaming(rhs_term, rhs_ctx, r2.expanded, r2.context, flavor):
+    # some renaming of the contexts carries route one onto route two
+    renamings = ctx_match(rhs_ctx, r2.context, flavor)
+    if any(alpha_eq_renamed(rhs_term, ren, r2.expanded) for ren in renamings):
         return "ok", ""
     return "fail", "substituting expanded parts differs from expanding the reduct"
 

@@ -270,6 +270,14 @@ def test_expand_rejects_unmatchable_requested_type(capsys):
     assert code == 1 and "requested type" in err
 
 
+def test_expand_aci_covers_a_repeated_requested_member(capsys):
+    # (a & a) -> a is a -> a under ACI, but not under AC
+    code, out, _ = run(capsys, "expand", "--flavor", "aci", "--type", "(a & a) -> a", "\\x. x")
+    assert code == 0 and out.splitlines()[0] == "\\x1. x1 : a -> a"
+    code, _, err = run(capsys, "expand", "--flavor", "ac", "--type", "(a & a) -> a", "\\x. x")
+    assert code == 1 and "requested type" in err
+
+
 def test_expand_ordered_violation_is_absent_not_a_crash(capsys):
     code, _, err = run(capsys, "expand", "--flavor", "ordered", "\\x1. x1 v1")
     assert code == 1 and "no expansion" in err

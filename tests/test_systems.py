@@ -1,9 +1,12 @@
 """Checker, builder, and decision procedures for the five basic systems."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lambda_expand.intersection import check_inter, infer
 from lambda_expand.syntax import (
     parse_linear_type,
     parse_ordered_type,
@@ -26,7 +29,7 @@ from lambda_expand.systems import (
     to_linear,
 )
 from lambda_expand.terms import Abs, App, Var, canonicalize, FreshSupply
-from lambda_expand.typelang import Arrow, Basis, Lolli, LolliL, LolliR, TVar
+from lambda_expand.typelang import Arrow, Basis, Flavor, Lolli, LolliL, LolliR, TVar
 
 
 def t(src):
@@ -163,6 +166,28 @@ def test_ordered_derivation_wrong_basis_order_rejected():
     )
     res = check_derivation(flipped)
     assert not res and res.path == ()
+
+
+def _retyped_at(d, path):
+    """d with the node at `path` given the type zz."""
+    if not path:
+        return dataclasses.replace(d, ty=TVar("zz"))
+    premises = list(d.premises)
+    premises[path[0]] = _retyped_at(premises[path[0]], path[1:])
+    return dataclasses.replace(d, premises=tuple(premises))
+
+
+def test_a_failure_three_levels_deep_has_the_same_path_under_both_checkers():
+    # arrow_i, arrow_i, arrow_e, then the axiom for x, in both derivations
+    term = t("\\f x. f x")
+    path = (0, 0, 1)
+    simple = decide(System.CURRY, term)
+    inter = infer(term)
+    assert check_derivation(simple) and check_inter(inter)
+    got = check_derivation(_retyped_at(simple, path))
+    assert not got and got.path == path
+    got = check_inter(_retyped_at(inter, path), Flavor.A)
+    assert not got and got.path == path
 
 
 def test_axiom_type_must_match_entry():
