@@ -5,7 +5,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from .terms import Abs, App, Term, Var, canonicalize, substitute
+from .terms import Abs, App, Term, Var, canonicalize, follows_convention, substitute
 
 # A redex position is a path from the root: "left" into an application's
 # function, "right" into its argument, "under" into an abstraction body.
@@ -47,20 +47,6 @@ class ReduceResult:
     term: Term
 
 
-def subterm_at(t: Term, position: RedexPosition) -> Term:
-    for step in position:
-        match step, t:
-            case "left", App(fun, _):
-                t = fun
-            case "right", App(_, arg):
-                t = arg
-            case "under", Abs(_, body):
-                t = body
-            case _:
-                raise NotARedexError(f"path {position} leaves the term")
-    return t
-
-
 def redex_positions(t: Term) -> list[RedexPosition]:
     """All redex positions, leftmost-outermost first."""
     out: list[RedexPosition] = []
@@ -83,42 +69,55 @@ def leftmost_position(t: Term) -> RedexPosition | None:
     """Position of the leftmost-outermost redex, or None on normal forms.
 
     Agrees with redex_positions(t)[0], but stops at the first redex found.
+    This walk runs on every step of `reduce`: it dispatches with
+    isinstance, and keeps each path as a linked (step, parent) pair so a
+    node costs one small tuple however deep it is.
     """
-    stack: list[tuple[Term, RedexPosition]] = [(t, ())]
+    stack: list[tuple[Term, tuple | None]] = [(t, None)]
     while stack:
-        t, path = stack.pop()
-        match t:
-            case App(fun, arg):
-                if isinstance(fun, Abs):
-                    return path
-                stack.append((arg, path + ("right",)))
-                stack.append((fun, path + ("left",)))
-            case Abs(_, body):
-                stack.append((body, path + ("under",)))
+        t, link = stack.pop()
+        if isinstance(t, App):
+            if isinstance(t.fun, Abs):
+                path: list[str] = []
+                while link is not None:
+                    step, link = link
+                    path.append(step)
+                return tuple(reversed(path))
+            stack.append((t.arg, ("right", link)))
+            stack.append((t.fun, ("left", link)))
+        elif isinstance(t, Abs):
+            stack.append((t.body, ("under", link)))
     return None
 
 
 def beta_step(t: Term, position: RedexPosition) -> Term:
-    """Contract the redex at `position`; the result is canonicalized."""
-    target = subterm_at(t, position)
-    if not (isinstance(target, App) and isinstance(target.fun, Abs)):
-        raise NotARedexError(f"no redex at {position}")
+    """Contract the redex at `position`; the result is canonicalized.
 
-    def rebuild(t: Term, path: RedexPosition) -> Term:
-        if not path:
-            red = t
-            return substitute(red.fun.body, red.fun.binder, red.arg)
-        step, rest = path[0], path[1:]
-        match step, t:
-            case "left", App(fun, arg):
-                return App(rebuild(fun, rest), arg)
-            case "right", App(fun, arg):
-                return App(fun, rebuild(arg, rest))
-            case "under", Abs(b, body):
-                return Abs(b, rebuild(body, rest))
+    The contractum comes out of `substitute` canonical.  At the root it is
+    the result; elsewhere the rebuilt term is canonicalized only when it
+    breaks the binder convention, since canonicalize is the identity on
+    terms that keep it.
+    """
+    last = len(position)
+
+    def rebuild(t: Term, i: int) -> Term:
+        if i == last:
+            if isinstance(t, App) and isinstance(t.fun, Abs):
+                return substitute(t.fun.body, t.fun.binder, t.arg)
+            raise NotARedexError(f"no redex at {position}")
+        step = position[i]
+        if step == "left" and isinstance(t, App):
+            return App(rebuild(t.fun, i + 1), t.arg)
+        if step == "right" and isinstance(t, App):
+            return App(t.fun, rebuild(t.arg, i + 1))
+        if step == "under" and isinstance(t, Abs):
+            return Abs(t.binder, rebuild(t.body, i + 1))
         raise NotARedexError(f"path {position} leaves the term")
 
-    return canonicalize(rebuild(t, position))
+    out = rebuild(t, 0)
+    if last and not follows_convention(out):
+        return canonicalize(out)
+    return out
 
 
 def weak_head_position(t: Term) -> RedexPosition | None:

@@ -49,8 +49,15 @@ def size(t: Term) -> int:
 
 def free_vars(t: Term) -> list[str]:
     """Free variables in first-occurrence order, no duplicates."""
-    out: list[str] = []
+    return _scan(t)[0]
+
+
+def _scan(t: Term) -> tuple[list[str], set[str]]:
+    """One walk over t: its free variables in first-occurrence order, and
+    the set of names it binds."""
+    free: list[str] = []
     seen: set[str] = set()
+    binders: set[str] = set()
     # how many enclosing binders bind each name; a str on the stack marks
     # the end of that binder's scope.  This runs on every beta step, so it
     # dispatches with isinstance, which is cheaper than class patterns.
@@ -62,17 +69,50 @@ def free_vars(t: Term) -> list[str]:
             v = t.name
             if not bound.get(v) and v not in seen:
                 seen.add(v)
-                out.append(v)
+                free.append(v)
         elif isinstance(t, App):
             stack.append(t.arg)
             stack.append(t.fun)
         elif isinstance(t, Abs):
+            binders.add(t.binder)
             bound[t.binder] = bound.get(t.binder, 0) + 1
             stack.append(t.binder)
             stack.append(t.body)
         else:
             bound[t] -= 1
-    return out
+    return free, binders
+
+
+def follows_convention(t: Term) -> bool:
+    """No name is bound twice in t, and no name is both free and bound.
+    Exactly then canonicalize(t) == t.  Walks t without building terms."""
+    binders: set[str] = set()
+    free: set[str] = set()
+    scope: set[str] = set()
+    # a str on the stack marks the end of that binder's scope
+    stack: list[Term | str] = [t]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, Var):
+            v = t.name
+            if v not in scope:
+                if v in binders:
+                    return False
+                free.add(v)
+        elif isinstance(t, App):
+            stack.append(t.arg)
+            stack.append(t.fun)
+        elif isinstance(t, Abs):
+            b = t.binder
+            if b in binders or b in free:
+                return False
+            binders.add(b)
+            scope.add(b)
+            stack.append(b)
+            stack.append(t.body)
+        else:
+            scope.discard(t)
+    return True
 
 
 def count_free_occurrences(t: Term, x: str) -> int:
@@ -194,31 +234,87 @@ class FreshSupply:
 
 
 def canonicalize(t: Term, supply: FreshSupply | None = None) -> Term:
-    """Rename binders so each name is bound once and never also occurs free."""
+    """Rename binders so each name is bound once and never also occurs free.
+    A term that already follows that convention comes back equal."""
     if supply is None:
         supply = FreshSupply()
     fv = free_vars(t)
     supply.reserve(fv)
-    used = set(fv)
+    return _rebind(t, {}, set(fv), supply, set(), iter(()))
 
-    # runs twice per beta step: isinstance dispatch, as in free_vars
-    def go(t: Term, ren: dict[str, str]) -> Term:
+
+def _rebind(
+    t: Term,
+    table: dict[str, Term],
+    used: set[str],
+    supply: FreshSupply,
+    fv_all: set[str],
+    captures,
+) -> Term:
+    """The one allocating walk behind canonicalize and substitution.
+
+    Replaces each free occurrence of a key of ``table`` by its term, walked
+    on in the same pass, and renames binders as canonicalize does: a binder
+    whose name is in ``used`` (the result's free names and the binders met
+    so far) gets the supply's next fresh name.  A binder of t that is free
+    in a replacement (``fv_all``) while a replacement is still live below
+    it takes the next name from ``captures`` instead, drawn beforehand in
+    this walk's order.
+    """
+
+    # runs on every beta step: isinstance dispatch, as in _scan
+    def go(t: Term, ren: dict[str, str], live: dict[str, Term]) -> Term:
         if isinstance(t, Var):
-            return Var(ren.get(t.name, t.name))
+            s = live.get(t.name)
+            if s is not None:
+                return go(s, {}, {})
+            v = ren.get(t.name)
+            return t if v is None or v == t.name else Var(v)
         if isinstance(t, App):
-            return App(go(t.fun, ren), go(t.arg, ren))
+            return App(go(t.fun, ren, live), go(t.arg, ren, live))
         if isinstance(t, Abs):
             b = t.binder
-            if b in used:
+            capture = False
+            if b in live:
+                live = {x: s for x, s in live.items() if x != b}
+            else:
+                capture = bool(live) and b in fv_all
+            if capture:
+                b2 = next(captures)
+            elif b in used:
                 b2 = supply.fresh(b)
             else:
                 b2 = b
-                supply.reserve([b])
+                supply.reserve((b,))
             used.add(b2)
-            return Abs(b2, go(t.body, {**ren, b: b2}))
+            return Abs(b2, go(t.body, {**ren, b: b2}, live))
         raise TypeError(t)
 
-    return go(t, {})
+    return go(t, {}, table)
+
+
+def _capture_names(
+    t: Term, table: dict[str, Term], fv_all: set[str], supply: FreshSupply
+) -> list[str]:
+    """Fresh names for the binders of t that would capture a free name of
+    a replacement, drawn in the order _rebind meets them."""
+    out: list[str] = []
+    stack: list[tuple[Term, dict[str, Term]]] = [(t, table)]
+    while stack:
+        t, live = stack.pop()
+        if isinstance(t, App):
+            stack.append((t.arg, live))
+            stack.append((t.fun, live))
+        elif isinstance(t, Abs):
+            b = t.binder
+            if b in live:
+                live = {x: s for x, s in live.items() if x != b}
+                if not live:
+                    continue
+            elif b in fv_all:
+                out.append(supply.fresh(b))
+            stack.append((t.body, live))
+    return out
 
 
 def substitute(t: Term, x: str, s: Term) -> Term:
@@ -240,54 +336,56 @@ def rename_free(t: Term, ren: dict[str, str]) -> Term:
 
 
 def simultaneous_substitute(t: Term, bindings: list[tuple[str, Term]]) -> Term:
-    """Replace each xi by si at once; the xi must be pairwise distinct."""
+    """Replace each free xi by si at once; the xi must be pairwise distinct.
+    The result is canonicalized, in the same walk.
+
+    Binder spellings are those of substituting first, renaming the binders
+    of t that are free in some si, and canonicalizing the result with the
+    same supply: the capture renames are drawn first, then the
+    canonicalizing ones.
+    """
     table = dict(bindings)
     if len(table) != len(bindings):
         raise DuplicateBinderError(
             f"repeated identifiers: {sorted(x for x, _ in bindings)}"
         )
+    free_list, bound = _scan(t)
+    free = set(free_list)
+    names = bound | free
+    # the result's free names, read off the parts rather than the result
+    used = free - table.keys()
     fv_all: set[str] = set()
-    names = all_names(t)
-    for s in table.values():
-        fv_all.update(free_vars(s))
-        names |= all_names(s)
+    for x, s in table.items():
+        s_free, s_bound = _scan(s)
+        names |= s_bound
+        names.update(s_free)
+        fv_all.update(s_free)
+        if x in free:
+            used.update(s_free)
     supply = FreshSupply(names)
-
-    # runs once per beta step (through substitute): isinstance dispatch,
-    # as in canonicalize
-    def go(t: Term, ren: dict[str, str]) -> Term:
-        if isinstance(t, Var):
-            v = ren.get(t.name, t.name)
-            s = table.get(v)
-            return Var(v) if s is None else s
-        if isinstance(t, App):
-            return App(go(t.fun, ren), go(t.arg, ren))
-        if isinstance(t, Abs):
-            b = t.binder
-            if b in table:
-                return Abs(b, rename_free(t.body, ren))
-            if b in fv_all:
-                b2 = supply.fresh(b)
-                return Abs(b2, go(t.body, {**ren, b: b2}))
-            return Abs(b, go(t.body, ren))
-        raise TypeError(t)
-
-    return canonicalize(go(t, {}), supply)
+    captures = (
+        _capture_names(t, table, fv_all, supply)
+        if not fv_all.isdisjoint(bound)
+        else []
+    )
+    return _rebind(t, table, used, supply, fv_all, iter(captures))
 
 
-def de_bruijn(t: Term):
-    """Nameless key: alpha-equivalent terms get equal keys."""
+def de_bruijn(t: Term, ren: dict[str, str] | None = None):
+    """Nameless key: alpha-equivalent terms get equal keys.  Free names are
+    first renamed by ``ren`` when given."""
+    ren = ren or {}
 
     def go(t: Term, depth: dict[str, int], level: int):
-        match t:
-            case Var(v):
-                if v in depth:
-                    return ("b", level - depth[v])
-                return ("f", v)
-            case Abs(b, body):
-                return ("l", go(body, {**depth, b: level + 1}, level + 1))
-            case App(fun, arg):
-                return ("a", go(fun, depth, level), go(arg, depth, level))
+        if isinstance(t, Var):
+            v = t.name
+            if v in depth:
+                return ("b", level - depth[v])
+            return ("f", ren.get(v, v))
+        if isinstance(t, Abs):
+            return ("l", go(t.body, {**depth, t.binder: level + 1}, level + 1))
+        if isinstance(t, App):
+            return ("a", go(t.fun, depth, level), go(t.arg, depth, level))
         raise TypeError(t)
 
     return go(t, {}, 0)
@@ -298,8 +396,6 @@ def alpha_eq(a: Term, b: Term) -> bool:
 
 
 def alpha_eq_renamed(t: Term, ren: dict[str, str], u: Term) -> bool:
-    """Is t, with its free names renamed by ren, alpha-equal to u?  t's
-    binders are refreshed apart from ren's targets first, so no renamed
-    name is captured."""
-    safe = canonicalize(t, FreshSupply(all_names(t) | set(ren.values())))
-    return alpha_eq(rename_free(safe, ren), u)
+    """Is t, with its free names renamed by ren, alpha-equal to u?  The
+    renaming acts on de Bruijn keys, where no name can be captured."""
+    return de_bruijn(t, ren) == de_bruijn(u)

@@ -9,7 +9,7 @@ check_derivation/check_inter as independent oracles.
 import hashlib
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lambda_expand.expansion import (
@@ -245,6 +245,14 @@ def test_weak_head_diagram_context_shrinks_on_erasure():
     assert alpha_eq(rep.steps[-1].target, t("z"))
 
 
+def test_weak_head_diagram_closes_when_a_binder_shares_a_free_name():
+    # the expanded target \y3. y2 matches \y2. y3 by renaming its free y2
+    # to y3, which its own binder y3 must not capture
+    for flavor in (Flavor.ACI, Flavor.AC):
+        rep = verify_whd_diagram(t(r"(\x. \y. x) y"), flavor)
+        assert rep.ok, (flavor, [s.reason for s in rep.steps if not s.ok])
+
+
 def test_weak_head_diagram_rejects_the_ordered_flavor():
     with pytest.raises(ValueError):
         verify_whd_diagram(t("x"), Flavor.A)
@@ -367,6 +375,7 @@ def test_ordered_expansion_is_sound_when_it_fits(u):
 
 
 @given(terms)
+@example(t(r"(\x. \y. x) y"))
 @settings(max_examples=40, deadline=None)
 def test_weak_head_diagram_closes_everywhere(u):
     d = infer(u, fuel=200)

@@ -3,7 +3,19 @@ from hypothesis import strategies as st
 
 import pytest
 
-from lambda_expand.terms import Abs, App, Var, alpha_eq, classify, size
+from lambda_expand.terms import (
+    Abs,
+    App,
+    FreshSupply,
+    Var,
+    all_names,
+    alpha_eq,
+    canonicalize,
+    classify,
+    free_vars,
+    rename_free,
+    size,
+)
 from lambda_expand.reduction import (
     NotARedexError,
     Strategy,
@@ -15,6 +27,7 @@ from lambda_expand.reduction import (
     weak_head_step,
 )
 from lambda_expand.syntax import parse_term, render_term
+from lambda_expand.verify import enumerate_terms
 
 OMEGA = "(\\x. x x) (\\x. x x)"
 
@@ -139,3 +152,109 @@ def test_linear_terms_reduce_within_length(u):
     r = reduce(u, Strategy.LEFTMOST, size(u))
     assert r.status == "normal-form"
     assert len(r.trace) <= size(u)
+
+
+# ---------------------------------------------------------------------------
+# the one-walk step against the two-phase composition it replaces
+
+def _oracle_substitute(t, x, s):
+    """Substitute, renaming the binders of t that are free in s, then
+    canonicalize with the same supply."""
+    fv_s = set(free_vars(s))
+    supply = FreshSupply(all_names(t) | all_names(s))
+
+    def go(t, ren):
+        if isinstance(t, Var):
+            # a bound name is looked up before its rename, which may have
+            # drawn the spelling of x itself
+            if t.name == x and x not in ren:
+                return s
+            return Var(ren.get(t.name, t.name))
+        if isinstance(t, App):
+            return App(go(t.fun, ren), go(t.arg, ren))
+        if t.binder == x:
+            return Abs(x, rename_free(t.body, ren))
+        if t.binder in fv_s:
+            b2 = supply.fresh(t.binder)
+            return Abs(b2, go(t.body, {**ren, t.binder: b2}))
+        return Abs(t.binder, go(t.body, ren))
+
+    return canonicalize(go(t, {}), supply)
+
+
+def _oracle_step(t, position):
+    """Substitute, canonicalize, rebuild, canonicalize the whole term."""
+
+    def rebuild(t, path):
+        if not path:
+            return _oracle_substitute(t.fun.body, t.fun.binder, t.arg)
+        if path[0] == "left":
+            return App(rebuild(t.fun, path[1:]), t.arg)
+        if path[0] == "right":
+            return App(t.fun, rebuild(t.arg, path[1:]))
+        return Abs(t.binder, rebuild(t.body, path[1:]))
+
+    return canonicalize(rebuild(t, position))
+
+
+def _renamed(t, f):
+    if isinstance(t, Var):
+        return Var(f(t.name))
+    if isinstance(t, Abs):
+        return Abs(f(t.binder), _renamed(t.body, f))
+    return App(_renamed(t.fun, f), _renamed(t.arg, f))
+
+
+# enumerated binders are x1, x2, ... and free names v1, v2, ...; these
+# respellings make binders shadow each other or clash with free names
+_RESPELLINGS = [
+    lambda n: n,
+    lambda n: "x" if n[0] == "x" else n,
+    lambda n: "v" + n[1:] if n[0] == "x" else n,
+    lambda n: "z" + n[1:] if n[0] == "x" else "z" + str(int(n[1:]) + 1),
+]
+
+
+def test_beta_step_matches_the_two_phase_oracle_on_every_open_term_to_size_7():
+    for base in enumerate_terms(7, closed_only=False):
+        for f in _RESPELLINGS:
+            u = _renamed(base, f)
+            for pos in redex_positions(u):
+                assert beta_step(u, pos) == _oracle_step(u, pos), (render_term(u), pos)
+
+
+reusing = st.recursive(
+    st.sampled_from(["x", "y", "x1", "y1", "y2"]).map(Var),
+    lambda sub: st.one_of(
+        st.tuples(st.sampled_from(["x", "y", "x1", "y1"]), sub).map(lambda p: Abs(*p)),
+        st.tuples(sub, sub).map(lambda p: App(*p)),
+    ),
+    max_leaves=10,
+)
+
+
+@given(reusing)
+def test_beta_step_matches_the_two_phase_oracle_on_reused_names(u):
+    for pos in redex_positions(u):
+        assert beta_step(u, pos) == _oracle_step(u, pos)
+
+
+def test_beta_step_spellings_are_pinned():
+    # under a binder the contractum (\z. z) (\z1. z1) reuses z1, so the
+    # whole-term pass must still rename
+    out = beta_step(t("\\z1. (\\y. y y) (\\z. z)"), ("under",))
+    assert render_term(out) == "\\z1. (\\z. z) (\\z2. z2)"
+    r = reduce(t("(\\x. x x x) (\\x. x x x)"), Strategy.LEFTMOST, 3)
+    assert [render_term(s.result) for s in r.trace.steps] == [
+        "(\\x. x x x) (\\x1. x1 x1 x1) (\\x2. x2 x2 x2)",
+        "(\\x1. x1 x1 x1) (\\x2. x2 x2 x2) (\\x3. x3 x3 x3) (\\x4. x4 x4 x4)",
+        "(\\x2. x2 x2 x2) (\\x3. x3 x3 x3) (\\x4. x4 x4 x4) (\\x1. x1 x1 x1) (\\x5. x5 x5 x5)",
+    ]
+    # capture renames are drawn before canonicalizing ones: \y takes y2
+    # although the duplicate \y1 comes first in the walk
+    out = beta_step(t("(\\x. (\\y1. y1) (\\y1. \\y. x)) y"), ())
+    assert render_term(out) == "(\\y1. y1) (\\y3 y2. y)"
+    # a capture rename may draw the spelling of the substituted name; the
+    # renamed bound occurrence must not be replaced as if it were free
+    out = beta_step(t("v1 ((\\v1 v2. v2) v2)"), ("right",))
+    assert render_term(out) == "v1 (\\v2. v2)"

@@ -8,11 +8,13 @@ from lambda_expand.terms import (
     FreshSupply,
     Var,
     alpha_eq,
+    alpha_eq_renamed,
     all_names,
     canonicalize,
     classify,
     count_free_occurrences,
     de_bruijn,
+    follows_convention,
     free_vars,
     simultaneous_substitute,
     size,
@@ -148,6 +150,21 @@ def test_substitute_shadowed_variable_untouched():
     assert substitute(t("\\x. x"), "x", t("y")) == t("\\x. x")
 
 
+def test_substitute_renames_a_capturing_binder_apart_from_its_own_variable():
+    # the capture rename of z2 draws z1, the name being substituted for;
+    # the bound occurrence must stay bound, not be replaced in turn
+    out = substitute(t("\\z2. z2"), "z1", t("z2"))
+    assert render_term(out) == "\\z1. z1"
+    out = substitute(t("\\v2. v2"), "v1", t("v2"))
+    assert render_term(out) == "\\v1. v1"
+
+
+def test_simultaneous_substitute_shadows_each_binding_alone():
+    # under \x only x is shadowed; y is still replaced
+    out = simultaneous_substitute(t("\\x. x y"), [("x", t("u")), ("y", t("w"))])
+    assert render_term(out) == "\\x. x w"
+
+
 def test_simultaneous_substitute_rejects_duplicates():
     with pytest.raises(DuplicateBinderError):
         simultaneous_substitute(t("x"), [("x", t("y")), ("x", t("z"))])
@@ -183,6 +200,13 @@ def test_alpha_eq():
     assert not alpha_eq(t("x y"), t("y x"))
 
 
+def test_alpha_eq_renamed_does_not_capture_a_renamed_name():
+    # renaming y2 to y3 in \y3. y2 gives \y4. y3, not \y3. y3
+    assert alpha_eq_renamed(t("\\y3. y2"), {"y2": "y3"}, t("\\y2. y3"))
+    assert not alpha_eq_renamed(t("\\y3. y2"), {"y2": "y3"}, t("\\y3. y3"))
+    assert alpha_eq_renamed(t("\\x. x a"), {"a": "b"}, t("\\y. y b"))
+
+
 def test_de_bruijn_key_is_alpha_invariant():
     assert de_bruijn(t("\\x. \\y. x y")) == de_bruijn(t("\\a. \\b. a b"))
     assert de_bruijn(t("\\x. x")) != de_bruijn(t("\\x. \\y. y"))
@@ -209,6 +233,12 @@ def test_canonicalize_establishes_convention(u):
     collect(c)
     assert len(bound) == len(set(bound))
     assert not set(bound) & set(free_vars(c))
+
+
+@given(terms)
+def test_follows_convention_exactly_when_canonicalize_is_the_identity(u):
+    assert follows_convention(u) == (canonicalize(u) == u)
+    assert follows_convention(canonicalize(u))
 
 
 @given(terms, idents)
