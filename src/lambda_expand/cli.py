@@ -30,6 +30,7 @@ from .syntax import (
     parse_ordered_type,
     parse_simple_type,
     parse_term,
+    render_members,
     render_term,
     render_type,
 )
@@ -149,18 +150,9 @@ def _fuel(args) -> int:
     return DEFAULT_FUEL
 
 
-def _members_text(members, unicode: bool) -> str:
-    parts = []
-    for m in members:
-        text = render_type(m, unicode)
-        parts.append(f"({text})" if " " in text else text)
-    joiner = " ∩ " if unicode else " & "
-    return joiner.join(parts)
-
-
 def _env_lines(env, unicode: bool, flavor: Flavor | None = None) -> list[str]:
     return [
-        f"  {x}: {_members_text(normal_members(members, flavor) if flavor else members, unicode)}"
+        f"  {x}: {render_members(normal_members(members, flavor) if flavor else members, unicode)}"
         for x, members in env
     ]
 
@@ -195,6 +187,8 @@ def _parse_basis(spec: str, system: System) -> list[tuple[str, object]]:
         name = name.strip()
         if not name:
             raise UsageError("basis entry with an empty name")
+        if any(name == seen for seen, _ in entries):
+            raise UsageError(f"basis names {name!r} twice")
         entries.append((name, parse_ty(ty_src.strip())))
     return entries
 
@@ -333,12 +327,10 @@ def _cmd_expand(args) -> int:
     else:
         print(f"{render_term(r.expanded, args.unicode)} : {render_type(r.ty, args.unicode)}")
         print(f"context: {_context_text(r.context, args.unicode)}")
-        checked = check_derivation(r.induced)
-        print(f"derivation ({r.induced.system.value}): {'ok' if checked.ok else 'INVALID'}")
+        # expand raises ExpansionError unless both derivations pass their checker
+        print(f"derivation ({r.induced.system.value}): ok")
         if r.strict is not None:
-            strict_checked = check_derivation(r.strict)
-            print(f"strict derivation ({r.strict.system.value}): "
-                  f"{'ok' if strict_checked.ok else 'INVALID'}")
+            print(f"strict derivation ({r.strict.system.value}): ok")
     return EXIT_OK
 
 

@@ -14,7 +14,7 @@ from typing import Any
 
 from .expansion import ExpansionResult
 from .intersection import InterDerivation
-from .syntax import render_term, render_type
+from .syntax import render_members, render_term, render_type
 from .systems import Derivation, System
 from .terms import Abs, App, Term, Var
 from .typelang import (
@@ -34,6 +34,11 @@ SCHEMA = "lambda-expand/v1"
 __all__ = ["SCHEMA", "SerializeError", "to_jsonable", "from_jsonable", "dumps", "loads", "to_dot"]
 
 
+# The JSON kind of each binary arrow, and back.
+_ARROW_KIND = {Arrow: "arrow", Lolli: "lolli", LolliL: "lolli-left", LolliR: "lolli-right"}
+_ARROW_CLASS = {kind: cls for cls, kind in _ARROW_KIND.items()}
+
+
 class SerializeError(ValueError):
     """Value outside the schema, or a document that does not follow it."""
 
@@ -49,14 +54,12 @@ def to_jsonable(value: Any) -> Any:
             return {"kind": "app", "fun": to_jsonable(fun), "arg": to_jsonable(arg)}
         case TVar(name):
             return {"kind": "tvar", "name": name}
-        case Arrow(dom, cod):
-            return {"kind": "arrow", "dom": to_jsonable(dom), "cod": to_jsonable(cod)}
-        case Lolli(dom, cod):
-            return {"kind": "lolli", "dom": to_jsonable(dom), "cod": to_jsonable(cod)}
-        case LolliL(dom, cod):
-            return {"kind": "lolli-left", "dom": to_jsonable(dom), "cod": to_jsonable(cod)}
-        case LolliR(dom, cod):
-            return {"kind": "lolli-right", "dom": to_jsonable(dom), "cod": to_jsonable(cod)}
+        case _ if type(value) in _ARROW_KIND:
+            return {
+                "kind": _ARROW_KIND[type(value)],
+                "dom": to_jsonable(value.dom),
+                "cod": to_jsonable(value.cod),
+            }
         case InterArrow(doms, cod):
             return {
                 "kind": "inter-arrow",
@@ -130,14 +133,8 @@ def from_jsonable(data: Any) -> Any:
                 return App(from_jsonable(data["fun"]), from_jsonable(data["arg"]))
             case "tvar":
                 return TVar(data["name"])
-            case "arrow":
-                return Arrow(from_jsonable(data["dom"]), from_jsonable(data["cod"]))
-            case "lolli":
-                return Lolli(from_jsonable(data["dom"]), from_jsonable(data["cod"]))
-            case "lolli-left":
-                return LolliL(from_jsonable(data["dom"]), from_jsonable(data["cod"]))
-            case "lolli-right":
-                return LolliR(from_jsonable(data["dom"]), from_jsonable(data["cod"]))
+            case str() if kind in _ARROW_CLASS:
+                return _ARROW_CLASS[kind](from_jsonable(data["dom"]), from_jsonable(data["cod"]))
             case "inter-arrow":
                 return InterArrow(
                     tuple(from_jsonable(m) for m in data["doms"]),
@@ -219,16 +216,9 @@ def _judgment(d: Derivation | InterDerivation) -> str:
     if isinstance(d, Derivation):
         left = ", ".join(f"{x}: {render_type(ty)}" for x, ty in d.basis.entries)
     else:
-        left = ", ".join(
-            f"{x}: " + " & ".join(_member(m) for m in members) for x, members in d.env
-        )
+        left = ", ".join(f"{x}: {render_members(members)}" for x, members in d.env)
     turnstile = f"{left} |- " if left else "|- "
     return f"{turnstile}{render_term(d.subject)} : {render_type(d.ty)}"
-
-
-def _member(m) -> str:
-    text = render_type(m)
-    return f"({text})" if isinstance(m, (Arrow, InterArrow)) else text
 
 
 def to_dot(d: Derivation | InterDerivation) -> str:

@@ -2,15 +2,21 @@
 
 Terms: identifiers match [a-z][a-zA-Z0-9_']*, abstraction is `\\x. M` (λ also
 accepted, binders may be listed: `\\x y. M`), application is juxtaposition and
-associates left. Types: `->` (right-assoc), `&` / `∩` (n-ary, binds tighter
-than arrows), `-o` / `⊸`, and the oriented `-o_l`, `-o_r`. Output is ASCII by
-default; unicode=True emits λ, ∩, ⊸.
+associates left. Types: each language admits its own arrows, all
+right-associative: `->` for simple and intersection types, `-o` for linear
+types, `-o_l` and `-o_r` for ordered types. Intersection types also admit
+`&` (n-ary, binds tighter than arrows), but only as a whole arrow domain. Any
+other connective is a ParseError. `→`, `⊸`, `⊸_l`, `⊸_r` and `∩` are read as
+the Unicode spellings. Output is ASCII by default; unicode=True emits λ, ∩
+and the `⊸` arrows, while `->` stays ASCII.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .terms import Abs, App, Term, Var
 from .typelang import (
@@ -35,14 +41,37 @@ class ParseError(ValueError):
         self.col = col
 
 
+class _Connective(NamedTuple):
+    cls: type
+    kind: str
+    ascii: str
+    unicode: str
+    shows_unicode: bool = True
+
+
+# Each arrow once: its type class, its token kind, and its ASCII and Unicode
+# spellings. The lexer reads either spelling; render_type prints the Unicode
+# one under unicode=True, except that `->` stays ASCII.
+_ARROWS = (
+    _Connective(Arrow, "ARROW", "->", "→", shows_unicode=False),
+    _Connective(Lolli, "LOLLI", "-o", "⊸"),
+    _Connective(LolliL, "LOLLI_L", "-o_l", "⊸_l"),
+    _Connective(LolliR, "LOLLI_R", "-o_r", "⊸_r"),
+)
+_ARROW_KINDS = frozenset(conn.kind for conn in _ARROWS)
+_CONNECTIVE = {conn.cls: conn for conn in _ARROWS}
+_CONNECTIVE[InterArrow] = _CONNECTIVE[Arrow]  # a strict intersection arrow is spelled `->`
+_AMP = ("&", "∩")  # ASCII and Unicode spelling of intersection
+
 _TOKEN_SPEC = [
     ("IDENT", r"[a-z][a-zA-Z0-9_']*"),
     ("LAMBDA", r"\\|λ"),
-    ("LOLLI_L", r"-o_l|⊸_l"),
-    ("LOLLI_R", r"-o_r|⊸_r"),
-    ("LOLLI", r"-o|⊸"),
-    ("ARROW", r"->|→"),
-    ("AMP", r"&|∩"),
+    # longest spelling first, so that `-o_l` is not read as `-o`
+    *(
+        (conn.kind, f"{re.escape(conn.ascii)}|{re.escape(conn.unicode)}")
+        for conn in sorted(_ARROWS, key=lambda conn: -len(conn.ascii))
+    ),
+    ("AMP", "|".join(_AMP)),
     ("DOT", r"\."),
     ("LPAREN", r"\("),
     ("RPAREN", r"\)"),
@@ -179,162 +208,103 @@ def render_term(t: Term, unicode: bool = False) -> str:
 
 # ---- types ----
 
-
-@dataclass(frozen=True)
-class TypeExpr:
-    """Neutral parse of a type: a variable, an intersection of parts, or an
-    arrow tagged with its spelling."""
-
-    kind: str  # "var" | "inter" | "->" | "-o" | "-o_l" | "-o_r"
-    name: str = ""
-    parts: tuple["TypeExpr", ...] = ()
+# A parsed group: one type, or the members of an intersection with its first
+# `&`, the position a misplaced intersection is reported at.
+_Group = tuple[tuple[Type, ...], _Tok | None]
 
 
-_ARROW_KINDS = {"ARROW": "->", "LOLLI": "-o", "LOLLI_L": "-o_l", "LOLLI_R": "-o_r"}
+def _parse_type(src: str, language: str, *classes: type) -> Type:
+    """Recursive descent over the type language whose arrows are `classes`.
 
-
-def parse_type_expr(src: str) -> TypeExpr:
+    `&` is admitted only with InterArrow, and only to form a whole arrow
+    domain: `a & b -> c`, or `(a & b) -> c`, which parses the same.
+    """
+    arrows = {_CONNECTIVE[cls].kind: cls for cls in classes}
     cur = _Cursor(_lex(src))
-    te = _type(cur)
+
+    def single(group: _Group) -> Type:
+        members, amp = group
+        if amp is not None:
+            raise ParseError("an intersection may only appear in an arrow domain", amp.line, amp.col)
+        return members[0]
+
+    def arrow_type() -> _Group:
+        dom = domain()
+        tok = cur.peek()
+        if tok.kind not in _ARROW_KINDS:
+            return dom
+        cls = arrows.get(tok.kind)
+        if cls is None:
+            raise ParseError(f"{tok.text!r} is not a connective of {language} types", tok.line, tok.col)
+        cur.next()
+        cod = single(arrow_type())
+        ty = InterArrow(dom[0], cod) if cls is InterArrow else cls(single(dom), cod)
+        return (ty,), None
+
+    def domain() -> _Group:
+        group = atom()
+        first = cur.peek()
+        if first.kind != "AMP":
+            return group
+        members = [single(group)]
+        while (tok := cur.peek()).kind == "AMP":
+            if InterArrow not in classes:
+                raise ParseError(f"{tok.text!r} is not a connective of {language} types", tok.line, tok.col)
+            cur.next()
+            members.append(single(atom()))
+        return tuple(members), first
+
+    def atom() -> _Group:
+        tok = cur.next()
+        if tok.kind == "IDENT":
+            return (TVar(tok.text),), None
+        if tok.kind == "LPAREN":
+            group = arrow_type()
+            cur.expect("RPAREN")
+            return group
+        raise ParseError(f"expected a type, found {tok.text or 'end of input'!r}", tok.line, tok.col)
+
+    ty = single(arrow_type())
     tok = cur.peek()
     if tok.kind != "EOF":
         raise ParseError(f"unexpected {tok.text!r}", tok.line, tok.col)
-    return te
-
-
-def _type(cur: _Cursor) -> TypeExpr:
-    left = _inter(cur)
-    tok = cur.peek()
-    if tok.kind in _ARROW_KINDS:
-        cur.next()
-        right = _type(cur)
-        return TypeExpr(_ARROW_KINDS[tok.kind], parts=(left, right))
-    return left
-
-
-def _inter(cur: _Cursor) -> TypeExpr:
-    parts = [_type_atom(cur)]
-    while cur.peek().kind == "AMP":
-        cur.next()
-        parts.append(_type_atom(cur))
-    if len(parts) == 1:
-        return parts[0]
-    return TypeExpr("inter", parts=tuple(parts))
-
-
-def _type_atom(cur: _Cursor) -> TypeExpr:
-    tok = cur.peek()
-    if tok.kind == "IDENT":
-        cur.next()
-        return TypeExpr("var", name=tok.text)
-    if tok.kind == "LPAREN":
-        cur.next()
-        te = _type(cur)
-        cur.expect("RPAREN")
-        return te
-    raise ParseError(f"expected a type, found {tok.text or 'end of input'!r}", tok.line, tok.col)
-
-
-def _reject(te: TypeExpr, what: str):
-    raise ValueError(f"{what} cannot appear here: {render_type_expr(te)}")
-
-
-def to_simple(te: TypeExpr) -> SimpleType:
-    match te.kind:
-        case "var":
-            return TVar(te.name)
-        case "->":
-            return Arrow(to_simple(te.parts[0]), to_simple(te.parts[1]))
-    _reject(te, "only -> arrows and variables form a simple type;")
-
-
-def to_linear(te: TypeExpr) -> LinearType:
-    match te.kind:
-        case "var":
-            return TVar(te.name)
-        case "-o":
-            return Lolli(to_linear(te.parts[0]), to_linear(te.parts[1]))
-    _reject(te, "only -o arrows and variables form a linear type;")
-
-
-def to_ordered(te: TypeExpr) -> OrderedType:
-    match te.kind:
-        case "var":
-            return TVar(te.name)
-        case "-o_l":
-            return LolliL(to_ordered(te.parts[0]), to_ordered(te.parts[1]))
-        case "-o_r":
-            return LolliR(to_ordered(te.parts[0]), to_ordered(te.parts[1]))
-    _reject(te, "only -o_l / -o_r arrows and variables form an ordered type;")
-
-
-def to_inter(te: TypeExpr) -> InterType:
-    match te.kind:
-        case "var":
-            return TVar(te.name)
-        case "->":
-            dom, cod = te.parts
-            members = dom.parts if dom.kind == "inter" else (dom,)
-            return InterArrow(tuple(to_inter(m) for m in members), to_inter(cod))
-        case "inter":
-            raise ValueError("an intersection may only appear in an arrow domain")
-    _reject(te, "only -> arrows, & domains and variables form an intersection type;")
+    return ty
 
 
 def parse_simple_type(src: str) -> SimpleType:
-    return to_simple(parse_type_expr(src))
+    return _parse_type(src, "simple", Arrow)
 
 
 def parse_linear_type(src: str) -> LinearType:
-    return to_linear(parse_type_expr(src))
+    return _parse_type(src, "linear", Lolli)
 
 
 def parse_ordered_type(src: str) -> OrderedType:
-    return to_ordered(parse_type_expr(src))
+    return _parse_type(src, "ordered", LolliL, LolliR)
 
 
 def parse_inter_type(src: str) -> InterType:
-    return to_inter(parse_type_expr(src))
-
-
-def render_type_expr(te: TypeExpr) -> str:
-    match te.kind:
-        case "var":
-            return te.name
-        case "inter":
-            return " & ".join(render_type_expr(p) for p in te.parts)
-    return f"{render_type_expr(te.parts[0])} {te.kind} {render_type_expr(te.parts[1])}"
+    return _parse_type(src, "intersection", InterArrow)
 
 
 def render_type(t: Type, unicode: bool = False) -> str:
-    amp = "∩" if unicode else "&"
-    lolli = "⊸" if unicode else "-o"
-    lolli_l = "⊸_l" if unicode else "-o_l"
-    lolli_r = "⊸_r" if unicode else "-o_r"
+    return _type_text(t, unicode)
 
-    def atom(t: Type) -> str:
-        s = show(t)
-        return s if isinstance(t, TVar) else f"({s})"
 
-    def show(t: Type) -> str:
-        match t:
-            case TVar(n):
-                return n
-            case Arrow(dom, cod):
-                return f"{atom(dom)} -> {show(cod)}"
-            case Lolli(dom, cod):
-                return f"{atom(dom)} {lolli} {show(cod)}"
-            case LolliL(dom, cod):
-                return f"{atom(dom)} {lolli_l} {show(cod)}"
-            case LolliR(dom, cod):
-                return f"{atom(dom)} {lolli_r} {show(cod)}"
-            case InterArrow(doms, cod):
-                if len(doms) == 1:
-                    d = doms[0]
-                    left = d.name if isinstance(d, TVar) else f"({show(d)})"
-                else:
-                    left = f" {amp} ".join(m.name if isinstance(m, TVar) else f"({show(m)})" for m in doms)
-                return f"{left} -> {show(cod)}"
+def render_members(members: Iterable[Type], unicode: bool = False) -> str:
+    """The members of an intersection as an arrow domain prints them: joined
+    by `&`, every member but a variable in parentheses."""
+    return f" {_AMP[unicode]} ".join(
+        m.name if isinstance(m, TVar) else f"({_type_text(m, unicode)})" for m in members
+    )
+
+
+def _type_text(t: Type, unicode: bool) -> str:
+    if isinstance(t, TVar):
+        return t.name
+    conn = _CONNECTIVE.get(type(t))
+    if conn is None:
         raise TypeError(t)
-
-    return show(t)
+    doms = t.doms if isinstance(t, InterArrow) else (t.dom,)
+    spelling = conn.unicode if unicode and conn.shows_unicode else conn.ascii
+    return f"{render_members(doms, unicode)} {spelling} {_type_text(t.cod, unicode)}"

@@ -352,7 +352,6 @@ def build_derivation(
     system: System,
     term: Term,
     var_types: dict[str, Type],
-    supply: FreshSupply | None = None,
     basis_order: tuple[str, ...] | None = None,
 ) -> Derivation:
     """Build an explicit derivation for `term` in `system`.
@@ -369,8 +368,7 @@ def build_derivation(
     """
     if system is System.ORDERED:
         raise ValueError("use check_ordered for the ordered system")
-    if supply is None:
-        supply = FreshSupply(all_names(term) | set(var_types))
+    supply = FreshSupply(all_names(term) | set(var_types))
 
     binder_uses, _ = occurrence_counts(term)
     d = _build(system, term, var_types, supply, binder_uses)

@@ -142,6 +142,28 @@ def test_check_rejects_malformed_basis(capsys):
     assert code == 3 and "name: type" in err
 
 
+@pytest.mark.parametrize("system", ["curry", "linear", "ordered"])
+def test_check_rejects_a_repeated_basis_name(capsys, system):
+    code, out, err = run(capsys, "check", "--system", system, "--basis", "x: a, x: b", "x")
+    assert (code, out) == (3, "")
+    assert err == "usage error: basis names 'x' twice"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check", "--system", "curry", "--basis", "x: a -o b", "x"),
+        ("check", "--system", "ordered", "--basis", "x: a -> b", "x"),
+        ("check", "--system", "linear", "--basis", "x: a", "--type", "a -> a", "x"),
+        ("expand", "--flavor", "aci", "--type", "a & b", "\\x. x"),
+    ],
+)
+def test_a_type_outside_the_language_is_a_syntax_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert len(err.splitlines()) == 1 and err.startswith("syntax error: 1:3: ")
+
+
 # --------------------------------------------------------------------------
 # infer
 

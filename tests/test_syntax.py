@@ -59,22 +59,72 @@ def test_parse_types():
     assert parse_inter_type("a ∩ b -> c") == parse_inter_type("a & b -> c")
 
 
+A, B, C, D = TVar("a"), TVar("b"), TVar("c"), TVar("d")
+
+PARSERS = {
+    "simple": parse_simple_type,
+    "linear": parse_linear_type,
+    "ordered": parse_ordered_type,
+    "intersection": parse_inter_type,
+}
+
+# (language, source, value): each language's own connectives, their Unicode
+# spellings, and the parenthesized `&` domain
+ACCEPTED = [
+    ("simple", "a -> b -> c", Arrow(A, Arrow(B, C))),
+    ("simple", "(a → b) → c", Arrow(Arrow(A, B), C)),
+    ("linear", "(a -o b) -o a", Lolli(Lolli(A, B), A)),
+    ("linear", "a ⊸ b ⊸ c", Lolli(A, Lolli(B, C))),
+    ("ordered", "a -o_l b -o_r c", LolliL(A, LolliR(B, C))),
+    ("ordered", "(a ⊸_l b) ⊸_r c", LolliR(LolliL(A, B), C)),
+    ("intersection", "a & b -> c", InterArrow((A, B), C)),
+    ("intersection", "(a & b) -> c", InterArrow((A, B), C)),
+    ("intersection", "((a ∩ b)) → c", InterArrow((A, B), C)),
+    ("intersection", "a -> b & c -> d", InterArrow((A,), InterArrow((B, C), D))),
+    ("intersection", "(a -> b) & a -> b", InterArrow((InterArrow((A,), B), A), B)),
+]
+
+# (language, source, line, column of the offending token)
+FOREIGN_CONNECTIVES = [
+    ("simple", "a -o b", 1, 3),
+    ("simple", "a -> b ⊸_r c", 1, 8),
+    ("linear", "a -> b", 1, 3),
+    ("linear", "a -o\n  b -o_l c", 2, 5),
+    ("ordered", "a -o b", 1, 3),
+    ("ordered", "(a → b) -o_l c", 1, 4),
+    ("intersection", "a -o_l b", 1, 3),
+    ("intersection", "a ⊸ b", 1, 3),
+]
+STRAY_INTERSECTIONS = [
+    ("simple", "a & b -> c", 1, 3),
+    ("linear", "a ∩ b -o c", 1, 3),
+    ("ordered", "(a & b) -o_r c", 1, 4),
+    ("intersection", "a & b", 1, 3),
+    ("intersection", "(a & b)", 1, 4),
+    ("intersection", "a -> b & c", 1, 8),
+    ("intersection", "(a & b) & c -> d", 1, 4),
+    ("intersection", "a & (b & c) -> d", 1, 8),
+]
+
+
+def assert_rejected_at(cases):
+    for language, src, line, col in cases:
+        with pytest.raises(ParseError) as e:
+            PARSERS[language](src)
+        assert (e.value.line, e.value.col) == (line, col), (language, src, str(e.value))
+
+
+def test_each_language_parses_its_own_connectives():
+    for language, src, value in ACCEPTED:
+        assert PARSERS[language](src) == value, (language, src)
+
+
 def test_intersections_only_in_domains():
-    with pytest.raises(ValueError):
-        parse_inter_type("a & b")
-    with pytest.raises(ValueError):
-        parse_inter_type("a -> b & c")
+    assert_rejected_at(STRAY_INTERSECTIONS)
 
 
 def test_type_language_mismatches_rejected():
-    with pytest.raises(ValueError):
-        parse_simple_type("a -o b")
-    with pytest.raises(ValueError):
-        parse_linear_type("a -> b")
-    with pytest.raises(ValueError):
-        parse_ordered_type("a -o b")
-    with pytest.raises(ValueError):
-        parse_inter_type("a -o_l b")
+    assert_rejected_at(FOREIGN_CONNECTIVES)
 
 
 def test_render_term():
@@ -125,3 +175,22 @@ def test_term_round_trip(u):
 def test_inter_type_round_trip(ty):
     assert parse_inter_type(render_type(ty)) == ty
     assert parse_inter_type(render_type(ty, unicode=True)) == ty
+
+
+def arrow_types(*classes):
+    return st.recursive(
+        tvars,
+        lambda sub: st.tuples(st.sampled_from(classes), sub, sub).map(lambda p: p[0](p[1], p[2])),
+        max_leaves=6,
+    )
+
+
+@pytest.mark.parametrize(
+    "language, classes",
+    [("simple", (Arrow,)), ("linear", (Lolli,)), ("ordered", (LolliL, LolliR))],
+)
+@given(data=st.data())
+def test_arrow_type_round_trip(language, classes, data):
+    ty = data.draw(arrow_types(*classes))
+    assert PARSERS[language](render_type(ty)) == ty
+    assert PARSERS[language](render_type(ty, unicode=True)) == ty
