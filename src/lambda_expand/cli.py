@@ -37,8 +37,6 @@ from .syntax import (
 from .systems import (
     SizeBoundExceeded,
     System,
-    build_derivation,
-    check_derivation,
     check_ordered,
     decide,
     infer_curry,
@@ -174,12 +172,15 @@ def _context_text(ctx, unicode: bool) -> str:
 
 
 def _stamped(payload: dict) -> str:
-    return json.dumps({"schema": serialize.SCHEMA, **payload}, indent=2)
+    return json.dumps({"schema": serialize.SCHEMA, **payload})
 
 
-def _parse_basis(spec: str, system: System) -> list[tuple[str, object]]:
+def _parse_basis(spec: str, system: System) -> Basis:
+    """The `--basis` argument as a basis; a syntax error in a type is
+    reported at its line and column within the argument."""
     parse_ty = _TYPE_PARSERS[system]
     entries = []
+    start = 0  # offset of the current entry within spec
     for part in spec.split(","):
         if ":" not in part:
             raise UsageError(f"basis entry {part.strip()!r} is not `name: type`")
@@ -189,8 +190,15 @@ def _parse_basis(spec: str, system: System) -> list[tuple[str, object]]:
             raise UsageError("basis entry with an empty name")
         if any(name == seen for seen, _ in entries):
             raise UsageError(f"basis names {name!r} twice")
-        entries.append((name, parse_ty(ty_src.strip())))
-    return entries
+        try:
+            entries.append((name, parse_ty(ty_src)))
+        except ParseError as exc:
+            before = spec[: start + part.index(":") + 1]
+            line = before.count("\n") + exc.line
+            col = exc.col + (len(before) - before.rfind("\n") - 1 if exc.line == 1 else 0)
+            raise ParseError(f"{exc.message} in the basis entry for {name!r}", line, col) from None
+        start += len(part) + 1
+    return Basis(tuple(entries))
 
 
 # --------------------------------------------------------------------------
@@ -209,12 +217,11 @@ def _cmd_check(args) -> int:
     system = System(args.system)
     t = _input_term(args)
     requested = _TYPE_PARSERS[system](args.type_) if args.type_ else None
-    entries = _parse_basis(args.basis, system) if args.basis else None
+    basis = _parse_basis(args.basis, system) if args.basis else None
 
     if system is System.ORDERED:
-        if entries is None:
+        if basis is None:
             raise UsageError("the ordered system judges assumptions in order: pass --basis")
-        basis = Basis(tuple(entries))
         if requested is not None:
             ok = check_ordered(basis, t, requested)
             ty = requested if ok else None
@@ -229,29 +236,15 @@ def _cmd_check(args) -> int:
             print("invalid")
         return EXIT_OK if ok else EXIT_ABSENT
 
-    if entries is not None:
-        try:
-            d = build_derivation(
-                system, t, dict(entries), basis_order=[x for x, _ in entries]
-            )
-        except (KeyError, ValueError) as exc:
-            print(f"invalid: {exc}")
-            return EXIT_ABSENT
-        res = check_derivation(d)
-        if not res.ok:
-            print(f"invalid: {res.reason}")
-            return EXIT_ABSENT
-        if requested is not None and d.ty != requested:
-            print(f"invalid: derived {render_type(d.ty, args.unicode)}, "
-                  f"not {render_type(requested, args.unicode)}")
-            return EXIT_ABSENT
-    else:
-        if requested is not None:
-            raise UsageError("--type needs --basis (which fixes the assumptions)")
-        d = decide(system, t)
-        if d is None:
-            print("invalid")
-            return EXIT_ABSENT
+    if basis is None and requested is not None:
+        raise UsageError("--type needs --basis (which fixes the assumptions)")
+    try:
+        d = decide(system, t, basis, requested)
+    except ValueError as exc:  # a free variable without a basis entry
+        raise UsageError(str(exc)) from None
+    if d is None:
+        print("invalid")
+        return EXIT_ABSENT
 
     if args.format == "json":
         print(serialize.dumps(d))

@@ -201,6 +201,23 @@ def _exp_set(
     raise AssertionError(d.rule)
 
 
+def _relabel(d: Derivation, system: System) -> Derivation:
+    """d with every node moved to `system`, walked with an explicit stack
+    so that its depth is not bounded by the recursion limit."""
+    out: list[Derivation] = []  # relabelled nodes awaiting their conclusion
+    stack = [(d, False)]
+    while stack:
+        n, ready = stack.pop()
+        if ready:
+            k = len(out) - len(n.premises)
+            premises = tuple(out[k:])
+            out[k:] = [Derivation(system, n.rule, n.basis, n.subject, n.ty, premises)]
+        else:
+            stack.append((n, True))
+            stack.extend((p, False) for p in reversed(n.premises))
+    return out[0]
+
+
 def _expand_set_flavored(
     d: InterDerivation, supply: FreshSupply | None, flavor: Flavor
 ) -> ExpansionResult:
@@ -221,20 +238,16 @@ def _expand_set_flavored(
     basis = ctx_to_basis(ctx, target)
     simple_types = {y: translate(t, target) for y, t in var_types.items()}
     induced = build_derivation(main, term, simple_types, basis_order=basis.vars())
-    res = check_derivation(induced)
-    if not res:
-        raise ExpansionError(
-            f"induced {main.value} derivation fails at {list(res.path)}: {res.reason}"
-        )
     strict = None
     if classify(d.subject).is_lambda_i:
-        strict = build_derivation(
-            strict_sys, term, simple_types, basis_order=basis.vars()
-        )
-        res = check_derivation(strict)
+        # a lI subject's expansion needs no weak node, and an AC expansion
+        # no ctr node, so the strict derivation is the induced one relabelled
+        strict = _relabel(induced, strict_sys)
+    for built in (induced, strict) if strict else (induced,):
+        res = check_derivation(built)
         if not res:
             raise ExpansionError(
-                f"induced {strict_sys.value} derivation fails "
+                f"induced {built.system.value} derivation fails "
                 f"at {list(res.path)}: {res.reason}"
             )
     return ExpansionResult(term, induced.ty, ctx, induced, strict)
@@ -503,7 +516,9 @@ def verify_whd_diagram(
     to the target expansion, whose context is contained in the source's.
 
     The target keeps the source's derived type by pushing the derivation
-    through the step, so both expansions answer the same question.
+    through the step, so both expansions answer the same question.  Each
+    derivation of the chain is expanded once; an expansion that fails is a
+    failed step and ends the chain.
     """
     if flavor not in (Flavor.ACI, Flavor.AC):
         raise ValueError("the weak-head diagram covers the set-shaped flavors")
@@ -512,19 +527,23 @@ def verify_whd_diagram(
         raise ExpansionError("subject is not typable within the default fuel")
     steps: list[DiagramStep] = []
     cur_t, cur_d = d.subject, d
-    while True:
-        nxt = weak_head_step(cur_t)
-        if nxt is None:
-            break
+    r1: ExpansionResult | None = None
+    while (nxt := weak_head_step(cur_t)) is not None:
         t2, pos = nxt
         d2 = subject_reduce(cur_d, t2, pos)
-        r1 = expand(cur_d, flavor)
-        r2 = expand(d2, flavor)
+        try:
+            if r1 is None:
+                r1 = expand(cur_d, flavor)
+            r2 = expand(d2, flavor)
+        except ExpansionError as e:
+            source = None if r1 is None else r1.expanded
+            steps.append(DiagramStep(cur_t, t2, source, None, False, False, str(e)))
+            break
         ok, shrank, reason = _whd_close(r1, r2, fuel)
         steps.append(
             DiagramStep(cur_t, t2, r1.expanded, r2.expanded, ok, shrank, reason)
         )
-        cur_t, cur_d = t2, d2
+        cur_t, cur_d, r1 = t2, d2, r2
     return DiagramReport(d.subject, flavor, tuple(steps))
 
 

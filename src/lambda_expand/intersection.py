@@ -24,7 +24,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator
+from functools import partial
+from typing import Callable, Iterator
 
 from .reduction import ReductionTrace, Strategy, reduce
 from .terms import (
@@ -428,47 +429,51 @@ def subject_expand(
     if fresh is None:
         fresh = _TyFresh()
         fresh.absorb(d)
-    return _expand_at(d, before, position, fuel, fresh)
+    return _at(d, before, position, partial(_expand_site, fuel=fuel, fresh=fresh))
 
 
-def _expand_at(
+def _at(
     d: InterDerivation,
-    before: Term,
+    term: Term,
     path: tuple[str, ...],
-    fuel: int,
-    fresh: _TyFresh,
+    site: Callable[[InterDerivation, Term], InterDerivation],
 ) -> InterDerivation:
+    """Carry d across one beta step to a derivation of `term`: the step's
+    source when expanding, its reduct when reducing.  `site` does the
+    surgery at the redex; the nodes above it are rebuilt over `term`."""
     if not path:
-        return _expand_site(d, before, fuel, fresh)
+        return site(d, term)
 
     step, rest = path[0], path[1:]
     if step == "under":
-        if not isinstance(before, Abs) or d.rule not in ("arrow_i", "arrow_i_prime"):
+        if not isinstance(term, Abs) or d.rule not in ("arrow_i", "arrow_i_prime"):
             raise ReplayError("path walks under a non-abstraction")
-        if d.subject.binder != before.binder:  # type: ignore[union-attr]
+        if d.subject.binder != term.binder:  # type: ignore[union-attr]
             raise ReplayError("binder spelling changed above the redex")
-        p = _expand_at(d.premises[0], before.body, rest, fuel, fresh)
+        p = _at(d.premises[0], term.body, rest, site)
         # the premise may have gained occurrences of the binder (an erased
-        # argument mentioned it), turning arrow_i_prime into arrow_i
-        n = _abs_node(before.binder, p, d.ty.doms)  # type: ignore[union-attr]
-        if d.rule == "arrow_i" and n.rule != "arrow_i":
-            raise ReplayError("binder occurrences vanished while expanding")
+        # argument mentioned it) or lost them all (the step erased them)
+        n = _abs_node(term.binder, p, d.ty.doms)  # type: ignore[union-attr]
+        if d.rule == "arrow_i" and n.rule != "arrow_i" and len(n.ty.doms) != 1:
+            raise ReductionTypeError(
+                "binder lost all occurrences but its domain is not a singleton"
+            )
         return n
 
-    if not isinstance(before, App) or d.rule != "arrow_e":
+    if not isinstance(term, App) or d.rule != "arrow_e":
         raise ReplayError("path walks into a non-application")
-    # the reduct was canonicalized as a whole, so the side the step did not
-    # touch may be spelled apart from `before`; retarget it back
+    # the step's result was canonicalized as a whole, so the side the step
+    # did not touch may be spelled apart from `term`; retarget it
     pf, *pas = d.premises
     if step == "left":
-        pf = _expand_at(pf, before.fun, rest, fuel, fresh)
-        new_args = [retarget(a, before.arg) for a in pas]
+        pf = _at(pf, term.fun, rest, site)
+        pas = [retarget(a, term.arg) for a in pas]
     elif step == "right":
-        pf = retarget(pf, before.fun)
-        new_args = [_expand_at(a, before.arg, rest, fuel, fresh) for a in pas]
+        pf = retarget(pf, term.fun)
+        pas = [_at(a, term.arg, rest, site) for a in pas]
     else:
         raise ReplayError(f"bad path component {step!r}")
-    return _rebuild_app(pf, new_args, App(before.fun, before.arg))
+    return _rebuild_app(pf, pas, term)
 
 
 def _rebuild_app(
@@ -603,8 +608,9 @@ def _infer(t: Term, fuel: int, fresh: _TyFresh) -> InterDerivation:
     d = infer_nf(res.term, fresh)
     trace: ReductionTrace = res.trace
     states = [trace.start] + [s.result for s in trace.steps]
+    site = partial(_expand_site, fuel=fuel, fresh=fresh)
     for i in range(len(trace.steps) - 1, -1, -1):
-        d = _expand_at(d, states[i], trace.steps[i].position, fuel, fresh)
+        d = _at(d, states[i], trace.steps[i].position, site)
         if d.subject != states[i]:
             raise ReplayError("replay lost the subject spelling")
     return d
@@ -629,37 +635,7 @@ def subject_reduce(
     `reduct` at the same type: argument derivations are grafted onto the
     axiom leaves of the bound variable.
     """
-    return _reduce_at(d, reduct, position)
-
-
-def _reduce_at(
-    d: InterDerivation, reduct: Term, path: tuple[str, ...]
-) -> InterDerivation:
-    if not path:
-        return _reduce_site(d, reduct)
-    step, rest = path[0], path[1:]
-    if step == "under":
-        if d.rule not in ("arrow_i", "arrow_i_prime") or not isinstance(reduct, Abs):
-            raise ReplayError("path walks under a non-abstraction")
-        p = _reduce_at(d.premises[0], reduct.body, rest)
-        # binder occurrences can only disappear here (the step erased a
-        # subterm mentioning it)
-        n = _abs_node(reduct.binder, p, d.ty.doms)  # type: ignore[union-attr]
-        if d.rule == "arrow_i" and n.rule != "arrow_i" and len(n.ty.doms) != 1:
-            raise ReductionTypeError(
-                "binder lost all occurrences but its domain is not a singleton"
-            )
-        return n
-    if d.rule != "arrow_e" or not isinstance(reduct, App):
-        raise ReplayError("path walks into a non-application")
-    pf, *pas = d.premises
-    if step == "left":
-        pf = _reduce_at(pf, reduct.fun, rest)
-    elif step == "right":
-        pas = [_reduce_at(a, reduct.arg, rest) for a in pas]
-    else:
-        raise ReplayError(f"bad path component {step!r}")
-    return _rebuild_app(pf, pas, reduct)
+    return _at(d, reduct, position, _reduce_site)
 
 
 def _reduce_site(d: InterDerivation, contractum: Term) -> InterDerivation:

@@ -189,9 +189,9 @@ def from_jsonable(data: Any) -> Any:
     raise SerializeError(f"unknown kind {kind!r}")
 
 
-def dumps(value: Any, indent: int | None = 2) -> str:
-    """Schema-stamped JSON document for a workbench value."""
-    return json.dumps({"schema": SCHEMA, "value": to_jsonable(value)}, indent=indent)
+def dumps(value: Any) -> str:
+    """Schema-stamped JSON document for a workbench value, on one line."""
+    return json.dumps({"schema": SCHEMA, "value": to_jsonable(value)})
 
 
 def loads(text: str) -> Any:

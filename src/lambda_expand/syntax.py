@@ -37,6 +37,7 @@ from .typelang import (
 class ParseError(ValueError):
     def __init__(self, message: str, line: int, col: int):
         super().__init__(f"{line}:{col}: {message}")
+        self.message = message
         self.line = line
         self.col = col
 

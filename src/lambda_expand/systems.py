@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .terms import (
     Abs,
@@ -428,7 +428,8 @@ def _build(
 # ---------------------------------------------------------------------------
 # unification: one trail-based unifier serves Curry inference and the
 # ordered search.  Metavariables stand for unknown types inside Arrow,
-# LolliL and LolliR nodes; arrows unify only with the same connective.
+# Lolli, LolliL and LolliR nodes; arrows unify only with the same
+# connective.  Type variables are rigid: each unifies only with itself.
 
 
 class _MVar:
@@ -440,7 +441,7 @@ class _MVar:
         self.link: object | None = None
 
 
-_ARROWS = (Arrow, LolliL, LolliR)
+_ARROWS = (Arrow, Lolli, LolliL, LolliR)
 
 
 def _mwalk(t: object) -> object:
@@ -492,10 +493,18 @@ def _munify(a: object, b: object, trail: _Trail) -> bool:
     return a == b
 
 
-def _freezer(taken: set[Type] | frozenset[Type] = frozenset()):
+def _freezer(rigid: Iterable[Type] = ()):
     """Read solved types back: each unbound metavariable becomes a type
-    variable named a, b, c, ... in first-occurrence order, skipping the
-    variables in `taken`."""
+    variable named a, b, c, ... in first-occurrence order, skipping every
+    type variable of the `rigid` types, nested ones included."""
+    taken: set[Type] = set()
+    pending = list(rigid)
+    while pending:
+        ty = pending.pop()
+        if isinstance(ty, _ARROWS):
+            pending += (ty.dom, ty.cod)
+        else:
+            taken.add(ty)
     names = (v for v in map(TVar, letter_names()) if v not in taken)
     seen: dict[int, TVar] = {}
 
@@ -516,16 +525,20 @@ def _freezer(taken: set[Type] | frozenset[Type] = frozenset()):
 # Curry-style inference (principal simple types via unification)
 
 
-def _curry_solve(term: Term):
+def _curry_solve(term: Term, conn: type, fixed: dict[str, Type], goal: Type | None):
     """Unification pass shared by the inference entry points.
 
-    Returns None when untypable, else (raw subject type, raw types of
-    the free variables, raw types of the binders seen along the way).
-    Binder records are keyed by (binder name, body) so shadowed names
-    stay apart even on non-canonical input.
+    Arrows are built with `conn`.  The names in `fixed` take those types,
+    and the subject type is unified with `goal` when given; the type
+    variables of both are rigid.  Returns None when untypable, else (raw
+    subject type, raw types of the free variables and the fixed names,
+    raw types of the binders seen along the way).  Binder records are
+    keyed by (binder name, body) so shadowed names stay apart even on
+    non-canonical input.
     """
     trail = _Trail()
     env: dict[str, object] = {x: _MVar() for x in free_vars(term)}
+    env.update(fixed)
     binders: list[tuple[Abs, object]] = []
 
     def go(t: Term, env: dict[str, object]) -> object | None:
@@ -536,18 +549,18 @@ def _curry_solve(term: Term):
                 v = _MVar()
                 binders.append((t, v))
                 r = go(body, {**env, b: v})
-                return None if r is None else Arrow(v, r)
+                return None if r is None else conn(v, r)
             case App(f, a):
                 tf = go(f, env)
                 ta = go(a, env)
                 if tf is None or ta is None:
                     return None
                 res = _MVar()
-                return res if _munify(tf, Arrow(ta, res), trail) else None
+                return res if _munify(tf, conn(ta, res), trail) else None
         raise AssertionError
 
     raw = go(term, env)
-    if raw is None:
+    if raw is None or (goal is not None and not _munify(raw, goal, trail)):
         return None
     return raw, env, binders
 
@@ -559,24 +572,19 @@ def infer_curry(term: Term) -> SimpleType | None:
     types but only the subject's type is returned.  Type variables in
     the result are named a, b, c, ... in first-occurrence order.
     """
-    solved = _curry_solve(term)
+    solved = _curry_solve(term, Arrow, {}, None)
     if solved is None:
         return None
     raw, _, _ = solved
     return _freezer()(raw)
 
 
-def to_linear(t: SimpleType) -> Type:
-    """Map -> to -o structurally."""
-    match t:
-        case TVar(_):
-            return t
-        case Arrow(dom, cod):
-            return Lolli(to_linear(dom), to_linear(cod))
-    raise AssertionError(t)
-
-
-def decide(system: System, term: Term) -> Derivation | None:
+def decide(
+    system: System,
+    term: Term,
+    basis: Basis | None = None,
+    ty: Type | None = None,
+) -> Derivation | None:
     """Decision procedure with a checkable witness derivation.
 
     Characterisations: curry is plain simple typability; relevant adds
@@ -584,6 +592,12 @@ def decide(system: System, term: Term) -> Derivation | None:
     at most once; linear exactly once.  The witness derivation types
     the canonicalized term at its principal type, with -o arrows for
     affine and linear.
+
+    With a basis it judges `basis |- term : ty`: the basis types every
+    free variable (ValueError when one has no entry) and lists the
+    witness's root basis, `ty` is unified with the subject's type, and
+    the type variables of both are rigid.  Binders are renamed apart from
+    the basis names; entries the term does not use need weakening.
     """
     cls = classify(term)
     gate = {
@@ -596,18 +610,27 @@ def decide(system: System, term: Term) -> Derivation | None:
         raise ValueError("decide covers the set-like systems only")
     if not gate[system]:
         return None
-    subject = canonicalize(term, FreshSupply())
-    solved = _curry_solve(subject)
+    fixed = dict(basis.entries) if basis is not None else {}
+    subject = canonicalize(term, FreshSupply(), avoid=fixed)
+    free = free_vars(subject)
+    if basis is not None:
+        missing = [x for x in free if x not in fixed]
+        if missing:
+            raise ValueError(f"free variable {missing[0]!r} has no basis entry")
+        if len(free) < len(fixed) and "weak" not in STRUCTURAL[system]:
+            return None  # an entry the term does not use needs weakening
+    conn = CONNECTIVE[system, "arrow_i"]
+    solved = _curry_solve(subject, conn, fixed, ty)
     if solved is None:
         return None
     raw, env, binders = solved
-    freeze = _freezer()
+    freeze = _freezer([*fixed.values()] + ([] if ty is None else [ty]))
     freeze(raw)  # subject-type variables get the infer_curry names
-    conv = to_linear if system in (System.LINEAR, System.AFFINE) else (lambda t: t)
-    var_types = {x: conv(freeze(env[x])) for x in free_vars(subject)}
+    var_types = {x: freeze(t) for x, t in env.items()}
     for node, v in binders:
-        var_types[node.binder] = conv(freeze(v))
-    return build_derivation(system, subject, var_types)
+        var_types[node.binder] = freeze(v)
+    order = basis.vars() if basis is not None else None
+    return build_derivation(system, subject, var_types, basis_order=order)
 
 
 # ---------------------------------------------------------------------------
@@ -750,15 +773,6 @@ def infer_ordered(
     """
     search = _OrderedSearch(budget)
     goal = _MVar()
-    # every type variable of the basis, nested ones included
-    taken: set[Type] = set()
-    pending = [ty for _, ty in basis.entries]
-    while pending:
-        ty = pending.pop()
-        if isinstance(ty, _ARROWS):
-            pending += (ty.dom, ty.cod)
-        else:
-            taken.add(ty)
     for _ in search.solutions(tuple(basis.entries), term, goal):
-        return _freezer(taken)(goal)
+        return _freezer(ty for _, ty in basis.entries)(goal)
     return None

@@ -8,6 +8,7 @@ convention that no name is bound twice and no name occurs both free and bound;
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 
@@ -233,14 +234,18 @@ class FreshSupply:
         return name
 
 
-def canonicalize(t: Term, supply: FreshSupply | None = None) -> Term:
-    """Rename binders so each name is bound once and never also occurs free.
-    A term that already follows that convention comes back equal."""
+def canonicalize(
+    t: Term, supply: FreshSupply | None = None, avoid: Iterable[str] = ()
+) -> Term:
+    """Rename binders so each name is bound once and never also occurs free,
+    nor is one of `avoid`.  A term that already follows that convention and
+    binds none of `avoid` comes back equal."""
     if supply is None:
         supply = FreshSupply()
-    fv = free_vars(t)
-    supply.reserve(fv)
-    return _rebind(t, {}, set(fv), supply, set(), iter(()))
+    used = set(free_vars(t))
+    used.update(avoid)
+    supply.reserve(used)
+    return _rebind(t, {}, used, supply, set(), iter(()))
 
 
 def _rebind(

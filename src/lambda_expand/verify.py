@@ -377,8 +377,8 @@ def summarize(reports: Iterable[PropertyReport]) -> str:
     return "\n".join(lines)
 
 
-def reports_to_json(reports: Iterable[PropertyReport], indent: int | None = 2) -> str:
-    return json.dumps({"reports": [r.to_dict() for r in reports]}, indent=indent)
+def reports_to_json(reports: Iterable[PropertyReport]) -> str:
+    return json.dumps({"reports": [r.to_dict() for r in reports]})
 
 
 # --------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import pytest
 from lambda_expand import serialize
 from lambda_expand.cli import main
 from lambda_expand.expansion import ExpansionResult
-from lambda_expand.intersection import ReplayError
+from lambda_expand.intersection import ReplayError, infer
 from lambda_expand.syntax import parse_inter_type, parse_term
 from lambda_expand.terms import alpha_eq
 from lambda_expand.typelang import Flavor, inter_eq
@@ -132,6 +132,33 @@ def test_check_with_basis_and_type(capsys):
     assert code == 1 and out.startswith("invalid")
 
 
+def test_check_basis_types_the_free_variables_only(capsys):
+    code, out, _ = run(
+        capsys, "check", "--system", "curry", "--basis", "y: a", "--type", "b -> b", "\\x. x"
+    )
+    assert (code, out) == (0, "valid: \\x. x : b -> b")
+    # a binder that shares a basis name is renamed apart from it
+    code, out, _ = run(
+        capsys, "check", "--system", "curry", "--basis", "x: a", "--type", "b -> b", "\\x. x"
+    )
+    assert (code, out) == (0, "valid: \\x1. x1 : b -> b")
+
+
+def test_check_basis_must_cover_the_free_variables(capsys):
+    code, out, err = run(capsys, "check", "--system", "curry", "--basis", "x: a", "x y")
+    assert (code, out) == (3, "")
+    assert err == "usage error: free variable 'y' has no basis entry"
+
+
+def test_check_basis_syntax_error_is_placed_in_the_argument(capsys):
+    code, out, err = run(capsys, "check", "--system", "curry", "--basis", "y: b, x: a -o b", "x")
+    assert (code, out) == (3, "")
+    assert err == (
+        "syntax error: 1:12: '-o' is not a connective of simple types "
+        "in the basis entry for 'x'"
+    )
+
+
 def test_check_type_without_basis_is_a_usage_error(capsys):
     code, _, err = run(capsys, "check", "--system", "curry", "--type", "a", "\\x. x")
     assert code == 3 and "--basis" in err
@@ -161,7 +188,10 @@ def test_check_rejects_a_repeated_basis_name(capsys, system):
 def test_a_type_outside_the_language_is_a_syntax_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (3, "")
-    assert len(err.splitlines()) == 1 and err.startswith("syntax error: 1:3: ")
+    # the bad type is the --type argument when there is one, else the
+    # --basis argument, where "x: " comes before it
+    col = 3 if "--type" in argv else 6
+    assert len(err.splitlines()) == 1 and err.startswith(f"syntax error: 1:{col}: ")
 
 
 # --------------------------------------------------------------------------
@@ -173,6 +203,13 @@ def test_infer_intersection_self_application(capsys):
     got = parse_inter_type(out.splitlines()[0].split(" : ", 1)[1])
     want = parse_inter_type("(a & (a -> b)) -> b")
     assert inter_eq(got, want, Flavor.AC)
+
+
+def test_infer_json_is_one_line(capsys):
+    code, out, _ = run(capsys, "infer", "--system", "intersection", "--format", "json", "\\x. x x")
+    assert code == 0 and "\n" not in out
+    d = infer(parse_term("\\x. x x"))
+    assert json.loads(out) == {"schema": serialize.SCHEMA, "value": serialize.to_jsonable(d)}
 
 
 def test_infer_intersection_through_an_untypable_subterm(capsys):

@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 
 from lambda_expand.intersection import (
     InterDerivation,
+    ReductionTypeError,
+    ReplayError,
     _deriv_ty_vars,
     _infer,
     _match_ty,
@@ -192,6 +194,34 @@ def test_check_inter_rejects_broken_env():
     tampered = InterDerivation(d.rule, (("w", (A,)),), d.subject, d.ty, d.premises)
     res = check_inter(tampered)
     assert not res and res.reason
+
+
+def test_subject_reduce_retargets_the_side_the_step_did_not_touch():
+    # beta_step respells the untouched argument \y1. y1 as \y2. y2, so its
+    # premises must be carried onto the new spelling
+    d = infer(t("(\\x. x x) (\\y. y) (\\y1. y1)"))
+    reduct = beta_step(d.subject, ("left",))
+    assert reduct == t("(\\y. y) (\\y1. y1) (\\y2. y2)")
+    r = subject_reduce(d, reduct, ("left",))
+    assert r.subject == reduct and r.ty == d.ty
+    for flavor in (Flavor.ACI, Flavor.AC, Flavor.A):
+        assert check_inter(r, flavor), flavor
+
+
+def test_subject_reduce_at_every_redex_to_size_7():
+    for u in enumerate_terms(7, closed_only=False):
+        d = infer(u)
+        if d is None:
+            continue
+        for pos in redex_positions(d.subject):
+            reduct = beta_step(d.subject, pos)
+            try:
+                r = subject_reduce(d, reduct, pos)
+            except (ReplayError, ReductionTypeError):
+                continue
+            assert r.subject == reduct, (u, pos)
+            for flavor in (Flavor.ACI, Flavor.AC, Flavor.A):
+                assert check_inter(r, flavor), (u, pos, flavor)
 
 
 def test_subject_reduce_chain_keeps_type():

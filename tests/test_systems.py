@@ -26,7 +26,6 @@ from lambda_expand.systems import (
     infer_ordered,
     permute_basis,
     rename_in_derivation,
-    to_linear,
 )
 from lambda_expand.terms import Abs, App, Var, canonicalize, FreshSupply
 from lambda_expand.typelang import Arrow, Basis, Flavor, Lolli, LolliL, LolliR, TVar
@@ -336,10 +335,6 @@ def test_infer_curry_open_term():
     assert infer_curry(t("z z")) is None
 
 
-def test_to_linear():
-    assert to_linear(sty("(a -> b) -> a")) == parse_linear_type("(a -o b) -o a")
-
-
 def test_decide_goldens():
     church_two = t("\\f x. f (f x)")
     assert decide(System.AFFINE, church_two) is None
@@ -352,6 +347,26 @@ def test_decide_goldens():
     assert decide(System.LINEAR, t("\\x y. y x")).ty == parse_linear_type(
         "a -o (a -o b) -o b"
     )
+
+
+def test_decide_judges_a_basis_and_a_type():
+    x_a = Basis((("x", A),))
+    # binders are renamed apart from the basis names
+    d = decide(System.CURRY, t("\\x. x"), x_a, sty("b -> b"))
+    assert d.subject == t("\\x1. x1") and d.ty == sty("b -> b")
+    assert d.basis == x_a and check_derivation(d)
+    # fresh letters avoid the basis variables, which are rigid
+    assert decide(System.CURRY, t("\\x. x"), x_a).ty == sty("b -> b")
+    assert decide(System.CURRY, t("x"), x_a, B) is None
+    # only the systems with weakening take an entry the term does not use
+    assert decide(System.AFFINE, t("\\y. y"), x_a).basis == x_a
+    assert decide(System.RELEVANT, t("\\y. y"), x_a) is None
+    # the root basis follows the basis order
+    yx = Basis((("y", A), ("x", parse_linear_type("a -o b"))))
+    d = decide(System.LINEAR, t("x y"), yx)
+    assert d.basis == yx and d.ty == B and check_derivation(d)
+    with pytest.raises(ValueError, match="'y'"):
+        decide(System.CURRY, t("x y"), x_a)
 
 
 def test_decide_returns_checkable_witness():
@@ -398,10 +413,17 @@ def test_decide_respects_system_inclusions(u):
         assert curry is not None
 
 
+def _lolli(ty):
+    """ty with every -> spelled -o."""
+    if isinstance(ty, Arrow):
+        return Lolli(_lolli(ty.dom), _lolli(ty.cod))
+    return ty
+
+
 @given(terms)
 @settings(max_examples=40)
 def test_decide_linear_type_mirrors_curry(u):
     linear = decide(System.LINEAR, u)
     if linear is not None:
-        assert linear.ty == to_linear(infer_curry(u))
+        assert linear.ty == _lolli(infer_curry(u))
         assert check_derivation(linear)

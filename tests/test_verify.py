@@ -11,13 +11,15 @@ alpha-distinctness this certifies the enumeration is exhaustive: it emits
 the right number of terms and no two of them name the same class.
 """
 
+import hashlib
 import json
 from functools import lru_cache
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lambda_expand.expansion import expand
+from lambda_expand import expansion
+from lambda_expand.expansion import ExpansionError, expand
 from lambda_expand.intersection import infer
 from lambda_expand.reduction import Strategy, reduce
 from lambda_expand.syntax import parse_term, render_term
@@ -255,6 +257,47 @@ def test_matrix_full_sweep_has_no_failures_on_small_terms():
     assert set(r.prop for r in reports) == set(PROPERTIES)
     for r in reports:
         assert r.ok, f"{r.prop}: {r.failures()[0]}"
+
+
+# sha256 of the JSON reports of every property over every open term up to
+# size 6.  A refactor leaves every verdict and note as it is; a change that
+# mends a defect updates the digest.
+MATRIX_TO_SIZE_6 = "a5f9f5c16ff34a72c9e84e72a91b88dfb8d80d8990aab3829e9a2677b8a94307"
+
+
+def test_matrix_reports_to_size_6_are_pinned():
+    text = reports_to_json(run_matrix(enumerated_corpus(6, closed_only=False)))
+    assert hashlib.sha256(text.encode()).hexdigest() == MATRIX_TO_SIZE_6
+
+
+def test_diagrams_close_when_a_step_respells_the_untouched_side():
+    # beta_step respells the untouched argument \y1. y1 of the first step
+    subject = parse_term("(\\x. x x) (\\y. y) (\\y1. y1)")
+    for pid in ("whd-diagram-aci", "whd-diagram-ac", "beta-diagram-li-aci",
+                "beta-diagram-li-ac", "beta-diagram-li-ordered"):
+        assert PROPERTIES[pid](subject) == ("ok", ""), pid
+
+
+def test_weak_head_chain_expands_each_derivation_once(monkeypatch):
+    real = expansion.expand
+    calls = []
+    refuse = False
+
+    def counted(d, flavor, *args, **kwargs):
+        calls.append(d)
+        if len(calls) == 2 and refuse:
+            raise ExpansionError("second expansion refused")
+        return real(d, flavor, *args, **kwargs)
+
+    monkeypatch.setattr(expansion, "expand", counted)
+    two_steps = parse_term("(\\x. x) (\\y. y) z")
+    assert PROPERTIES["whd-diagram-ac"](two_steps) == ("ok", "")
+    assert len(calls) == 3
+    # a failed expansion fails its step and ends the chain
+    calls.clear()
+    refuse = True
+    assert PROPERTIES["whd-diagram-ac"](two_steps) == ("fail", "second expansion refused")
+    assert len(calls) == 2
 
 
 def test_summary_table_lists_every_property():
