@@ -71,6 +71,8 @@ from .typelang import (
     ctx_match,
     ctx_to_basis,
     ctx_union,
+    dedup_members,
+    fold,
     set_ctx_eq,
     translate,
 )
@@ -103,15 +105,6 @@ class ExpansionResult:
 
 # ---------------------------------------------------------------------------
 # shared helpers
-
-
-def _dedup_types(doms) -> list[InterType]:
-    """Distinct members, first occurrence order."""
-    out: list[InterType] = []
-    for t in doms:
-        if t not in out:
-            out.append(t)
-    return out
 
 
 def _take_by_type(pool: list, ty: InterType, key) -> object:
@@ -176,7 +169,7 @@ def _exp_set(
             if ren:
                 body = rename_free(body, ren)
             items = merged
-        doms = _dedup_types(d.ty.doms) if idempotent else list(d.ty.doms)
+        doms = dedup_members(d.ty.doms) if idempotent else list(d.ty.doms)
         binders = [_take_by_type(items, t, lambda it: it[1]) for t in doms]
         if items:
             raise ExpansionError(
@@ -189,7 +182,7 @@ def _exp_set(
     if d.rule == "arrow_e":
         pf, *pas = d.premises
         fun, ctx = _exp_set(pf, supply, idempotent, var_types)
-        doms = _dedup_types(pf.ty.doms) if idempotent else list(pf.ty.doms)
+        doms = dedup_members(pf.ty.doms) if idempotent else list(pf.ty.doms)
         pool = list(pas)
         chosen = [_take_by_type(pool, t, lambda p: p.ty) for t in doms]
         for ap in chosen:
@@ -199,23 +192,6 @@ def _exp_set(
         return fun, ctx
 
     raise AssertionError(d.rule)
-
-
-def _relabel(d: Derivation, system: System) -> Derivation:
-    """d with every node moved to `system`, walked with an explicit stack
-    so that its depth is not bounded by the recursion limit."""
-    out: list[Derivation] = []  # relabelled nodes awaiting their conclusion
-    stack = [(d, False)]
-    while stack:
-        n, ready = stack.pop()
-        if ready:
-            k = len(out) - len(n.premises)
-            premises = tuple(out[k:])
-            out[k:] = [Derivation(system, n.rule, n.basis, n.subject, n.ty, premises)]
-        else:
-            stack.append((n, True))
-            stack.extend((p, False) for p in reversed(n.premises))
-    return out[0]
 
 
 def _expand_set_flavored(
@@ -242,7 +218,10 @@ def _expand_set_flavored(
     if classify(d.subject).is_lambda_i:
         # a lI subject's expansion needs no weak node, and an AC expansion
         # no ctr node, so the strict derivation is the induced one relabelled
-        strict = _relabel(induced, strict_sys)
+        strict = fold(
+            induced,
+            lambda n, ps: Derivation(strict_sys, n.rule, n.basis, n.subject, n.ty, ps),
+        )
     for built in (induced, strict) if strict else (induced,):
         res = check_derivation(built)
         if not res:

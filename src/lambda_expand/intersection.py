@@ -39,17 +39,21 @@ from .terms import (
     FreshSupply,
 )
 from .typelang import (
+    CheckResult,
     Flavor,
     InterArrow,
     InterType,
     TVar,
     TypeEnv,
+    check_tree,
     env_eq,
     env_meet,
+    fold,
     inter_eq,
     inter_list_eq,
     letter_names,
     normalize,
+    preorder,
 )
 
 
@@ -63,9 +67,6 @@ class InterDerivation:
 
     def environment(self) -> TypeEnv:
         return dict(self.env)
-
-    def size(self) -> int:
-        return 1 + sum(p.size() for p in self.premises)
 
 
 def _freeze_env(env: TypeEnv) -> tuple[tuple[str, tuple[InterType, ...]], ...]:
@@ -109,20 +110,7 @@ def _app_node(
     return _node("arrow_e", env, subject, pf.ty.cod, (pf, *pas))
 
 
-@dataclass(frozen=True)
-class InterCheckResult:
-    ok: bool
-    path: tuple[int, ...] = ()
-    reason: str = ""
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-_IOK = InterCheckResult(True)
-
-
-def check_inter(d: InterDerivation, flavor: Flavor = Flavor.A) -> InterCheckResult:
+def check_inter(d: InterDerivation, flavor: Flavor = Flavor.A) -> CheckResult:
     """Replay a derivation against the four rules.
 
     The flavor controls how intersection lists are compared, each by its
@@ -131,83 +119,74 @@ def check_inter(d: InterDerivation, flavor: Flavor = Flavor.A) -> InterCheckResu
     with domain members under every flavor.  Derivations produced by this
     module are A-strict and therefore pass under every flavor.
     """
-    return _icheck(d, flavor)
+    return check_tree(d, partial(_icheck_node, flavor))
 
 
-def _ifail(reason: str) -> InterCheckResult:
-    return InterCheckResult(False, (), reason)
-
-
-def _icheck(d: InterDerivation, flavor: Flavor) -> InterCheckResult:
-    # as in systems._check, a failing premise's path is extended on the way out
-    for i, p in enumerate(d.premises):
-        sub = _icheck(p, flavor)
-        if not sub:
-            return InterCheckResult(False, (i,) + sub.path, sub.reason)
-
+def _icheck_node(flavor: Flavor, d: InterDerivation) -> str | None:
+    """The reason one node breaks its rule, or None."""
     env = d.environment()
     if d.rule == "ax":
         if d.premises:
-            return _ifail("ax takes no premises")
+            return "ax takes no premises"
         if not isinstance(d.subject, Var):
-            return _ifail("ax subject must be a variable")
+            return "ax subject must be a variable"
         want = {d.subject.name: (d.ty,)}
         if env != want:
-            return _ifail("ax environment must be the single assumption")
-        return _IOK
+            return "ax environment must be the single assumption"
+        return None
 
     if d.rule in ("arrow_i", "arrow_i_prime"):
         if len(d.premises) != 1:
-            return _ifail(f"{d.rule} takes one premise")
+            return f"{d.rule} takes one premise"
         (p,) = d.premises
         penv = p.environment()
         if not isinstance(d.subject, Abs):
-            return _ifail(f"{d.rule} concludes an abstraction")
+            return f"{d.rule} concludes an abstraction"
         x = d.subject.binder
         if d.subject.body != p.subject:
-            return _ifail(f"{d.rule} premise subject must be the body")
+            return f"{d.rule} premise subject must be the body"
         if not isinstance(d.ty, InterArrow):
-            return _ifail(f"{d.rule} concludes an arrow")
+            return f"{d.rule} concludes an arrow"
         if not inter_eq(d.ty.cod, p.ty, flavor):
-            return _ifail(f"{d.rule} codomain must be the premise type")
+            return f"{d.rule} codomain must be the premise type"
         if d.rule == "arrow_i":
             if x not in penv:
-                return _ifail("arrow_i needs the binder in the environment")
+                return "arrow_i needs the binder in the environment"
             if not inter_list_eq(d.ty.doms, penv[x], flavor):
-                return _ifail("arrow_i discharges the binder's full list")
+                return "arrow_i discharges the binder's full list"
         else:
             if x in penv:
-                return _ifail("arrow_i_prime needs the binder unused")
+                return "arrow_i_prime needs the binder unused"
             if len(d.ty.doms) != 1:
-                return _ifail("arrow_i_prime domains are singletons")
+                return "arrow_i_prime domains are singletons"
         if not env_eq(env, _env_without(penv, x), flavor):
-            return _ifail(f"{d.rule} environment must drop the binder")
-        return _IOK
+            return f"{d.rule} environment must drop the binder"
+        return None
 
     if d.rule == "arrow_e":
         if len(d.premises) < 2:
-            return _ifail("arrow_e takes a function and argument premises")
+            return "arrow_e takes a function and argument premises"
         pf, *pas = d.premises
         if not isinstance(pf.ty, InterArrow):
-            return _ifail("arrow_e function premise needs an arrow type")
+            return "arrow_e function premise needs an arrow type"
         if len(pas) != len(pf.ty.doms):
-            return _ifail("arrow_e needs one argument premise per member")
+            return "arrow_e needs one argument premise per member"
         if not _doms_matched(pf.ty.doms, [a.ty for a in pas], flavor):
-            return _ifail("argument types must match the domain members")
+            return "argument types must match the domain members"
         if not isinstance(d.subject, App):
-            return _ifail("arrow_e concludes an application")
+            return "arrow_e concludes an application"
         if d.subject.fun != pf.subject:
-            return _ifail("arrow_e function premise subject mismatch")
+            return "arrow_e function premise subject mismatch"
         if any(a.subject != d.subject.arg for a in pas):
-            return _ifail("argument premises must all derive the argument")
+            return "argument premises must all derive the argument"
         if not inter_eq(d.ty, pf.ty.cod, flavor):
-            return _ifail("arrow_e concludes the codomain")
+            return "arrow_e concludes the codomain"
         met = env_meet(pf.environment(), *[a.environment() for a in pas])
         if not env_eq(env, met, flavor):
-            return _ifail("arrow_e environment must be the pointwise meet")
-        return _IOK
+            return "arrow_e environment must be the pointwise meet"
+        return None
 
-    return _ifail(f"unknown rule {d.rule!r}")
+    return f"unknown rule {d.rule!r}"
 
 
 def _doms_matched(
@@ -261,28 +240,21 @@ def rename_tyvars(d: InterDerivation, s: dict[str, InterType]) -> InterDerivatio
             done[id(t)] = out
         return out
 
-    def walk(n: InterDerivation) -> InterDerivation:
+    def build(n: InterDerivation, prems: tuple[InterDerivation, ...]) -> InterDerivation:
         env = tuple((x, tuple(sub(m) for m in members)) for x, members in n.env)
-        return InterDerivation(
-            n.rule, env, n.subject, sub(n.ty), tuple(walk(p) for p in n.premises)
-        )
+        return InterDerivation(n.rule, env, n.subject, sub(n.ty), prems)
 
-    return walk(d)
+    return fold(d, build)
 
 
 def _deriv_ty_vars(d: InterDerivation) -> list[str]:
     """First-occurrence order: root type, then environment, then premises."""
     seen: dict[str, None] = {}
-
-    def walk(n: InterDerivation) -> None:
+    for n in preorder(d, right_first=False):
         _add_ty_vars(n.ty, seen)
         for _, members in n.env:
             for m in members:
                 _add_ty_vars(m, seen)
-        for p in n.premises:
-            walk(p)
-
-    walk(d)
     return list(seen)
 
 

@@ -27,6 +27,8 @@ from .typelang import (
     LolliR,
     SetExpCtx,
     TVar,
+    check_distinct,
+    preorder,
 )
 
 SCHEMA = "lambda-expand/v1"
@@ -141,7 +143,9 @@ def from_jsonable(data: Any) -> Any:
                     from_jsonable(data["cod"]),
                 )
             case "basis":
-                return Basis(tuple((x, from_jsonable(ty)) for x, ty in data["entries"]))
+                basis = Basis(tuple((x, from_jsonable(ty)) for x, ty in data["entries"]))
+                check_distinct(basis)
+                return basis
             case "set-context":
                 return SetExpCtx(
                     {
@@ -236,19 +240,16 @@ def to_dot(d: Derivation | InterDerivation) -> str:
         "  rankdir=BT;",
         '  node [shape=box, fontname="monospace"];',
     ]
-    counter = 0
-
-    def walk(node) -> int:
-        nonlocal counter
-        ident = counter
-        counter += 1
+    # nodes are numbered in the order a recursive walk enters them; a
+    # node's edge to its conclusion follows the lines of its premises
+    drawing: list[list[int]] = []  # [number, premises still to draw]
+    for ident, node in enumerate(preorder(d, right_first=False)):
         label = _dot_escape(f"{node.rule}\n{_judgment(node)}")
         lines.append(f'  n{ident} [label="{label}"];')
-        for p in node.premises:
-            child = walk(p)
-            lines.append(f"  n{child} -> n{ident};")
-        return ident
-
-    walk(d)
+        drawing.append([ident, len(node.premises)])
+        while len(drawing) > 1 and not drawing[-1][1]:
+            child, _ = drawing.pop()
+            lines.append(f"  n{child} -> n{drawing[-1][0]};")
+            drawing[-1][1] -= 1
     lines.append("}")
     return "\n".join(lines)

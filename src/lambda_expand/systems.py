@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import compress, count
+from operator import ne
 from typing import Iterable, Iterator
 
 from .terms import (
@@ -37,6 +39,7 @@ from .terms import (
 from .typelang import (
     Arrow,
     Basis,
+    CheckResult,
     Lolli,
     LolliL,
     LolliR,
@@ -44,6 +47,9 @@ from .typelang import (
     SimpleType,
     TVar,
     Type,
+    check_distinct,
+    check_tree,
+    fold,
     letter_names,
 )
 
@@ -65,24 +71,22 @@ STRUCTURAL: dict[System, frozenset[str]] = {
     System.ORDERED: frozenset(),
 }
 
-# The connective of each system's arrow rules.  The set-like systems have
-# one introduction and one elimination; ordered has a left and a right one
-# of each.  arrow_i_l discharges the first basis entry and arrow_e_l puts
-# the argument's basis first; the other rules discharge the last entry and
-# put the function's basis first.
-CONNECTIVE: dict[tuple[System, str], type] = {
-    (System.CURRY, "arrow_i"): Arrow,
-    (System.CURRY, "arrow_e"): Arrow,
-    (System.RELEVANT, "arrow_i"): Arrow,
-    (System.RELEVANT, "arrow_e"): Arrow,
-    (System.AFFINE, "arrow_i"): Lolli,
-    (System.AFFINE, "arrow_e"): Lolli,
-    (System.LINEAR, "arrow_i"): Lolli,
-    (System.LINEAR, "arrow_e"): Lolli,
-    (System.ORDERED, "arrow_i_l"): LolliL,
-    (System.ORDERED, "arrow_i_r"): LolliR,
-    (System.ORDERED, "arrow_e_l"): LolliL,
-    (System.ORDERED, "arrow_e_r"): LolliR,
+# Each system's arrow rules and their connective.  The set-like systems
+# have one introduction and one elimination; ordered has a left and a
+# right one of each.  arrow_i_l discharges the first basis entry and
+# arrow_e_l puts the argument's basis first; the other rules discharge the
+# last entry and put the function's basis first.
+CONNECTIVE: dict[System, dict[str, type]] = {
+    System.CURRY: {"arrow_i": Arrow, "arrow_e": Arrow},
+    System.RELEVANT: {"arrow_i": Arrow, "arrow_e": Arrow},
+    System.AFFINE: {"arrow_i": Lolli, "arrow_e": Lolli},
+    System.LINEAR: {"arrow_i": Lolli, "arrow_e": Lolli},
+    System.ORDERED: {
+        "arrow_i_l": LolliL,
+        "arrow_i_r": LolliR,
+        "arrow_e_l": LolliL,
+        "arrow_e_r": LolliR,
+    },
 }
 
 
@@ -102,156 +106,142 @@ class Derivation:
     ty: Type
     premises: tuple["Derivation", ...] = ()
 
-    def size(self) -> int:
-        return 1 + sum(p.size() for p in self.premises)
 
-
-@dataclass(frozen=True)
-class CheckResult:
-    ok: bool
-    path: tuple[int, ...] = ()
-    reason: str = ""
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def _fail(reason: str) -> CheckResult:
-    return CheckResult(False, (), reason)
-
-
-_OK = CheckResult(True)
+_FOREIGN = "premise belongs to a different system"
 
 
 def check_derivation(d: Derivation) -> CheckResult:
     """Replay one derivation tree against the rule table of d.system."""
-    return _check(d)
-
-
-def _check(d: Derivation) -> CheckResult:
-    # a failing premise's path is extended on the way out, so only the
-    # failing branch ever holds a path
-    for i, p in enumerate(d.premises):
-        if p.system is not d.system:
-            return CheckResult(False, (i,), "premise belongs to a different system")
-        sub = _check(p)
-        if not sub:
-            return CheckResult(False, (i,) + sub.path, sub.reason)
-
     sys = d.system
-    rule = d.rule
-    if rule == "ax":
-        return _check_ax(d)
-    if rule in STRUCTURAL[sys]:
-        return _check_structural(d)
-    conn = CONNECTIVE.get((sys, rule))
-    if conn is None:
-        return _fail(f"rule {rule!r} not available in {sys.value}")
-    if rule.startswith("arrow_i"):
-        return _check_intro(d, conn)
-    return _check_elim(d, conn)
+    structural = STRUCTURAL[sys]
+    arrows = CONNECTIVE[sys]
+
+    def check(n: Derivation) -> str | None:
+        if n.system is not sys:
+            return _FOREIGN
+        rule = n.rule
+        if rule == "ax":
+            return _check_ax(n)
+        if rule in structural:
+            return _check_structural(n)
+        conn = arrows.get(rule)
+        if conn is None:
+            return f"rule {rule!r} not available in {sys.value}"
+        if rule.startswith("arrow_i"):
+            return _check_intro(n, conn)
+        return _check_elim(n, conn)
+
+    res = check_tree(d, check)
+    # a recursive check rejects a premise of another system before it
+    # enters that premise, so a failure beneath one is reported there
+    node = d
+    for depth, i in enumerate(res.path):
+        node = node.premises[i]
+        if node.system is not sys:
+            return CheckResult(False, res.path[: depth + 1], _FOREIGN)
+    return res
 
 
-def _check_ax(d: Derivation) -> CheckResult:
+def _check_ax(d: Derivation) -> str | None:
     if d.premises:
-        return _fail("ax takes no premises")
+        return "ax takes no premises"
     if len(d.basis.entries) != 1:
-        return _fail("ax needs a singleton basis")
+        return "ax needs a singleton basis"
     x, ty = d.basis.entries[0]
     if d.subject != Var(x):
-        return _fail("ax subject must be the basis variable")
+        return "ax subject must be the basis variable"
     if d.ty != ty:
-        return _fail("ax type must match the basis entry")
-    return _OK
+        return "ax type must match the basis entry"
+    return None
 
 
-def _check_structural(d: Derivation) -> CheckResult:
+def _check_structural(d: Derivation) -> str | None:
     if len(d.premises) != 1:
-        return _fail(f"{d.rule} takes one premise")
+        return f"{d.rule} takes one premise"
     (p,) = d.premises
     if d.rule != "ctr" and d.subject != p.subject:
-        return _fail(f"{d.rule} must not change the subject")
+        return f"{d.rule} must not change the subject"
     if d.ty != p.ty:
-        return _fail(f"{d.rule} must not change the type")
+        return f"{d.rule} must not change the type"
 
     pe = p.basis.entries
     ce = d.basis.entries
     if d.rule == "weak":
         # conclusion appends one fresh entry at the end
         if len(ce) != len(pe) + 1 or ce[:-1] != pe:
-            return _fail("weak appends exactly one entry")
+            return "weak appends exactly one entry"
         x, _ = ce[-1]
         if x in p.basis.vars():
-            return _fail("weakened variable already in basis")
-        return _OK
+            return "weakened variable already in basis"
+        return None
     if d.rule == "ex":
         # conclusion swaps one adjacent pair
         if len(ce) != len(pe):
-            return _fail("ex preserves basis length")
-        diffs = [i for i in range(len(ce)) if ce[i] != pe[i]]
+            return "ex preserves basis length"
+        diffs = list(compress(count(), map(ne, ce, pe)))
         if len(diffs) != 2 or diffs[1] != diffs[0] + 1:
-            return _fail("ex swaps one adjacent pair")
+            return "ex swaps one adjacent pair"
         i = diffs[0]
         if ce[i] != pe[i + 1] or ce[i + 1] != pe[i]:
-            return _fail("ex swaps one adjacent pair")
-        return _OK
+            return "ex swaps one adjacent pair"
+        return None
     if d.rule == "ctr":
         # premise ends with x:t, y:t; conclusion keeps x and renames y to
         # x in the subject
         if len(pe) < 2 or len(ce) != len(pe) - 1:
-            return _fail("ctr drops exactly one entry")
+            return "ctr drops exactly one entry"
         (x, tx), (y, ty) = pe[-2], pe[-1]
         if tx != ty:
-            return _fail("ctr needs equal types on the merged pair")
+            return "ctr needs equal types on the merged pair"
         if ce != pe[:-1]:
-            return _fail("ctr keeps the basis prefix")
+            return "ctr keeps the basis prefix"
         if d.subject != rename_free(p.subject, {y: x}):
-            return _fail("ctr must rename the dropped variable")
-        return _OK
+            return "ctr must rename the dropped variable"
+        return None
     raise AssertionError(d.rule)
 
 
-def _check_intro(d: Derivation, conn: type) -> CheckResult:
+def _check_intro(d: Derivation, conn: type) -> str | None:
     if len(d.premises) != 1:
-        return _fail(f"{d.rule} takes one premise")
+        return f"{d.rule} takes one premise"
     (p,) = d.premises
     if not isinstance(d.subject, Abs):
-        return _fail(f"{d.rule} concludes an abstraction")
+        return f"{d.rule} concludes an abstraction"
     pe = p.basis.entries
     if not pe:
-        return _fail(f"{d.rule} discharges a basis entry")
+        return f"{d.rule} discharges a basis entry"
     if d.rule == "arrow_i_l":
         (x, tx), rest = pe[0], pe[1:]
     else:
         (x, tx), rest = pe[-1], pe[:-1]
     if d.basis.entries != rest:
-        return _fail(f"{d.rule} keeps the remaining basis in order")
+        return f"{d.rule} keeps the remaining basis in order"
     if d.subject != Abs(x, p.subject):
-        return _fail(f"{d.rule} subject must bind the discharged variable")
+        return f"{d.rule} subject must bind the discharged variable"
     if d.ty != conn(tx, p.ty):
-        return _fail(f"{d.rule} type must match the discharged entry")
-    return _OK
+        return f"{d.rule} type must match the discharged entry"
+    return None
 
 
-def _check_elim(d: Derivation, conn: type) -> CheckResult:
+def _check_elim(d: Derivation, conn: type) -> str | None:
     if len(d.premises) != 2:
-        return _fail(f"{d.rule} takes two premises")
+        return f"{d.rule} takes two premises"
     pf, pa = d.premises
     if not isinstance(pf.ty, conn):
-        return _fail(f"{d.rule} function premise needs {conn.__name__}")
+        return f"{d.rule} function premise needs {conn.__name__}"
     if pf.ty.dom != pa.ty:
-        return _fail(f"{d.rule} argument type must match the domain")
+        return f"{d.rule} argument type must match the domain"
     if d.ty != pf.ty.cod:
-        return _fail(f"{d.rule} concludes the codomain")
+        return f"{d.rule} concludes the codomain"
     if d.subject != App(pf.subject, pa.subject):
-        return _fail(f"{d.rule} subject must apply fun to arg")
+        return f"{d.rule} subject must apply fun to arg"
     first, second = (pa, pf) if d.rule == "arrow_e_l" else (pf, pa)
     if d.basis.entries != first.basis.entries + second.basis.entries:
-        return _fail(f"{d.rule} arranges the premise bases the other way")
+        return f"{d.rule} arranges the premise bases the other way"
     shared = set(pf.basis.vars()) & set(pa.basis.vars())
     if shared:
-        return _fail(f"premise bases share {sorted(shared)}")
-    return _OK
+        return f"premise bases share {sorted(shared)}"
+    return None
 
 
 def rename_in_derivation(d: Derivation, ren: dict[str, str]) -> Derivation:
@@ -261,10 +251,13 @@ def rename_in_derivation(d: Derivation, ren: dict[str, str]) -> Derivation:
     binders shadow as usual.  Callers must pick targets that do not
     collide with existing names.
     """
-    entries = tuple((ren.get(x, x), t) for x, t in d.basis.entries)
-    subject = rename_free(d.subject, ren)
-    prems = tuple(rename_in_derivation(p, ren) for p in d.premises)
-    return Derivation(d.system, d.rule, Basis(entries), subject, d.ty, prems)
+
+    def build(n: Derivation, prems: tuple[Derivation, ...]) -> Derivation:
+        entries = tuple((ren.get(x, x), t) for x, t in n.basis.entries)
+        subject = rename_free(n.subject, ren)
+        return Derivation(n.system, n.rule, Basis(entries), subject, n.ty, prems)
+
+    return fold(d, build)
 
 
 # ---------------------------------------------------------------------------
@@ -328,14 +321,14 @@ def intro(p: Derivation, rule: str) -> Derivation:
     basis entry, the other introductions its last."""
     pe = p.basis.entries
     (x, tx), rest = (pe[0], pe[1:]) if rule == "arrow_i_l" else (pe[-1], pe[:-1])
-    ty = CONNECTIVE[p.system, rule](tx, p.ty)
+    ty = CONNECTIVE[p.system][rule](tx, p.ty)
     return Derivation(p.system, rule, Basis(rest), Abs(x, p.subject), ty, (p,))
 
 
 def elim(pf: Derivation, pa: Derivation, rule: str) -> Derivation:
     """The elimination `rule` applying pf to pa; raises ValueError when
     pf's type is not an arrow of the rule's connective from pa's type."""
-    conn = CONNECTIVE[pf.system, rule]
+    conn = CONNECTIVE[pf.system][rule]
     if not isinstance(pf.ty, conn) or pf.ty.dom != pa.ty:
         raise ValueError(f"function part needs {conn.__name__} from the argument type")
     first, second = (pa, pf) if rule == "arrow_e_l" else (pf, pa)
@@ -594,8 +587,8 @@ def decide(
     affine and linear.
 
     With a basis it judges `basis |- term : ty`: the basis types every
-    free variable (ValueError when one has no entry) and lists the
-    witness's root basis, `ty` is unified with the subject's type, and
+    free variable (ValueError when one has no entry, or when a name
+    repeats) and lists the witness's root basis, `ty` is unified with the subject's type, and
     the type variables of both are rigid.  Binders are renamed apart from
     the basis names; entries the term does not use need weakening.
     """
@@ -608,6 +601,8 @@ def decide(
     }
     if system not in gate:
         raise ValueError("decide covers the set-like systems only")
+    if basis is not None:
+        check_distinct(basis)
     if not gate[system]:
         return None
     fixed = dict(basis.entries) if basis is not None else {}
@@ -619,7 +614,7 @@ def decide(
             raise ValueError(f"free variable {missing[0]!r} has no basis entry")
         if len(free) < len(fixed) and "weak" not in STRUCTURAL[system]:
             return None  # an entry the term does not use needs weakening
-    conn = CONNECTIVE[system, "arrow_i"]
+    conn = CONNECTIVE[system]["arrow_i"]
     solved = _curry_solve(subject, conn, fixed, ty)
     if solved is None:
         return None
@@ -754,8 +749,10 @@ def check_ordered(
     """Does basis |- term : ty hold in the ordered system?
 
     Backtracking search over the six rules; type variables in the basis
-    and the goal are rigid.  Raises SizeBoundExceeded past the budget.
+    and the goal are rigid.  Raises SizeBoundExceeded past the budget, and
+    ValueError when a basis name repeats.
     """
+    check_distinct(basis)
     search = _OrderedSearch(budget)
     for _ in search.solutions(tuple(basis.entries), term, ty):
         return True
@@ -769,8 +766,10 @@ def infer_ordered(
 
     The goal starts as a metavariable; the first solution is frozen and
     returned, with leftover metavariables instantiated by fresh type
-    variables.  None when the search space is exhausted.
+    variables.  None when the search space is exhausted; ValueError when
+    a basis name repeats.
     """
+    check_distinct(basis)
     search = _OrderedSearch(budget)
     goal = _MVar()
     for _ in search.solutions(tuple(basis.entries), term, goal):

@@ -167,14 +167,28 @@ _ARROW_OF = {
 }
 
 
+def dedup_members(members) -> list[InterType]:
+    """Distinct members in first-occurrence order.  Members are compared
+    with == and never hashed, so a list without repeats costs one scan."""
+    out: list[InterType] = []
+    for t in members:
+        if t not in out:
+            out.append(t)
+    return out
+
+
 def translate(t: InterType, target: Target) -> Type:
-    """Curry each domain member into its own arrow of the target language."""
+    """Curry each domain member into its own arrow of the target language.
+    The simple target, which ACI expansion types its output in, curries
+    each distinct member once, as the expansion binds it once."""
     match t:
         case TVar():
             return t
         case InterArrow(doms, cod):
             arrow = _ARROW_OF[target]
             out = translate(cod, target)
+            if target is Target.SIMPLE:
+                doms = dedup_members(doms)
             for d in reversed(doms):
                 out = arrow(translate(d, target), out)
             return out
@@ -186,22 +200,89 @@ def translate(t: InterType, target: Target) -> Type:
 
 @dataclass(frozen=True)
 class Basis:
-    """Ordered assumption list; variables must be pairwise distinct."""
+    """Ordered assumption list.  Its names must be pairwise distinct: the
+    typing rules keep them so, and `check_distinct` checks a basis that
+    comes from outside them."""
 
     entries: tuple[tuple[str, Type], ...] = ()
-    _names: tuple[str, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        names = tuple(x for x, _ in self.entries)
-        if len(set(names)) != len(names):
-            raise ValueError(f"repeated basis variable in {list(names)}")
-        object.__setattr__(self, "_names", names)
+    _names = None  # not a field: the first vars() call fills it in
 
     def vars(self) -> tuple[str, ...]:
+        if self._names is None:
+            object.__setattr__(self, "_names", tuple(x for x, _ in self.entries))
         return self._names
 
-    def __len__(self):
-        return len(self.entries)
+
+def check_distinct(basis: Basis) -> None:
+    """Raise ValueError when a name repeats in the basis."""
+    names = basis.vars()
+    if len(set(names)) != len(names):
+        raise ValueError(f"repeated basis variable in {list(names)}")
+
+
+# ---- derivation trees: nodes with a `premises` tuple, in every system ----
+# Their walkers share one explicit-stack traversal, so a derivation's depth
+# is bounded by memory, not by the recursion limit.
+
+
+def preorder(root, right_first: bool = True) -> list:
+    """Every node of the tree under root, each before its premises.
+
+    By default the premises come right to left; reversed, the list is the
+    left-to-right post-order in which a recursive walk finishes its nodes.
+    With right_first=False they come left to right, in the order in which
+    a recursive walk enters them."""
+    nodes = []
+    stack = [root]
+    while stack:
+        n = stack.pop()
+        nodes.append(n)
+        stack += n.premises if right_first else n.premises[::-1]
+    return nodes
+
+
+@dataclass(frozen=True)
+class CheckResult:
+    """A derivation replayed against its rules; a failure carries the
+    premise path to the node that breaks its rule, and the reason."""
+
+    ok: bool
+    path: tuple[int, ...] = ()
+    reason: str = ""
+
+    def __bool__(self) -> bool:
+        return self.ok
+
+
+_OK = CheckResult(True)
+
+
+def check_tree(root, check) -> CheckResult:
+    """check(node), the reason the node breaks its rule or None, on every
+    node in the order a recursive check finishes them: left to right,
+    premises first.  Only the first failure works out its path."""
+    nodes = preorder(root)
+    for k in range(len(nodes) - 1, -1, -1):
+        reason = check(nodes[k])
+        if reason:
+            # replay the traversal up to nodes[k], carrying premise paths
+            stack = [(root, ())]
+            for _ in range(k + 1):
+                n, path = stack.pop()
+                stack += [(p, path + (i,)) for i, p in enumerate(n.premises)]
+            return CheckResult(False, path, reason)
+    return _OK
+
+
+def fold(root, build):
+    """build(node, premises) over the tree under root, where premises holds
+    the results for node.premises; each node's result is built after its
+    premises' results, in left-to-right post-order."""
+    out: list = []
+    for n in reversed(preorder(root)):
+        k = len(out) - len(n.premises)
+        out[k:] = [build(n, tuple(out[k:]))]
+    return out[0]
 
 
 # ---- expansion contexts ----

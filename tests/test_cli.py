@@ -337,6 +337,39 @@ def test_expand_aci_covers_a_repeated_requested_member(capsys):
     assert code == 1 and "requested type" in err
 
 
+def test_expand_aci_curries_a_repeated_member_once(capsys):
+    # both occurrences of x1 have type a, so ACI binds them to one variable
+    # and the induced Curry derivation contracts; v's type curries a once
+    argv = ("expand", "--flavor", "aci", "--type", "((a & a -> a) -> b) -> b",
+            "\\v. v (\\x1. (\\x2. x1) x1)")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out.splitlines()[0] == "\\v1. v1 (\\x3. (\\x4. x3) x3) : ((a -> a) -> b) -> b"
+    assert "derivation (curry): ok" in out
+    code, out, _ = run(capsys, *argv, "--format", "dot")
+    assert code == 0 and '[label="ctr\\n' in out
+
+
+POW_3_4 = "(\\f x. f (f (f (f x)))) (\\f x. f (f (f x)))"
+
+
+@pytest.mark.parametrize("flavor", ["aci", "ac"])
+def test_expand_past_the_recursion_limit(capsys, flavor):
+    # the induced derivation of 3^4 is 1,632 deep, 1,458 of its nodes ex
+    code, out, err = run(capsys, "expand", "--flavor", flavor, POW_3_4)
+    assert code == 0 and err == ""
+    assert f"derivation ({'curry' if flavor == 'aci' else 'affine'}): ok" in out.splitlines()
+    code, out, _ = run(capsys, "expand", "--flavor", flavor, "--format", "dot", POW_3_4)
+    assert code == 0 and out.count('[label="ex\\n') == 1458
+
+
+def test_expand_json_past_the_recursion_limit_is_inconclusive(capsys):
+    # the JSON document nests as deep as the derivation
+    code, out, err = run(capsys, "expand", "--flavor", "aci", "--format", "json", POW_3_4)
+    assert (code, out) == (2, "")
+    assert err.startswith("inconclusive: RecursionError") and "\n" not in err
+
+
 def test_expand_ordered_violation_is_absent_not_a_crash(capsys):
     code, _, err = run(capsys, "expand", "--flavor", "ordered", "\\x1. x1 v1")
     assert code == 1 and "no expansion" in err

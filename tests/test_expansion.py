@@ -25,7 +25,14 @@ from lambda_expand.expansion import (
     verify_beta_diagram_lambdai,
     verify_whd_diagram,
 )
-from lambda_expand.intersection import InterDerivation, infer, match_requested
+from lambda_expand.intersection import (
+    InterDerivation,
+    _deriv_ty_vars,
+    check_inter,
+    infer,
+    match_requested,
+    rename_tyvars,
+)
 from lambda_expand.syntax import parse_inter_type, parse_term, render_term, render_type
 from lambda_expand.systems import System, check_derivation
 from lambda_expand.terms import (
@@ -51,6 +58,7 @@ from lambda_expand.typelang import (
     ctx_to_basis,
     env_eq,
     env_to_set_ctx,
+    preorder,
     set_ctx_to_env,
     translate,
 )
@@ -316,6 +324,39 @@ def stable_dedup_translate(ty, target):
     for m in reversed(seen):
         out = arrow(stable_dedup_translate(m, target), out)
     return out
+
+
+def _repeats_a_member(d):
+    types = [ty for n in preorder(d) for ty in (n.ty, *(m for _, ms in n.env for m in ms))]
+    while types:
+        ty = types.pop()
+        if isinstance(ty, InterArrow):
+            if len(set(ty.doms)) < len(ty.doms):
+                return True
+            types += [*ty.doms, ty.cod]
+    return False
+
+
+def test_collapsed_derivations_contract_exactly_under_aci():
+    # every type variable of infer's derivation collapsed to a: an instance
+    # of the principal typing whose domains can repeat a member, which ACI
+    # binds once (ctr) and AC once per copy
+    a = TVar("a")
+    collapsed = []
+    for u in enumerate_terms(7, closed_only=False):
+        d = infer(u)
+        if d is None:
+            continue
+        c = rename_tyvars(d, {v: a for v in _deriv_ty_vars(d)})
+        if _repeats_a_member(c) and all(check_inter(c, f) for f in Flavor):
+            collapsed.append(c)
+    assert len(collapsed) == 45
+    for c in collapsed:
+        r = expand(c, Flavor.ACI)
+        assert r.ty == stable_dedup_translate(c.ty, Target.SIMPLE)
+        assert "ctr" in {n.rule for n in preorder(r.induced)}
+        r = expand(c, Flavor.AC)
+        assert "ctr" not in {n.rule for n in preorder(r.induced)}
 
 
 @given(terms)

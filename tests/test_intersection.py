@@ -17,6 +17,7 @@ from lambda_expand.intersection import (
     InterDerivation,
     ReductionTypeError,
     ReplayError,
+    _abs_node,
     _deriv_ty_vars,
     _infer,
     _match_ty,
@@ -194,6 +195,15 @@ def test_check_inter_rejects_broken_env():
     tampered = InterDerivation(d.rule, (("w", (A,)),), d.subject, d.ty, d.premises)
     res = check_inter(tampered)
     assert not res and res.reason
+
+
+def test_vacuous_binder_chain_past_the_recursion_limit():
+    d = infer(t("x"))
+    for i in range(5000):
+        d = _abs_node(f"z{i}", d, (B,))
+    assert d.rule == "arrow_i_prime"
+    for flavor in Flavor:
+        assert check_inter(d, flavor)
 
 
 def test_subject_reduce_retargets_the_side_the_step_did_not_touch():

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lambda_expand.intersection import check_inter, infer
+from lambda_expand import systems
+from lambda_expand.expansion import ExpansionError, expand
+from lambda_expand.intersection import _icheck_node, check_inter, infer
 from lambda_expand.syntax import (
     parse_linear_type,
     parse_ordered_type,
@@ -14,6 +16,8 @@ from lambda_expand.syntax import (
     parse_term,
 )
 from lambda_expand.systems import (
+    CONNECTIVE,
+    STRUCTURAL,
     CheckResult,
     Derivation,
     SizeBoundExceeded,
@@ -28,7 +32,8 @@ from lambda_expand.systems import (
     rename_in_derivation,
 )
 from lambda_expand.terms import Abs, App, Var, canonicalize, FreshSupply
-from lambda_expand.typelang import Arrow, Basis, Flavor, Lolli, LolliL, LolliR, TVar
+from lambda_expand.typelang import Arrow, Basis, Flavor, Lolli, LolliL, LolliR, TVar, fold
+from lambda_expand.verify import enumerate_terms
 
 
 def t(src):
@@ -167,13 +172,18 @@ def test_ordered_derivation_wrong_basis_order_rejected():
     assert not res and res.path == ()
 
 
+def _replaced_at(d, path, replace):
+    """d with the node n at `path` replaced by replace(n)."""
+    if not path:
+        return replace(d)
+    premises = list(d.premises)
+    premises[path[0]] = _replaced_at(premises[path[0]], path[1:], replace)
+    return dataclasses.replace(d, premises=tuple(premises))
+
+
 def _retyped_at(d, path):
     """d with the node at `path` given the type zz."""
-    if not path:
-        return dataclasses.replace(d, ty=TVar("zz"))
-    premises = list(d.premises)
-    premises[path[0]] = _retyped_at(premises[path[0]], path[1:])
-    return dataclasses.replace(d, premises=tuple(premises))
+    return _replaced_at(d, path, lambda n: dataclasses.replace(n, ty=TVar("zz")))
 
 
 def test_a_failure_three_levels_deep_has_the_same_path_under_both_checkers():
@@ -187,6 +197,114 @@ def test_a_failure_three_levels_deep_has_the_same_path_under_both_checkers():
     assert not got and got.path == path
     got = check_inter(_retyped_at(inter, path), Flavor.A)
     assert not got and got.path == path
+
+
+def _swapped(d, times):
+    """d under `times` ex nodes, each swapping its two basis entries."""
+    for _ in range(times):
+        d = Derivation(d.system, "ex", Basis(d.basis.entries[::-1]), d.subject, d.ty, (d,))
+    return d
+
+
+def test_exchange_chain_past_the_recursion_limit():
+    f = Lolli(A, B)
+    ax_x = Derivation(System.LINEAR, "ax", Basis((("x", f),)), Var("x"), f)
+    ax_y = Derivation(System.LINEAR, "ax", Basis((("y", A),)), Var("y"), A)
+
+    def applied(fun):
+        basis = Basis(fun.basis.entries + ax_y.basis.entries)
+        return Derivation(System.LINEAR, "arrow_e", basis, t("x y"), B, (fun, ax_y))
+
+    assert check_derivation(_swapped(applied(ax_x), 5000))
+    bad = applied(dataclasses.replace(ax_x, ty=Lolli(B, B)))
+    shallow = check_derivation(_swapped(bad, 2))
+    assert not shallow and shallow.path == (0, 0, 0)
+    deep = check_derivation(_swapped(bad, 5000))
+    assert not deep and deep.path == (0,) * 5001 and deep.reason == shallow.reason
+
+
+def reference_check(d):
+    """check_derivation as a recursive walk: the reference for the order
+    in which the iterative check visits nodes, and so for its first
+    failure's path and reason."""
+    for i, p in enumerate(d.premises):
+        if p.system is not d.system:
+            return False, (i,), "premise belongs to a different system"
+        ok, path, reason = reference_check(p)
+        if not ok:
+            return False, (i,) + path, reason
+    sys, rule = d.system, d.rule
+    if rule == "ax":
+        reason = systems._check_ax(d)
+    elif rule in STRUCTURAL[sys]:
+        reason = systems._check_structural(d)
+    elif (conn := CONNECTIVE[sys].get(rule)) is None:
+        reason = f"rule {rule!r} not available in {sys.value}"
+    elif rule.startswith("arrow_i"):
+        reason = systems._check_intro(d, conn)
+    else:
+        reason = systems._check_elim(d, conn)
+    return (False, (), reason) if reason else (True, (), "")
+
+
+def reference_icheck(d, flavor):
+    """check_inter as a recursive walk, for the same purpose."""
+    for i, p in enumerate(d.premises):
+        ok, path, reason = reference_icheck(p, flavor)
+        if not ok:
+            return False, (i,) + path, reason
+    reason = _icheck_node(flavor, d)
+    return (False, (), reason) if reason else (True, (), "")
+
+
+def _paths(d, prefix=()):
+    """(path, node) for every node of d."""
+    yield prefix, d
+    for i, p in enumerate(d.premises):
+        yield from _paths(p, prefix + (i,))
+
+
+def test_checkers_fail_first_where_a_recursive_check_fails_first():
+    # every infer derivation and every induced derivation of the typable
+    # open terms up to size 5, each node retyped in turn.  A derivation in
+    # a simple system also has each premise moved to another system, with
+    # the derivation above it, or alone with its own first premise retyped
+    inter, simple = [], []
+    for u in enumerate_terms(5, closed_only=False):
+        d = infer(u)
+        if d is None:
+            continue
+        inter.append(d)
+        for flavor in Flavor:
+            try:
+                r = expand(d, flavor)
+            except ExpansionError:
+                continue
+            simple += [r.induced] + ([r.strict] if r.strict else [])
+    assert (len(inter), len(simple)) == (75, 218)
+
+    def same(got, want):
+        assert (got.ok, got.path, got.reason) == want
+
+    for d in inter:
+        for path, _ in _paths(d):
+            bad = _retyped_at(d, path)
+            for flavor in Flavor:
+                same(check_inter(bad, flavor), reference_icheck(bad, flavor))
+    for d in simple:
+        other = System.CURRY if d.system is not System.CURRY else System.LINEAR
+
+        def moved(n, premises=None):
+            return dataclasses.replace(n, system=other, premises=premises or n.premises)
+
+        for path, node in _paths(d):
+            bads = [_retyped_at(d, path)]
+            if path:
+                bads.append(_replaced_at(d, path, lambda n: fold(n, moved)))
+            if path and node.premises:
+                bads.append(_replaced_at(_retyped_at(d, path + (0,)), path, moved))
+            for bad in bads:
+                same(check_derivation(bad), reference_check(bad))
 
 
 def test_axiom_type_must_match_entry():

@@ -33,7 +33,9 @@ from lambda_expand.typelang import (
     translate,
     type_key,
 )
-from lambda_expand.syntax import parse_inter_type, parse_ordered_type
+from lambda_expand.serialize import SerializeError, dumps, loads
+from lambda_expand.syntax import parse_inter_type, parse_ordered_type, parse_term
+from lambda_expand.systems import System, check_ordered, decide, infer_ordered
 
 A, B, C = TVar("a"), TVar("b"), TVar("c")
 
@@ -114,16 +116,24 @@ def test_translate_examples():
     assert translate(A, Target.SIMPLE) == A
     nested = it("(a & b -> a) -> c")
     assert translate(nested, Target.SIMPLE) == Arrow(Arrow(A, Arrow(B, A)), C)
+    # the simple target curries each distinct member once, as ACI expansion
+    # binds it once; the others curry every member
+    dup = it("((a & a -> a) -> b) -> b")
+    assert translate(dup, Target.SIMPLE) == Arrow(Arrow(Arrow(A, A), B), B)
+    assert translate(dup, Target.LINEAR) == Lolli(Lolli(Lolli(A, Lolli(A, A)), B), B)
 
 
-def brute_translate(t, arrow):
-    # independent oracle: textual fold over an explicit member stack
+def brute_translate(t, arrow, dedup=False):
+    # independent oracle: textual fold over an explicit member stack; with
+    # dedup a member repeated further left is dropped (first occurrence wins)
     if isinstance(t, TVar):
         return t
     stack = list(t.doms)
-    out = brute_translate(t.cod, arrow)
+    out = brute_translate(t.cod, arrow, dedup)
     while stack:
-        out = arrow(brute_translate(stack.pop(), arrow), out)
+        m = stack.pop()
+        if not (dedup and m in stack):
+            out = arrow(brute_translate(m, arrow, dedup), out)
     return out
 
 
@@ -139,7 +149,7 @@ inter_types = st.recursive(
 
 @given(inter_types)
 def test_translate_matches_oracle(ty):
-    assert translate(ty, Target.SIMPLE) == brute_translate(ty, Arrow)
+    assert translate(ty, Target.SIMPLE) == brute_translate(ty, Arrow, dedup=True)
     assert translate(ty, Target.LINEAR) == brute_translate(ty, Lolli)
     assert translate(ty, Target.ORDERED) == brute_translate(ty, LolliR)
 
@@ -237,8 +247,21 @@ def test_flavor_equalities_match_the_normal_form_definitions(data, flavor):
 
 
 def test_basis_rejects_duplicates():
-    with pytest.raises(ValueError):
-        Basis((("x", A), ("x", B)))
+    # the typing rules keep a derivation's names distinct, so a repeated
+    # name is rejected where a basis comes from outside them, not by Basis
+    dup = Basis((("x", A), ("x", B)))
+    assert dup.vars() == ("x", "x")
+    x = parse_term("x")
+    with pytest.raises(ValueError, match="repeated basis variable"):
+        decide(System.CURRY, x, dup)
+    with pytest.raises(ValueError, match="repeated basis variable"):
+        check_ordered(dup, x, A)
+    with pytest.raises(ValueError, match="repeated basis variable"):
+        infer_ordered(dup, x)
+    doc = dumps(Basis((("x", A), ("y", B))))
+    assert '"y"' in doc
+    with pytest.raises(SerializeError, match="repeated basis variable"):
+        loads(doc.replace('"y"', '"x"'))
 
 
 # ---- set contexts ----
