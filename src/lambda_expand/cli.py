@@ -43,7 +43,6 @@ from .systems import (
     infer_ordered,
 )
 from .typelang import Basis, Flavor, ListExpCtx, SetExpCtx, normal_members, normalize
-from .verify import CapExceeded, PROPERTIES, enumerate_terms, enumerated_corpus, reports_to_json, run_matrix, summarize
 
 EXIT_OK = 0
 EXIT_ABSENT = 1
@@ -360,6 +359,9 @@ def _parse_corpus_spec(spec: str):
 
 
 def _cmd_verify(args) -> int:
+    # imported here so the other subcommands start without it
+    from .verify import CapExceeded, PROPERTIES, enumerated_corpus, reports_to_json, run_matrix, summarize
+
     max_size, closed, keep = _parse_corpus_spec(args.corpus)
     try:
         corpus = enumerated_corpus(max_size, closed_only=closed, keep=keep)
@@ -384,6 +386,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    from .verify import CapExceeded, enumerate_terms
+
     try:
         terms = enumerate_terms(args.max_size, closed_only=not args.open)
     except CapExceeded as exc:

@@ -213,7 +213,12 @@ def _expand_set_flavored(
     strict_sys = System.RELEVANT if idempotent else System.LINEAR
     basis = ctx_to_basis(ctx, target)
     simple_types = {y: translate(t, target) for y, t in var_types.items()}
-    induced = build_derivation(main, term, simple_types, basis_order=basis.vars())
+    try:
+        induced = build_derivation(main, term, simple_types, basis_order=basis.vars())
+    except ValueError as exc:
+        raise ExpansionError(
+            f"induced {main.value} derivation cannot be built: {exc}"
+        ) from exc
     strict = None
     if classify(d.subject).is_lambda_i:
         # a lI subject's expansion needs no weak node, and an AC expansion

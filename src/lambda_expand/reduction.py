@@ -21,7 +21,7 @@ class Strategy(enum.Enum):
     WEAK_HEAD = "weak-head"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceStep:
     position: RedexPosition
     kind: str  # "beta"
@@ -90,6 +90,12 @@ def leftmost_position(t: Term) -> RedexPosition | None:
     return None
 
 
+def _contract(t: Term, position: RedexPosition) -> Term:
+    if isinstance(t, App) and isinstance(t.fun, Abs):
+        return substitute(t.fun.body, t.fun.binder, t.arg)
+    raise NotARedexError(f"no redex at {position}")
+
+
 def beta_step(t: Term, position: RedexPosition) -> Term:
     """Contract the redex at `position`; the result is canonicalized.
 
@@ -98,13 +104,13 @@ def beta_step(t: Term, position: RedexPosition) -> Term:
     breaks the binder convention, since canonicalize is the identity on
     terms that keep it.
     """
+    if not position:
+        return _contract(t, position)
     last = len(position)
 
     def rebuild(t: Term, i: int) -> Term:
         if i == last:
-            if isinstance(t, App) and isinstance(t.fun, Abs):
-                return substitute(t.fun.body, t.fun.binder, t.arg)
-            raise NotARedexError(f"no redex at {position}")
+            return _contract(t, position)
         step = position[i]
         if step == "left" and isinstance(t, App):
             return App(rebuild(t.fun, i + 1), t.arg)
@@ -115,7 +121,7 @@ def beta_step(t: Term, position: RedexPosition) -> Term:
         raise NotARedexError(f"path {position} leaves the term")
 
     out = rebuild(t, 0)
-    if last and not follows_convention(out):
+    if not follows_convention(out):
         return canonicalize(out)
     return out
 

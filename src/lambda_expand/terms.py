@@ -1,29 +1,31 @@
 """Untyped lambda terms: construction, occurrence counting, substitution.
 
-Terms are plain trees of Var/Abs/App. Operations that produce terms keep the
-convention that no name is bound twice and no name occurs both free and bound;
-`canonicalize` establishes it, renaming binders only where needed.
+Terms are plain trees of Var/Abs/App, frozen and slotted. Operations that
+produce terms keep the convention that no name is bound twice and no name
+occurs both free and bound; `canonicalize` establishes it, renaming binders
+only where needed. Those operations return every subterm they leave unchanged
+as the same object, so a result shares it with its source, and a term that
+already keeps the convention comes back from `canonicalize` as itself.
 """
 
 from __future__ import annotations
 
-import re
 from collections.abc import Iterable
 from dataclasses import dataclass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Var:
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Abs:
     binder: str
     body: "Term"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class App:
     fun: "Term"
     arg: "Term"
@@ -38,26 +40,30 @@ class DuplicateBinderError(ValueError):
 
 def size(t: Term) -> int:
     """Number of constructors in t."""
-    match t:
-        case Var():
-            return 1
-        case Abs(_, body):
-            return 1 + size(body)
-        case App(fun, arg):
-            return 1 + size(fun) + size(arg)
-    raise TypeError(t)
+    n = 0
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        n += 1
+        if isinstance(t, App):
+            stack.append(t.fun)
+            stack.append(t.arg)
+        elif isinstance(t, Abs):
+            stack.append(t.body)
+        elif not isinstance(t, Var):
+            raise TypeError(t)
+    return n
 
 
 def free_vars(t: Term) -> list[str]:
     """Free variables in first-occurrence order, no duplicates."""
-    return _scan(t)[0]
+    return list(_scan(t)[0])
 
 
-def _scan(t: Term) -> tuple[list[str], set[str]]:
-    """One walk over t: its free variables in first-occurrence order, and
-    the set of names it binds."""
-    free: list[str] = []
-    seen: set[str] = set()
+def _scan(t: Term) -> tuple[dict[str, None], set[str]]:
+    """One walk over t: its free variables, as the keys of a dict in
+    first-occurrence order, and the set of names it binds."""
+    free: dict[str, None] = {}
     binders: set[str] = set()
     # how many enclosing binders bind each name; a str on the stack marks
     # the end of that binder's scope.  This runs on every beta step, so it
@@ -68,9 +74,8 @@ def _scan(t: Term) -> tuple[list[str], set[str]]:
         t = stack.pop()
         if isinstance(t, Var):
             v = t.name
-            if not bound.get(v) and v not in seen:
-                seen.add(v)
-                free.append(v)
+            if not bound.get(v) and v not in free:
+                free[v] = None
         elif isinstance(t, App):
             stack.append(t.arg)
             stack.append(t.fun)
@@ -86,7 +91,7 @@ def _scan(t: Term) -> tuple[list[str], set[str]]:
 
 def follows_convention(t: Term) -> bool:
     """No name is bound twice in t, and no name is both free and bound.
-    Exactly then canonicalize(t) == t.  Walks t without building terms."""
+    Exactly then canonicalize(t) is t.  Walks t without building terms."""
     binders: set[str] = set()
     free: set[str] = set()
     scope: set[str] = set()
@@ -117,14 +122,22 @@ def follows_convention(t: Term) -> bool:
 
 
 def count_free_occurrences(t: Term, x: str) -> int:
-    match t:
-        case Var(v):
-            return 1 if v == x else 0
-        case Abs(b, body):
-            return 0 if b == x else count_free_occurrences(body, x)
-        case App(fun, arg):
-            return count_free_occurrences(fun, x) + count_free_occurrences(arg, x)
-    raise TypeError(t)
+    n = 0
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, Var):
+            if t.name == x:
+                n += 1
+        elif isinstance(t, App):
+            stack.append(t.fun)
+            stack.append(t.arg)
+        elif isinstance(t, Abs):
+            if t.binder != x:
+                stack.append(t.body)
+        else:
+            raise TypeError(t)
+    return n
 
 
 def all_names(t: Term) -> set[str]:
@@ -206,9 +219,6 @@ def classify(t: Term) -> TermClass:
     )
 
 
-_TRAILING_DIGITS = re.compile(r"[0-9]+$")
-
-
 class FreshSupply:
     """Draws identifiers that avoid every reserved name.
 
@@ -224,11 +234,12 @@ class FreshSupply:
         self._used.update(names)
 
     def fresh(self, base: str) -> str:
-        stem = _TRAILING_DIGITS.sub("", base) or base
+        stem = base.rstrip("0123456789") or base
         k = self._next.get(stem, 1)
-        while f"{stem}{k}" in self._used:
-            k += 1
         name = f"{stem}{k}"
+        while name in self._used:
+            k += 1
+            name = f"{stem}{k}"
         self._next[stem] = k + 1
         self._used.add(name)
         return name
@@ -239,7 +250,7 @@ def canonicalize(
 ) -> Term:
     """Rename binders so each name is bound once and never also occurs free,
     nor is one of `avoid`.  A term that already follows that convention and
-    binds none of `avoid` comes back equal."""
+    binds none of `avoid` comes back as itself."""
     if supply is None:
         supply = FreshSupply()
     used = set(free_vars(t))
@@ -264,19 +275,25 @@ def _rebind(
     so far) gets the supply's next fresh name.  A binder of t that is free
     in a replacement (``fv_all``) while a replacement is still live below
     it takes the next name from ``captures`` instead, drawn beforehand in
-    this walk's order.
+    this walk's order.  A subterm that comes out unchanged is returned as
+    the same object, so only the nodes on a path to a change are built.
     """
+    # go never mutates a map, so every walk of a replacement shares this one
+    empty: dict = {}
 
     # runs on every beta step: isinstance dispatch, as in _scan
     def go(t: Term, ren: dict[str, str], live: dict[str, Term]) -> Term:
         if isinstance(t, Var):
-            s = live.get(t.name)
+            name = t.name
+            s = live.get(name)
             if s is not None:
-                return go(s, {}, {})
-            v = ren.get(t.name)
-            return t if v is None or v == t.name else Var(v)
+                return go(s, empty, empty)
+            v = ren.get(name)
+            return t if v is None or v == name else Var(v)
         if isinstance(t, App):
-            return App(go(t.fun, ren, live), go(t.arg, ren, live))
+            fun = go(t.fun, ren, live)
+            arg = go(t.arg, ren, live)
+            return t if fun is t.fun and arg is t.arg else App(fun, arg)
         if isinstance(t, Abs):
             b = t.binder
             capture = False
@@ -292,10 +309,14 @@ def _rebind(
                 b2 = b
                 supply.reserve((b,))
             used.add(b2)
-            return Abs(b2, go(t.body, {**ren, b: b2}, live))
+            # an unrenamed binder needs an entry only to shadow an outer one
+            if b2 != b or b in ren:
+                ren = {**ren, b: b2}
+            body = go(t.body, ren, live)
+            return t if b2 == b and body is t.body else Abs(b2, body)
         raise TypeError(t)
 
-    return go(t, {}, table)
+    return go(t, empty, table)
 
 
 def _capture_names(
@@ -328,15 +349,23 @@ def substitute(t: Term, x: str, s: Term) -> Term:
 
 
 def rename_free(t: Term, ren: dict[str, str]) -> Term:
+    """t with its free names renamed by ren, binders untouched (nothing
+    avoids capture).  Unchanged subterms come back as the same objects."""
     if not ren:
         return t
-    match t:
-        case Var(v):
-            return Var(ren.get(v, v))
-        case Abs(b, body):
-            return Abs(b, rename_free(body, {k: v for k, v in ren.items() if k != b}))
-        case App(fun, arg):
-            return App(rename_free(fun, ren), rename_free(arg, ren))
+    if isinstance(t, Var):
+        v = ren.get(t.name)
+        return t if v is None or v == t.name else Var(v)
+    if isinstance(t, Abs):
+        inner = ren
+        if t.binder in ren:
+            inner = {k: v for k, v in ren.items() if k != t.binder}
+        body = rename_free(t.body, inner)
+        return t if body is t.body else Abs(t.binder, body)
+    if isinstance(t, App):
+        fun = rename_free(t.fun, ren)
+        arg = rename_free(t.arg, ren)
+        return t if fun is t.fun and arg is t.arg else App(fun, arg)
     raise TypeError(t)
 
 
@@ -354,20 +383,19 @@ def simultaneous_substitute(t: Term, bindings: list[tuple[str, Term]]) -> Term:
         raise DuplicateBinderError(
             f"repeated identifiers: {sorted(x for x, _ in bindings)}"
         )
-    free_list, bound = _scan(t)
-    free = set(free_list)
-    names = bound | free
+    free, bound = _scan(t)
     # the result's free names, read off the parts rather than the result
-    used = free - table.keys()
+    used = free.keys() - table.keys()
+    supply = FreshSupply(bound)
+    supply.reserve(free)
     fv_all: set[str] = set()
     for x, s in table.items():
         s_free, s_bound = _scan(s)
-        names |= s_bound
-        names.update(s_free)
+        supply.reserve(s_bound)
+        supply.reserve(s_free)
         fv_all.update(s_free)
         if x in free:
             used.update(s_free)
-    supply = FreshSupply(names)
     captures = (
         _capture_names(t, table, fv_all, supply)
         if not fv_all.isdisjoint(bound)

@@ -8,10 +8,14 @@ also pin the exit-code contract: 0 success/typable, 1 absent, 2 inconclusive
 
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from lambda_expand import serialize
+import lambda_expand
+from lambda_expand import expansion, serialize
 from lambda_expand.cli import main
 from lambda_expand.expansion import ExpansionResult
 from lambda_expand.intersection import ReplayError, infer
@@ -375,6 +379,18 @@ def test_expand_ordered_violation_is_absent_not_a_crash(capsys):
     assert code == 1 and "no expansion" in err
 
 
+def test_expand_reports_an_induced_derivation_it_cannot_build(capsys, monkeypatch):
+    def refuse(system, term, var_types, basis_order=None):
+        raise ValueError("curry cannot weaken in 'x'")
+
+    monkeypatch.setattr(expansion, "build_derivation", refuse)
+    code, out, err = run(capsys, "expand", "--flavor", "aci", "\\x. x x")
+    assert (code, out) == (1, "")
+    assert err == (
+        "no expansion: induced curry derivation cannot be built: curry cannot weaken in 'x'"
+    )
+
+
 def test_expand_json_round_trips(capsys):
     code, out, _ = run(
         capsys, "expand", "--flavor", "ordered", "--format", "json", "(\\x. x z) z"
@@ -477,6 +493,18 @@ def test_verify_rejects_unknown_bits(capsys):
     assert code == 3 and "corpus" in err
     code, _, err = run(capsys, "verify", "--corpus", "open:4:bogus")
     assert code == 3 and "filter" in err
+
+
+def test_importing_the_cli_leaves_the_property_matrix_unloaded():
+    # only verify and enumerate need it; the other subcommands start without
+    src = os.path.dirname(os.path.dirname(lambda_expand.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    probe = "import sys, lambda_expand.cli; print('lambda_expand.verify' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert (done.returncode, done.stdout.strip()) == (0, "False"), done.stderr
 
 
 def test_unknown_subcommand_is_a_usage_error(capsys):

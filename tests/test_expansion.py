@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lambda_expand import expansion
 from lambda_expand.expansion import (
     DiagramReport,
     ExpansionError,
@@ -171,6 +172,15 @@ def test_expansion_rejects_a_broken_derivation():
     bad = InterDerivation("ax", (("x", (TVar("a"), TVar("b"))),), Var("x"), TVar("a"))
     with pytest.raises(ExpansionError):
         expand_aci(bad)
+
+
+def test_an_induced_derivation_that_cannot_be_built_is_an_expansion_error(monkeypatch):
+    def refuse(system, term, var_types, basis_order=None):
+        raise ValueError("affine cannot weaken in 'x'")
+
+    monkeypatch.setattr(expansion, "build_derivation", refuse)
+    with pytest.raises(ExpansionError, match="induced affine derivation cannot be built"):
+        expand_ac(infer(t("\\x. x")))
 
 
 def test_generic_entry_point_dispatches_by_flavor():

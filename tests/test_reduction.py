@@ -3,6 +3,7 @@ from hypothesis import strategies as st
 
 import pytest
 
+from lambda_expand import reduction
 from lambda_expand.terms import (
     Abs,
     App,
@@ -87,6 +88,27 @@ def test_reduce_fuel_exhausted_is_inconclusive():
     r = reduce(t(OMEGA), Strategy.LEFTMOST, 50)
     assert r.status == "fuel-exhausted"
     assert len(r.trace) == 50
+
+
+def test_each_step_calls_beta_step_and_substitute_once(monkeypatch):
+    # the benchmark's tracer counts these calls to report beta steps per
+    # second, so the count must not move with the kernel's insides
+    calls = {"beta_step": 0, "substitute": 0}
+
+    def counted(name):
+        inner = getattr(reduction, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(reduction, name, counted(name))
+    r = reduce(t(OMEGA), Strategy.LEFTMOST, 100)
+    assert r.status == "fuel-exhausted"
+    assert calls == {"beta_step": 100, "substitute": 100}
 
 
 def test_reduce_weak_head():

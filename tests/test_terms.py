@@ -1,6 +1,9 @@
+import re
+
 from hypothesis import given
 from hypothesis import strategies as st
 
+from lambda_expand.reduction import beta_step
 from lambda_expand.terms import (
     Abs,
     App,
@@ -16,6 +19,7 @@ from lambda_expand.terms import (
     de_bruijn,
     follows_convention,
     free_vars,
+    rename_free,
     simultaneous_substitute,
     size,
     substitute,
@@ -64,6 +68,15 @@ def test_count_free_occurrences():
     assert count_free_occurrences(t("\\x. x x"), "x") == 0
     assert count_free_occurrences(t("x (\\x. x) x"), "x") == 2
     assert count_free_occurrences(t("\\y. x y"), "x") == 1
+
+
+def test_size_and_occurrence_count_past_the_recursion_limit():
+    deep = Var("x")
+    for i in range(5_000):
+        deep = Abs(f"y{i}", App(deep, Var("x")))
+    assert size(deep) == 15_001
+    assert count_free_occurrences(deep, "x") == 5_001
+    assert count_free_occurrences(Abs("x", deep), "x") == 0
 
 
 def test_classify_examples():
@@ -115,6 +128,75 @@ def test_fresh_supply_continues_indexed_bases():
     assert s.fresh("x") == "x3"
     assert s.fresh("x1") == "x4"
     assert s.fresh("y") == "y1"
+
+
+@pytest.mark.parametrize(
+    "base, stem",
+    [("x", "x"), ("x1", "x"), ("x12", "x"), ("x0", "x"), ("f2x", "f2x"), ("12", "12")],
+)
+def test_fresh_names_keep_the_stems_of_the_trailing_digits_regex(base, stem):
+    assert (re.sub(r"[0-9]+$", "", base) or base) == stem
+    assert FreshSupply().fresh(base) == stem + "1"
+
+
+# ---- the kernel returns what it leaves unchanged as the same object ----
+
+def _renamed(u, f):
+    if isinstance(u, Var):
+        return Var(f(u.name))
+    if isinstance(u, Abs):
+        return Abs(f(u.binder), _renamed(u.body, f))
+    return App(_renamed(u.fun, f), _renamed(u.arg, f))
+
+
+# enumerated binders are x1, x2, ... and free names v1, v2, ...; these
+# respellings make binders shadow each other or clash with free names
+_RESPELLINGS = [
+    lambda n: n,
+    lambda n: "x" if n[0] == "x" else n,
+    lambda n: "v" + n[1:] if n[0] == "x" else n,
+]
+
+
+def test_canonicalize_returns_the_term_itself_exactly_when_it_keeps_the_convention():
+    for base in enumerate_terms(7, closed_only=False):
+        for f in _RESPELLINGS:
+            u = _renamed(base, f)
+            assert (canonicalize(u) is u) == follows_convention(u), render_term(u)
+
+
+def test_a_root_step_shares_what_it_does_not_change():
+    arg = t("\\y. y y")
+    # the binder occurs once: the argument itself goes into the contractum
+    out = beta_step(App(t("\\x. z x"), arg), ())
+    assert out == App(Var("z"), arg) and out.arg is arg
+    # twice: the first copy is the argument, the second is rebuilt apart
+    out = beta_step(App(t("\\x. x x"), arg), ())
+    assert render_term(out) == "(\\y. y y) (\\y1. y1 y1)"
+    assert out.fun is arg
+    # a subterm of the body without the binder is not rebuilt
+    fun = t("\\x. (\\w. w) x")
+    out = beta_step(App(fun, Var("a")), ())
+    assert out.fun is fun.body.fun
+
+
+def test_rename_free_shares_what_it_does_not_rename():
+    u = t("(\\x. x) (y z)")
+    out = rename_free(u, {"z": "w"})
+    assert out == t("(\\x. x) (y w)")
+    assert out.fun is u.fun and out.arg.fun is u.arg.fun
+    assert rename_free(u, {"x": "w"}) is u
+
+
+@pytest.mark.parametrize("node", [Var("x"), Abs("x", Var("x")), App(Var("x"), Var("y"))])
+def test_term_nodes_are_slotted_and_frozen(node):
+    assert not hasattr(node, "__dict__")
+    # Python 3.11 raises TypeError here: the frozen __setattr__ of a slotted
+    # dataclass calls super() with the class as it was before slots
+    with pytest.raises((AttributeError, TypeError)):
+        node.note = "extra"
+    with pytest.raises(AttributeError):
+        setattr(node, type(node).__slots__[0], "x")
 
 
 def test_canonicalize_renames_only_where_needed():
