@@ -265,25 +265,6 @@ def canonical_tyvars(d: InterDerivation) -> InterDerivation:
     return rename_tyvars(d, {v: TVar(next(names)) for v in _deriv_ty_vars(d)})
 
 
-class _TyFresh:
-    """Generates type variable names t1, t2, ... avoiding a taken set."""
-
-    def __init__(self, taken: set[str] | None = None) -> None:
-        self.taken = set(taken or ())
-        self._n = 0
-
-    def fresh(self) -> TVar:
-        while True:
-            self._n += 1
-            name = f"t{self._n}"
-            if name not in self.taken:
-                self.taken.add(name)
-                return TVar(name)
-
-    def absorb(self, d: InterDerivation) -> None:
-        self.taken.update(_deriv_ty_vars(d))
-
-
 # ---------------------------------------------------------------------------
 # typing normal forms
 
@@ -292,30 +273,31 @@ class NotNormalError(ValueError):
     pass
 
 
-def infer_nf(t: Term, fresh: _TyFresh | None = None) -> InterDerivation:
+def infer_nf(t: Term, fresh: FreshSupply | None = None) -> InterDerivation:
     """Derivation for a beta-normal form.
 
     Every invented intersection is a singleton: spine arguments are each
     typed once, vacuous abstractions get a fresh variable domain.  Only
     abstraction over a repeatedly used variable produces a wider list,
-    collecting the occurrence types left to right.
+    collecting the occurrence types left to right.  Type variables are
+    drawn from `fresh` as t1, t2, ...
     """
     if fresh is None:
-        fresh = _TyFresh()
+        fresh = FreshSupply()
     match t:
         case Var(x):
-            a = fresh.fresh()
+            a = TVar(fresh.fresh("t"))
             return _node("ax", {x: (a,)}, t, a)
         case Abs(x, body):
             p = infer_nf(body, fresh)
             used = x in p.environment()
-            return _abs_node(x, p, () if used else (fresh.fresh(),))
+            return _abs_node(x, p, () if used else (TVar(fresh.fresh("t")),))
         case App(_, _):
             spine, args = _spine(t)
             if not isinstance(spine, Var):
                 raise NotNormalError(f"redex in head position: {t}")
             arg_ds = [infer_nf(a, fresh) for a in args]
-            result = fresh.fresh()
+            result = TVar(fresh.fresh("t"))
             head_ty: InterType = result
             for a in reversed(arg_ds):
                 head_ty = InterArrow((a.ty,), head_ty)
@@ -389,7 +371,7 @@ def subject_expand(
     before: Term,
     position: tuple[str, ...],
     fuel: int = 10_000,
-    fresh: _TyFresh | None = None,
+    fresh: FreshSupply | None = None,
 ) -> InterDerivation:
     """Lift a derivation over one beta step.
 
@@ -399,8 +381,7 @@ def subject_expand(
     typed from scratch (recursively), which may raise _Untypable.
     """
     if fresh is None:
-        fresh = _TyFresh()
-        fresh.absorb(d)
+        fresh = FreshSupply(_deriv_ty_vars(d))
     return _at(d, before, position, partial(_expand_site, fuel=fuel, fresh=fresh))
 
 
@@ -479,7 +460,7 @@ def _respine(d: InterDerivation, ty: InterType) -> InterDerivation:
 
 
 def _expand_site(
-    d: InterDerivation, redex: Term, fuel: int, fresh: _TyFresh
+    d: InterDerivation, redex: Term, fuel: int, fresh: FreshSupply
 ) -> InterDerivation:
     if not isinstance(redex, App) or not isinstance(redex.fun, Abs):
         raise ReplayError("expansion site is not a redex")
@@ -567,13 +548,13 @@ def infer(t: Term, fuel: int = 10_000) -> InterDerivation | None:
     """
     t = canonicalize(t, FreshSupply())
     try:
-        d = _infer(t, fuel, _TyFresh())
+        d = _infer(t, fuel, FreshSupply())
     except _Untypable:
         return None
     return canonical_tyvars(d)
 
 
-def _infer(t: Term, fuel: int, fresh: _TyFresh) -> InterDerivation:
+def _infer(t: Term, fuel: int, fresh: FreshSupply) -> InterDerivation:
     res = reduce(t, Strategy.LEFTMOST, fuel)
     if res.status != "normal-form":
         raise _Untypable(t)
@@ -622,9 +603,8 @@ def _reduce_site(d: InterDerivation, contractum: Term) -> InterDerivation:
     assert isinstance(lam.subject, Abs)
     x = lam.subject.binder
     body_d = lam.premises[0]
-    queue = list(args)
-    grafted = _graft(body_d, x, queue)
-    if queue:
+    grafted = _graft(body_d, x, args)
+    if args:
         raise ReplayError("more argument derivations than occurrences")
     return retarget(grafted, contractum)
 
@@ -634,29 +614,30 @@ def _graft(
 ) -> InterDerivation:
     """Replace each axiom leaf for x (left to right) with the next
     argument derivation, remeeting environments on the way out."""
-    if d.rule == "ax":
-        assert isinstance(d.subject, Var)
-        if d.subject.name != x:
-            return d
-        if not queue:
-            raise ReplayError("fewer argument derivations than occurrences")
-        a = queue.pop(0)
-        if a.ty != d.ty:
-            raise ReplayError("argument type does not match the occurrence")
-        return a
-    if d.rule in ("arrow_i", "arrow_i_prime"):
-        assert isinstance(d.subject, Abs) and isinstance(d.ty, InterArrow)
-        p = _graft(d.premises[0], x, queue)
-        n = _abs_node(d.subject.binder, p, d.ty.doms)
-        if n.rule != d.rule or n.ty != d.ty:
-            raise ReplayError("grafting changed the discharged list")
-        return n
-    if d.rule == "arrow_e":
-        pf, *pas = d.premises
-        nf = _graft(pf, x, queue)
-        nas = [_graft(a, x, queue) for a in pas]
-        return _app_node(nf, nas, App(nf.subject, nas[0].subject))
-    raise ReplayError(f"unknown rule {d.rule!r}")
+
+    def build(n: InterDerivation, premises: tuple) -> InterDerivation:
+        if n.rule == "ax":
+            assert isinstance(n.subject, Var)
+            if n.subject.name != x:
+                return n
+            if not queue:
+                raise ReplayError("fewer argument derivations than occurrences")
+            a = queue.pop(0)
+            if a.ty != n.ty:
+                raise ReplayError("argument type does not match the occurrence")
+            return a
+        if n.rule in ("arrow_i", "arrow_i_prime"):
+            assert isinstance(n.subject, Abs) and isinstance(n.ty, InterArrow)
+            out = _abs_node(n.subject.binder, premises[0], n.ty.doms)
+            if out.rule != n.rule or out.ty != n.ty:
+                raise ReplayError("grafting changed the discharged list")
+            return out
+        if n.rule == "arrow_e":
+            nf, *nas = premises
+            return _app_node(nf, nas, App(nf.subject, nas[0].subject))
+        raise ReplayError(f"unknown rule {n.rule!r}")
+
+    return fold(d, build)
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import enum
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
-from .terms import Abs, App, Term, Var, canonicalize, follows_convention, substitute
+from .terms import Abs, App, Term, canonicalize, substitute
 
 # A redex position is a path from the root: "left" into an application's
 # function, "right" into its argument, "under" into an abstraction body.
@@ -47,31 +48,14 @@ class ReduceResult:
     term: Term
 
 
-def redex_positions(t: Term) -> list[RedexPosition]:
-    """All redex positions, leftmost-outermost first."""
-    out: list[RedexPosition] = []
+def redex_positions(t: Term) -> Iterator[RedexPosition]:
+    """Every redex position, leftmost-outermost first, found lazily: the
+    first costs only the walk to it.
 
-    def go(t: Term, path: tuple[str, ...]) -> None:
-        match t:
-            case App(fun, arg):
-                if isinstance(fun, Abs):
-                    out.append(path)
-                go(fun, path + ("left",))
-                go(arg, path + ("right",))
-            case Abs(_, body):
-                go(body, path + ("under",))
-
-    go(t, ())
-    return out
-
-
-def leftmost_position(t: Term) -> RedexPosition | None:
-    """Position of the leftmost-outermost redex, or None on normal forms.
-
-    Agrees with redex_positions(t)[0], but stops at the first redex found.
-    This walk runs on every step of `reduce`: it dispatches with
-    isinstance, and keeps each path as a linked (step, parent) pair so a
-    node costs one small tuple however deep it is.
+    The walk runs on an explicit stack, so a term's depth is bounded by
+    memory, and on every step of `reduce`: it dispatches with isinstance,
+    and keeps each path as a linked (step, parent) pair so a node costs one
+    small tuple however deep it is.
     """
     stack: list[tuple[Term, tuple | None]] = [(t, None)]
     while stack:
@@ -79,15 +63,15 @@ def leftmost_position(t: Term) -> RedexPosition | None:
         if isinstance(t, App):
             if isinstance(t.fun, Abs):
                 path: list[str] = []
-                while link is not None:
-                    step, link = link
+                up = link
+                while up is not None:
+                    step, up = up
                     path.append(step)
-                return tuple(reversed(path))
+                yield tuple(reversed(path))
             stack.append((t.arg, ("right", link)))
             stack.append((t.fun, ("left", link)))
         elif isinstance(t, Abs):
             stack.append((t.body, ("under", link)))
-    return None
 
 
 def _contract(t: Term, position: RedexPosition) -> Term:
@@ -99,31 +83,33 @@ def _contract(t: Term, position: RedexPosition) -> Term:
 def beta_step(t: Term, position: RedexPosition) -> Term:
     """Contract the redex at `position`; the result is canonicalized.
 
-    The contractum comes out of `substitute` canonical.  At the root it is
-    the result; elsewhere the rebuilt term is canonicalized only when it
-    breaks the binder convention, since canonicalize is the identity on
-    terms that keep it.
+    The contractum comes out of `substitute` canonical, so at the root it is
+    the result as is.  Elsewhere the path is walked down and rebuilt in
+    loops, and the rebuilt term is canonicalized, which returns it as
+    itself when it keeps the binder convention.
     """
     if not position:
         return _contract(t, position)
-    last = len(position)
-
-    def rebuild(t: Term, i: int) -> Term:
-        if i == last:
-            return _contract(t, position)
-        step = position[i]
+    spine: list[Term] = []
+    for step in position:
+        spine.append(t)
         if step == "left" and isinstance(t, App):
-            return App(rebuild(t.fun, i + 1), t.arg)
-        if step == "right" and isinstance(t, App):
-            return App(t.fun, rebuild(t.arg, i + 1))
-        if step == "under" and isinstance(t, Abs):
-            return Abs(t.binder, rebuild(t.body, i + 1))
-        raise NotARedexError(f"path {position} leaves the term")
-
-    out = rebuild(t, 0)
-    if not follows_convention(out):
-        return canonicalize(out)
-    return out
+            t = t.fun
+        elif step == "right" and isinstance(t, App):
+            t = t.arg
+        elif step == "under" and isinstance(t, Abs):
+            t = t.body
+        else:
+            raise NotARedexError(f"path {position} leaves the term")
+    out = _contract(t, position)
+    for step, node in zip(reversed(position), reversed(spine)):
+        if step == "left":
+            out = App(out, node.arg)
+        elif step == "right":
+            out = App(node.fun, out)
+        else:
+            out = Abs(node.binder, out)
+    return canonicalize(out)
 
 
 def weak_head_position(t: Term) -> RedexPosition | None:
@@ -150,14 +136,15 @@ def reduce(t: Term, strategy: Strategy = Strategy.LEFTMOST, fuel: int = 10_000) 
     """Run a strategy for at most `fuel` steps. Fuel exhaustion is reported as
     its own status: it is inconclusive, not a verdict on the term.
 
-    Under LEFTMOST each step locates only the leftmost-outermost redex
-    (`leftmost_position`); it does not list every redex of the term.
+    Under LEFTMOST each step locates only the leftmost-outermost redex,
+    the first that `redex_positions` yields; it does not list every redex
+    of the term.
     """
     trace = ReductionTrace(start=t)
     current = t
     for _ in range(fuel):
         if strategy is Strategy.LEFTMOST:
-            pos = leftmost_position(current)
+            pos = next(redex_positions(current), None)
             if pos is None:
                 return ReduceResult(trace, "normal-form", current)
         else:
@@ -167,7 +154,7 @@ def reduce(t: Term, strategy: Strategy = Strategy.LEFTMOST, fuel: int = 10_000) 
         current = beta_step(current, pos)
         trace.steps.append(TraceStep(pos, "beta", current))
     # fuel spent; the last step may still have landed on a final form
-    if strategy is Strategy.LEFTMOST and leftmost_position(current) is None:
+    if strategy is Strategy.LEFTMOST and next(redex_positions(current), None) is None:
         return ReduceResult(trace, "normal-form", current)
     if strategy is Strategy.WEAK_HEAD and weak_head_position(current) is None:
         return ReduceResult(trace, "weak-head-nf", current)

@@ -138,73 +138,95 @@ class _Cursor:
 
 
 def parse_term(src: str) -> Term:
+    """Recursive descent over
+
+        term ::= abs | app
+        abs  ::= '\\' ident+ '.' term
+        app  ::= atom atom* [abs]
+        atom ::= ident | '(' term ')'
+
+    run on an explicit stack of pending constructs, so nesting depth is
+    bounded by memory rather than by the recursion limit."""
     cur = _Cursor(_lex(src))
-    t = _term(cur)
-    tok = cur.peek()
-    if tok.kind != "EOF":
-        raise ParseError(f"unexpected {tok.text!r}", tok.line, tok.col)
-    return t
-
-
-def _term(cur: _Cursor) -> Term:
-    if cur.peek().kind == "LAMBDA":
-        cur.next()
-        binders = [cur.expect("IDENT").text]
-        while cur.peek().kind == "IDENT":
-            binders.append(cur.next().text)
-        cur.expect("DOT")
-        body = _term(cur)
-        for b in reversed(binders):
-            body = Abs(b, body)
-        return body
-    return _app(cur)
-
-
-def _app(cur: _Cursor) -> Term:
-    t = _atom(cur)
-    while cur.peek().kind in ("IDENT", "LPAREN", "LAMBDA"):
-        if cur.peek().kind == "LAMBDA":
-            # an abstraction in argument position extends to the right
-            t = App(t, _term(cur))
-            return t
-        t = App(t, _atom(cur))
-    return t
-
-
-def _atom(cur: _Cursor) -> Term:
-    tok = cur.peek()
-    if tok.kind == "IDENT":
-        cur.next()
-        return Var(tok.text)
-    if tok.kind == "LPAREN":
-        cur.next()
-        t = _term(cur)
-        cur.expect("RPAREN")
-        return t
-    raise ParseError(f"expected a term, found {tok.text or 'end of input'!r}", tok.line, tok.col)
+    # innermost last: ("abs", binders) waits for its body, ("(", None) for a
+    # term and then its closing parenthesis, and ("app", f) for f's next
+    # argument (an abstraction argument is the last, as it extends right)
+    stack: list[tuple[str, object]] = []
+    while True:
+        # start a term: binder prefixes and open parentheses, up to a variable
+        tok = cur.next()
+        if tok.kind == "LAMBDA":
+            binders = [cur.expect("IDENT").text]
+            while cur.peek().kind == "IDENT":
+                binders.append(cur.next().text)
+            cur.expect("DOT")
+            stack.append(("abs", binders))
+            continue
+        if tok.kind == "LPAREN":
+            stack.append(("(", None))
+            continue
+        if tok.kind != "IDENT":
+            raise ParseError(f"expected a term, found {tok.text or 'end of input'!r}", tok.line, tok.col)
+        t: Term = Var(tok.text)
+        while True:
+            # t is an atom: the head of an application, or its next argument
+            if stack and stack[-1][0] == "app":
+                t = App(stack.pop()[1], t)
+            if cur.peek().kind in ("IDENT", "LPAREN", "LAMBDA"):
+                stack.append(("app", t))
+                break
+            # t is a whole term: close the constructs it completes
+            while stack and stack[-1][0] != "(":
+                tag, x = stack.pop()
+                if tag == "app":
+                    t = App(x, t)
+                else:
+                    for b in reversed(x):
+                        t = Abs(b, t)
+            if not stack:
+                tok = cur.peek()
+                if tok.kind != "EOF":
+                    raise ParseError(f"unexpected {tok.text!r}", tok.line, tok.col)
+                return t
+            stack.pop()
+            cur.expect("RPAREN")
 
 
 def render_term(t: Term, unicode: bool = False) -> str:
+    """t as parse_term reads it back, printed from an explicit stack."""
     lam = "λ" if unicode else "\\"
-
-    def show(t: Term, pos: str) -> str:
-        match t:
-            case Var(v):
-                return v
-            case Abs():
-                binders = []
-                body = t
-                while isinstance(body, Abs):
-                    binders.append(body.binder)
-                    body = body.body
-                s = f"{lam}{' '.join(binders)}. {show(body, 'top')}"
-                return f"({s})" if pos in ("fun", "arg") else s
-            case App(fun, arg):
-                s = f"{show(fun, 'fun')} {show(arg, 'arg')}"
-                return f"({s})" if pos == "arg" else s
-        raise TypeError(t)
-
-    return show(t, "top")
+    out: list[str] = []
+    # (term, position) pairs still to print, and text (a str) to emit after
+    # them, innermost last; the position is "top", "fun" or "arg"
+    stack: list = [(t, "top")]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        t, pos = item
+        if isinstance(t, Var):
+            out.append(t.name)
+        elif isinstance(t, Abs):
+            binders = []
+            while isinstance(t, Abs):
+                binders.append(t.binder)
+                t = t.body
+            opened = pos != "top"
+            out.append(f"{'(' if opened else ''}{lam}{' '.join(binders)}. ")
+            if opened:
+                stack.append(")")
+            stack.append((t, "top"))
+        elif isinstance(t, App):
+            if pos == "arg":
+                out.append("(")
+                stack.append(")")
+            stack.append((t.arg, "arg"))
+            stack.append(" ")
+            stack.append((t.fun, "fun"))
+        else:
+            raise TypeError(t)
+    return "".join(out)
 
 
 # ---- types ----

@@ -60,11 +60,14 @@ def free_vars(t: Term) -> list[str]:
     return list(_scan(t)[0])
 
 
-def _scan(t: Term) -> tuple[dict[str, None], set[str]]:
+def _scan(t: Term) -> tuple[dict[str, None], set[str], bool]:
     """One walk over t: its free variables, as the keys of a dict in
-    first-occurrence order, and the set of names it binds."""
+    first-occurrence order; the set of names it binds; and whether t keeps
+    the convention, which holds when no name is bound twice (as many
+    abstractions as distinct binders) and no binder also occurs free."""
     free: dict[str, None] = {}
     binders: set[str] = set()
+    abstractions = 0
     # how many enclosing binders bind each name; a str on the stack marks
     # the end of that binder's scope.  This runs on every beta step, so it
     # dispatches with isinstance, which is cheaper than class patterns.
@@ -80,45 +83,15 @@ def _scan(t: Term) -> tuple[dict[str, None], set[str]]:
             stack.append(t.arg)
             stack.append(t.fun)
         elif isinstance(t, Abs):
+            abstractions += 1
             binders.add(t.binder)
             bound[t.binder] = bound.get(t.binder, 0) + 1
             stack.append(t.binder)
             stack.append(t.body)
         else:
             bound[t] -= 1
-    return free, binders
-
-
-def follows_convention(t: Term) -> bool:
-    """No name is bound twice in t, and no name is both free and bound.
-    Exactly then canonicalize(t) is t.  Walks t without building terms."""
-    binders: set[str] = set()
-    free: set[str] = set()
-    scope: set[str] = set()
-    # a str on the stack marks the end of that binder's scope
-    stack: list[Term | str] = [t]
-    while stack:
-        t = stack.pop()
-        if isinstance(t, Var):
-            v = t.name
-            if v not in scope:
-                if v in binders:
-                    return False
-                free.add(v)
-        elif isinstance(t, App):
-            stack.append(t.arg)
-            stack.append(t.fun)
-        elif isinstance(t, Abs):
-            b = t.binder
-            if b in binders or b in free:
-                return False
-            binders.add(b)
-            scope.add(b)
-            stack.append(b)
-            stack.append(t.body)
-        else:
-            scope.discard(t)
-    return True
+    conventional = abstractions == len(binders) and binders.isdisjoint(free)
+    return free, binders, conventional
 
 
 def count_free_occurrences(t: Term, x: str) -> int:
@@ -142,21 +115,9 @@ def count_free_occurrences(t: Term, x: str) -> int:
 
 def all_names(t: Term) -> set[str]:
     """Every identifier occurring in t, free or bound."""
-    names: set[str] = set()
-    stack = [t]
-    while stack:
-        t = stack.pop()
-        if isinstance(t, Var):
-            names.add(t.name)
-        elif isinstance(t, Abs):
-            names.add(t.binder)
-            stack.append(t.body)
-        elif isinstance(t, App):
-            stack.append(t.fun)
-            stack.append(t.arg)
-        else:
-            raise TypeError(t)
-    return names
+    free, binders, _ = _scan(t)
+    binders.update(free)
+    return binders
 
 
 @dataclass(frozen=True)
@@ -250,11 +211,14 @@ def canonicalize(
 ) -> Term:
     """Rename binders so each name is bound once and never also occurs free,
     nor is one of `avoid`.  A term that already follows that convention and
-    binds none of `avoid` comes back as itself."""
+    binds none of `avoid` comes back as itself, after one scan."""
+    free, binders, conventional = _scan(t)
+    used = set(free)
+    used.update(avoid)
+    if conventional and binders.isdisjoint(used):
+        return t
     if supply is None:
         supply = FreshSupply()
-    used = set(free_vars(t))
-    used.update(avoid)
     supply.reserve(used)
     return _rebind(t, {}, used, supply, set(), iter(()))
 
@@ -383,14 +347,14 @@ def simultaneous_substitute(t: Term, bindings: list[tuple[str, Term]]) -> Term:
         raise DuplicateBinderError(
             f"repeated identifiers: {sorted(x for x, _ in bindings)}"
         )
-    free, bound = _scan(t)
+    free, bound, _ = _scan(t)
     # the result's free names, read off the parts rather than the result
     used = free.keys() - table.keys()
     supply = FreshSupply(bound)
     supply.reserve(free)
     fv_all: set[str] = set()
     for x, s in table.items():
-        s_free, s_bound = _scan(s)
+        s_free, s_bound, _ = _scan(s)
         supply.reserve(s_bound)
         supply.reserve(s_free)
         fv_all.update(s_free)

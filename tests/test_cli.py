@@ -61,7 +61,10 @@ def test_parse_syntax_error_exits_3(capsys):
 
 
 def test_parse_past_the_recursion_limit_is_inconclusive(capsys):
-    code, out, err = run(capsys, "parse", "(" * 3000 + "x" + ")" * 3000)
+    # parsing and printing run on explicit stacks, but the JSON document
+    # nests as deep as the term
+    deep = "f (" * 3000 + "x" + ")" * 3000
+    code, out, err = run(capsys, "parse", "--format", "json", deep)
     assert (code, out) == (2, "")
     assert err.startswith("inconclusive: RecursionError") and "\n" not in err
 
@@ -423,6 +426,17 @@ def test_reduce_weak_head_stops_under_binders(capsys):
     code, out, _ = run(capsys, "reduce", "--strategy", "weak-head", "\\z. (\\x. x) z")
     assert code == 0
     assert "[weak-head-nf after 0 steps]" in out
+
+
+def test_parse_and_reduce_a_term_ten_thousand_deep(capsys):
+    deep = "f (" * 10_000 + "(\\x. x) y" + ")" * 10_000
+    assert 10_000 > sys.getrecursionlimit()
+    code, out, _ = run(capsys, "parse", "(" * 10_000 + deep + ")" * 10_000)
+    assert (code, out) == (0, deep)
+    code, out, _ = run(capsys, "reduce", deep)
+    assert code == 0
+    done = "f (" * 9_999 + "f y" + ")" * 9_999
+    assert out.splitlines() == [deep, "-> " + done, "[normal-form after 1 steps]"]
 
 
 def test_reduce_json(capsys):

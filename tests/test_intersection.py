@@ -21,7 +21,6 @@ from lambda_expand.intersection import (
     _deriv_ty_vars,
     _infer,
     _match_ty,
-    _TyFresh,
     canonical_tyvars,
     check_inter,
     infer,
@@ -238,7 +237,7 @@ def test_subject_reduce_chain_keeps_type():
     d = infer(t("(\\x. x x) (\\y. y)"))
     term = d.subject
     while True:
-        poss = redex_positions(term)
+        poss = list(redex_positions(term))
         if not poss:
             break
         reduct = beta_step(term, poss[0])
@@ -494,7 +493,7 @@ def test_lambda_i_round_trip(u):
     if d is None:
         return
     term = d.subject
-    poss = redex_positions(term)
+    poss = list(redex_positions(term))
     if not poss:
         return
     reduct = beta_step(term, poss[0])
@@ -554,5 +553,5 @@ def _three_loop_canonical_tyvars(d):
 
 def test_canonical_tyvars_matches_the_three_loop_renaming():
     for u in enumerate_terms(6, closed_only=False):
-        raw = _infer(canonicalize(u, FreshSupply()), 10_000, _TyFresh())
+        raw = _infer(canonicalize(u, FreshSupply()), 10_000, FreshSupply())
         assert canonical_tyvars(raw) == _three_loop_canonical_tyvars(raw), u

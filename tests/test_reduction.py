@@ -1,3 +1,5 @@
+import sys
+
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -21,7 +23,6 @@ from lambda_expand.reduction import (
     NotARedexError,
     Strategy,
     beta_step,
-    leftmost_position,
     redex_positions,
     reduce,
     weak_head_position,
@@ -39,9 +40,9 @@ def t(src):
 
 def test_redex_positions_leftmost_outermost():
     term = t("(\\x. (\\y. y) x) ((\\z. z) w)")
-    assert redex_positions(term) == [(), ("left", "under"), ("right",)]
-    assert redex_positions(t("\\x. x")) == []
-    assert redex_positions(t("x ((\\y. y) z)")) == [("right",)]
+    assert list(redex_positions(term)) == [(), ("left", "under"), ("right",)]
+    assert list(redex_positions(t("\\x. x"))) == []
+    assert list(redex_positions(t("x ((\\y. y) z)"))) == [("right",)]
 
 
 def test_beta_step():
@@ -53,6 +54,21 @@ def test_beta_step():
         beta_step(t("x y"), ())
     with pytest.raises(NotARedexError):
         beta_step(t("x"), ("left",))
+
+
+def test_a_term_deeper_than_the_recursion_limit_parses_prints_and_reduces():
+    depth = 10_000
+    assert depth > sys.getrecursionlimit()
+    src = "f (" * depth + "(\\x. x) y" + ")" * depth
+    u = t(src)
+    assert render_term(u) == src
+    pos = ("right",) * depth
+    assert next(redex_positions(u)) == pos
+    done = "f (" * (depth - 1) + "f y" + ")" * (depth - 1)
+    assert render_term(beta_step(u, pos)) == done
+    r = reduce(u)
+    assert r.status == "normal-form" and len(r.trace) == 1
+    assert render_term(r.term) == done
 
 
 def test_weak_head_step():
@@ -144,16 +160,7 @@ terms = st.recursive(
 def test_weak_head_position_is_leftmost(u):
     pos = weak_head_position(u)
     if pos is not None:
-        assert redex_positions(u)[0] == pos
-
-
-@given(terms)
-def test_leftmost_position_is_the_first_redex_position(u):
-    positions = redex_positions(u)
-    if positions:
-        assert leftmost_position(u) == positions[0]
-    else:
-        assert leftmost_position(u) is None
+        assert next(redex_positions(u)) == pos
 
 
 @given(terms)
@@ -235,6 +242,30 @@ _RESPELLINGS = [
     lambda n: "v" + n[1:] if n[0] == "x" else n,
     lambda n: "z" + n[1:] if n[0] == "x" else "z" + str(int(n[1:]) + 1),
 ]
+
+
+def _oracle_redex_positions(t):
+    """The recursive walker redex_positions replaced."""
+    out = []
+
+    def go(t, path):
+        if isinstance(t, App):
+            if isinstance(t.fun, Abs):
+                out.append(path)
+            go(t.fun, path + ("left",))
+            go(t.arg, path + ("right",))
+        elif isinstance(t, Abs):
+            go(t.body, path + ("under",))
+
+    go(t, ())
+    return out
+
+
+def test_redex_positions_matches_the_recursive_walker_on_every_open_term_to_size_7():
+    for base in enumerate_terms(7, closed_only=False):
+        for f in _RESPELLINGS:
+            u = _renamed(base, f)
+            assert list(redex_positions(u)) == _oracle_redex_positions(u), render_term(u)
 
 
 def test_beta_step_matches_the_two_phase_oracle_on_every_open_term_to_size_7():
