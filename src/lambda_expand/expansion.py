@@ -20,7 +20,8 @@ returns alongside the rebuilt term.
 The diagram verifiers at the bottom check that expansion commutes with
 reduction: reducing the rebuilt term can catch up with the expansion of
 the reduct, with a context that only ever shrinks (weak head) or stays
-identical (full beta on lI subjects).
+identical (full beta on lI subjects).  They start from a derivation, so
+whether a subject is typable at all is the caller's question.
 """
 
 from __future__ import annotations
@@ -493,11 +494,12 @@ def _bindings_count(ctx: SetExpCtx) -> int:
 
 
 def verify_whd_diagram(
-    t: Term, flavor: Flavor = Flavor.ACI, fuel: int = 1000
+    d: InterDerivation, flavor: Flavor = Flavor.ACI, fuel: int = 1000
 ) -> DiagramReport:
-    """Check, along the whole weak-head chain of t, that each step's
-    expansions close the diagram: the source expansion weak-head reduces
-    to the target expansion, whose context is contained in the source's.
+    """Check, along the whole weak-head chain of d's subject, that each
+    step's expansions close the diagram: the source expansion weak-head
+    reduces to the target expansion, whose context is contained in the
+    source's.
 
     The target keeps the source's derived type by pushing the derivation
     through the step, so both expansions answer the same question.  Each
@@ -506,9 +508,6 @@ def verify_whd_diagram(
     """
     if flavor not in (Flavor.ACI, Flavor.AC):
         raise ValueError("the weak-head diagram covers the set-shaped flavors")
-    d = infer(t)
-    if d is None:
-        raise ExpansionError("subject is not typable within the default fuel")
     steps: list[DiagramStep] = []
     cur_t, cur_d = d.subject, d
     r1: ExpansionResult | None = None
@@ -548,19 +547,17 @@ def _whd_close(
 
 
 def verify_beta_diagram_lambdai(
-    t: Term, flavor: Flavor = Flavor.ACI, fuel: int = 1000
+    d: InterDerivation, flavor: Flavor = Flavor.ACI, fuel: int = 1000
 ) -> DiagramReport:
-    """Check, for every single beta step from t, that the expansions of
-    source and target close the diagram with the same context: the target
-    expansion (bindings renamed to match) is beta-reachable from the
-    source expansion.
+    """Check, for every single beta step from d's subject, that the
+    expansions of source and target close the diagram with the same
+    context: the target expansion (bindings renamed to match) is
+    beta-reachable from the source expansion.
 
     On lI subjects every step must pass; terms that erase arguments are
-    accepted so the expected failures can be observed.
+    accepted so the expected failures can be observed.  A refused
+    expansion of d itself raises, as `expand` does.
     """
-    d = infer(t)
-    if d is None:
-        raise ExpansionError("subject is not typable within the default fuel")
     steps: list[DiagramStep] = []
     base = d.subject
     r1 = expand(d, flavor)

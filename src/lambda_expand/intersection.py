@@ -561,9 +561,8 @@ def _infer(t: Term, fuel: int, fresh: FreshSupply) -> InterDerivation:
     d = infer_nf(res.term, fresh)
     trace: ReductionTrace = res.trace
     states = [trace.start] + [s.result for s in trace.steps]
-    site = partial(_expand_site, fuel=fuel, fresh=fresh)
     for i in range(len(trace.steps) - 1, -1, -1):
-        d = _at(d, states[i], trace.steps[i].position, site)
+        d = subject_expand(d, states[i], trace.steps[i].position, fuel, fresh)
         if d.subject != states[i]:
             raise ReplayError("replay lost the subject spelling")
     return d

@@ -8,11 +8,14 @@ distribution identities that tie the context algebra together.
 
 Everything here is deterministic.  Corpora are either exhaustive
 enumerations of all terms up to a size cap (one representative per
-alpha-equivalence class) or explicit golden lists; the only randomness is an
-optional generator that takes its seed as an argument.  Each property maps a
-term to a verdict — ``ok``, ``vacuous`` (premise unmet), ``collected`` (an
-anomaly the contract expects to exist and wants counted), or ``fail`` — and
-``run_matrix`` crosses a corpus with the registry and returns reports that
+alpha-equivalence class) or explicit golden lists.  Each property maps a
+subject to a verdict — ``ok``, ``vacuous`` (premise unmet), ``collected``
+(an anomaly the contract expects to exist and wants counted), or ``fail``.
+A property reads the subject's ``Facts``: its term class, leftmost
+reduction, inference, and per flavor its expansion and beta-diagram report,
+each worked out the first time a property asks.  ``run_matrix`` goes
+subject by subject, runs the requested properties on one record and drops
+it, and returns reports, one per property in the requested order, that
 serialize to JSON.
 """
 
@@ -20,15 +23,16 @@ from __future__ import annotations
 
 import itertools
 import json
-import random
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
+from functools import cached_property
 
 from .terms import (
     Abs,
     App,
     FreshSupply,
     Term,
+    TermClass,
     Var,
     all_names,
     alpha_eq,
@@ -39,7 +43,7 @@ from .terms import (
     simultaneous_substitute,
     size,
 )
-from .reduction import Strategy, beta_step, reduce
+from .reduction import ReduceResult, Strategy, beta_step, reduce
 from .typelang import (
     Flavor,
     InterArrow,
@@ -59,10 +63,12 @@ from .typelang import (
     set_ctx_to_env,
     translate,
 )
-from .systems import System, check_derivation, decide, infer_curry
+from .systems import System, check_derivation, decide
 from .intersection import InterDerivation, check_inter, infer, subject_reduce
 from .expansion import (
+    DiagramReport,
     ExpansionError,
+    ExpansionResult,
     OrderViolation,
     expand,
     verify_beta_diagram_lambdai,
@@ -75,11 +81,11 @@ __all__ = [
     "enumerate_terms",
     "enumerate_types",
     "enumerate_environments",
-    "random_simply_typable",
     "Corpus",
     "enumerated_corpus",
     "golden_corpus",
     "FILTERS",
+    "Facts",
     "Verdict",
     "PropertyReport",
     "PROPERTIES",
@@ -174,41 +180,6 @@ def enumerate_environments(
         yield {v: ms for v, ms in zip(variables, combo) if ms is not None}
 
 
-def random_simply_typable(
-    count: int, max_size: int = CAP, seed: int = 0
-) -> list[Term]:
-    """Deterministic sample of closed, simply-typable terms.
-
-    Rejection-samples random closed shapes with the given seed and keeps
-    those the unrestricted-system inference accepts, so the output is usable
-    wherever a typable input is a precondition rather than the thing under
-    test.
-    """
-    if max_size < 2:
-        raise ValueError("closed terms need size at least 2")
-    rng = random.Random(seed)
-
-    def grow(n: int, bound: list[str]) -> Term:
-        if n == 1:
-            return Var(rng.choice(bound))
-        if n == 2 or not bound or rng.random() < 0.4:
-            binder = f"x{len(bound) + 1}"
-            return Abs(binder, grow(n - 1, bound + [binder]))
-        i = rng.randint(1, n - 2)
-        return App(grow(i, bound), grow(n - 1 - i, bound))
-
-    out: list[Term] = []
-    attempts = 0
-    while len(out) < count and attempts < 200 * count:
-        attempts += 1
-        t = grow(rng.randint(2, max_size), [])
-        if infer_curry(t) is not None:
-            out.append(t)
-    if len(out) < count:
-        raise RuntimeError("rejection sampling starved; widen max_size")
-    return out
-
-
 # --------------------------------------------------------------------------
 # corpora
 
@@ -252,6 +223,53 @@ def enumerated_corpus(
 def golden_corpus(name: str, terms: Iterable[Term]) -> Corpus:
     """Corpus from an explicit list of subject terms."""
     return Corpus(name, tuple(terms))
+
+
+# --------------------------------------------------------------------------
+# what the properties know about one subject
+
+class Facts:
+    """One subject and the facts the properties ask about it.
+
+    Each fact is worked out the first time a property asks and kept until
+    the record is dropped.  A computation that raises keeps nothing, so
+    every property that asks meets the same exception.
+    """
+
+    def __init__(self, term: Term) -> None:
+        self.term = term
+        self._per_flavor: dict[tuple[Callable, Flavor], object] = {}
+
+    @staticmethod
+    def of(subject: Term | Facts) -> Facts:
+        """The record of a subject; a bare term gets a fresh one."""
+        return subject if isinstance(subject, Facts) else Facts(subject)
+
+    @cached_property
+    def term_class(self) -> TermClass:
+        return classify(self.term)
+
+    @cached_property
+    def leftmost(self) -> ReduceResult:
+        return reduce(self.term, Strategy.LEFTMOST)
+
+    @cached_property
+    def derivation(self) -> InterDerivation | None:
+        return infer(self.term)
+
+    def expansion(self, flavor: Flavor) -> ExpansionResult:
+        """The derivation's expansion; it needs a derivation."""
+        return self._flavored(expand, flavor)
+
+    def beta_diagram(self, flavor: Flavor) -> DiagramReport:
+        """The beta-diagram report at fuel 1000; it needs a derivation."""
+        return self._flavored(verify_beta_diagram_lambdai, flavor)
+
+    def _flavored(self, compute: Callable, flavor: Flavor):
+        key = (compute, flavor)
+        if key not in self._per_flavor:
+            self._per_flavor[key] = compute(self.derivation, flavor)
+        return self._per_flavor[key]
 
 
 # --------------------------------------------------------------------------
@@ -327,10 +345,13 @@ class PropertyReport:
 def run_matrix(
     corpus: Corpus, properties: Iterable[str] | None = None
 ) -> tuple[PropertyReport, ...]:
-    """Run every requested property over every corpus term, in order.
+    """Run every requested property over every corpus term.
 
-    The result depends only on the corpus and the property list; reruns
-    produce identical reports.  A property that raises on a subject gets a
+    The run goes subject by subject: one ``Facts`` record serves all the
+    requested properties of a subject and is dropped before the next.  The
+    reports come one per property, in the requested order.  The result
+    depends only on the corpus and the property list; reruns produce
+    identical reports.  A property that raises on a subject gets a
     ``fail`` verdict there whose note names the exception, and the run
     goes on.
     """
@@ -338,19 +359,23 @@ def run_matrix(
     unknown = [p for p in ids if p not in PROPERTIES]
     if unknown:
         raise KeyError(f"unknown properties: {unknown}")
-    reports = []
-    for pid in ids:
-        fn = PROPERTIES[pid]
-        verdicts = tuple(_run_property(fn, t) for t in corpus.terms)
-        reports.append(PropertyReport(pid, corpus.name, verdicts))
-    return tuple(reports)
+    fns = [PROPERTIES[pid] for pid in ids]
+    columns: list[list[Verdict]] = [[] for _ in ids]
+    for t in corpus.terms:
+        facts = Facts(t)
+        for fn, column in zip(fns, columns):
+            column.append(_run_property(fn, facts))
+    return tuple(
+        PropertyReport(pid, corpus.name, tuple(column))
+        for pid, column in zip(ids, columns)
+    )
 
 
-def _run_property(fn, t: Term) -> Verdict:
+def _run_property(fn, facts: Facts) -> Verdict:
     try:
-        return Verdict(t, *fn(t))
+        return Verdict(facts.term, *fn(facts))
     except Exception as e:
-        return Verdict(t, "fail", f"{type(e).__name__}: {e}")
+        return Verdict(facts.term, "fail", f"{type(e).__name__}: {e}")
 
 
 def summarize(reports: Iterable[PropertyReport]) -> str:
@@ -413,9 +438,9 @@ def collapse_distributes(g1: TypeEnv, g2: TypeEnv) -> tuple[bool, str]:
 # --------------------------------------------------------------------------
 # substitution composition (two routes to an expansion of a contractum)
 
-def substitution_composes(t: Term, flavor: Flavor) -> tuple[str, str]:
+def substitution_composes(subject: Term | Facts, flavor: Flavor) -> tuple[str, str]:
     """Compare two routes from a top-level redex to an expansion of its
-    contractum.
+    contractum, starting from the subject's derivation.
 
     Route one expands the body and the argument premises separately with a
     shared supply and substitutes each drawn variable of the bound name by
@@ -424,15 +449,16 @@ def substitution_composes(t: Term, flavor: Flavor) -> tuple[str, str]:
     expands the result.  The two must agree up to renaming of the drawn
     variables.
     """
-    match t:
+    facts = Facts.of(subject)
+    match facts.term:
         case App(fun=Abs(), arg=_):
             pass
         case _:
             return "vacuous", "not a top-level redex"
-    d = infer(t)
+    d = facts.derivation
     if d is None:
         return "vacuous", "no derivation"
-    if flavor is Flavor.A and not classify(d.subject).is_lambda_i:
+    if flavor is Flavor.A and not facts.term_class.is_lambda_i:
         return "vacuous", "the ordered route is stated on lambda-I subjects"
     redex_fun = d.premises[0]
     args = list(d.premises[1:])
@@ -538,10 +564,9 @@ def _compose_ordered(
 _FLAVOR_LABEL = {Flavor.ACI: "aci", Flavor.AC: "ac", Flavor.A: "ordered"}
 
 
-def _prop_typable_iff_normalizing(t: Term) -> tuple[str, str]:
-    d = infer(t)
-    r = reduce(t, Strategy.LEFTMOST)
-    normalizes = r.status == "normal-form"
+def _typable_iff_normalizing(f: Facts) -> tuple[str, str]:
+    d = f.derivation
+    normalizes = f.leftmost.status == "normal-form"
     if (d is not None) == normalizes:
         return "ok", ""
     return (
@@ -551,11 +576,11 @@ def _prop_typable_iff_normalizing(t: Term) -> tuple[str, str]:
     )
 
 
-def _prop_inference_replay_checks(t: Term) -> tuple[str, str]:
-    d = infer(t)
+def _inference_replay_checks(f: Facts) -> tuple[str, str]:
+    d = f.derivation
     if d is None:
         return "vacuous", "no derivation"
-    if not alpha_eq(d.subject, t):
+    if not alpha_eq(d.subject, f.term):
         return "fail", "inference changed the subject"
     if set(d.environment()) != set(free_vars(d.subject)):
         return "fail", "environment does not cover exactly the free names"
@@ -563,14 +588,14 @@ def _prop_inference_replay_checks(t: Term) -> tuple[str, str]:
         res = check_inter(d, flavor)
         if not res.ok:
             return "fail", f"{_FLAVOR_LABEL[flavor]} check: {res.reason}"
-    r = reduce(t, Strategy.LEFTMOST)
-    if r.status != "normal-form":
+    if f.leftmost.status != "normal-form":
         return "fail", "typable subject did not normalize"
     return "ok", ""
 
 
-def _decision_matches(system: System, wanted: bool, t: Term) -> tuple[str, str]:
-    got = decide(system, t)
+def _decision_matches(f: Facts, system: System) -> tuple[str, str]:
+    wanted = f.term_class.is_affine if system is System.AFFINE else f.term_class.is_linear
+    got = decide(system, f.term)
     if (got is not None) != wanted:
         verb = "accepted" if got is not None else "rejected"
         return "fail", f"{system.value} decision {verb} a term the class says otherwise"
@@ -578,208 +603,182 @@ def _decision_matches(system: System, wanted: bool, t: Term) -> tuple[str, str]:
         res = check_derivation(got)
         if not res.ok:
             return "fail", f"returned derivation fails its checker: {res.reason}"
-        if not alpha_eq(got.subject, t):
+        if not alpha_eq(got.subject, f.term):
             return "fail", "decision changed the subject"
     return "ok", ""
-
-
-def _prop_affine_decision(t: Term) -> tuple[str, str]:
-    return _decision_matches(System.AFFINE, classify(t).is_affine, t)
-
-
-def _prop_linear_decision(t: Term) -> tuple[str, str]:
-    return _decision_matches(System.LINEAR, classify(t).is_linear, t)
 
 
 _TARGETS = {Flavor.ACI: Target.SIMPLE, Flavor.AC: Target.LINEAR, Flavor.A: Target.ORDERED}
 
 
-def _expansion_or_verdict(t: Term, flavor: Flavor):
-    """Shared preamble: derivation plus expansion, or an early verdict."""
-    d = infer(t)
-    if d is None:
+def _expansion_or_verdict(f: Facts, flavor: Flavor):
+    """Shared premise: the derivation's expansion, or an early verdict."""
+    if f.derivation is None:
         return "vacuous", "no derivation"
-    if flavor is Flavor.A and not classify(d.subject).is_lambda_i:
+    if flavor is Flavor.A and not f.term_class.is_lambda_i:
         return "vacuous", "ordered expansion needs a lambda-I subject"
     try:
-        return d, expand(d, flavor)
+        return f.expansion(flavor)
     except OrderViolation as exc:
         return "collected", f"order violation: {exc}"
 
 
-def _prop_expansion_checks(flavor: Flavor):
-    def prop(t: Term) -> tuple[str, str]:
-        got = _expansion_or_verdict(t, flavor)
-        if isinstance(got[0], str):
-            return got
-        d, r = got
-        res = check_derivation(r.induced)
-        if not res.ok:
-            return "fail", f"induced derivation fails its checker: {res.reason}"
-        if r.ty != translate(d.ty, _TARGETS[flavor]):
-            return "fail", "result type is not the translated source type"
-        if r.induced.basis != ctx_to_basis(r.context, _TARGETS[flavor]):
-            return "fail", "induced basis does not render the context"
-        if not alpha_eq(r.induced.subject, r.expanded):
-            return "fail", "induced derivation is not about the expanded term"
-        if flavor is not Flavor.A and classify(d.subject).is_lambda_i:
-            if r.strict is None:
-                return "fail", "lambda-I subject lost its strict derivation"
-            strict_res = check_derivation(r.strict)
-            if not strict_res.ok:
-                return "fail", f"strict derivation fails: {strict_res.reason}"
-        want = classify(r.expanded)
-        if flavor is Flavor.ACI and classify(d.subject).is_lambda_i and not want.is_lambda_i:
-            return "fail", "expansion of a lambda-I subject left lambda-I"
-        if flavor is Flavor.AC and not want.is_affine:
-            return "fail", "multiset expansion produced a non-affine term"
-        if flavor is Flavor.A and not want.is_linear:
-            return "fail", "ordered expansion produced a non-linear term"
+def _expansion_checks(f: Facts, flavor: Flavor) -> tuple[str, str]:
+    r = _expansion_or_verdict(f, flavor)
+    if isinstance(r, tuple):
+        return r
+    lambda_i = f.term_class.is_lambda_i
+    res = check_derivation(r.induced)
+    if not res.ok:
+        return "fail", f"induced derivation fails its checker: {res.reason}"
+    if r.ty != translate(f.derivation.ty, _TARGETS[flavor]):
+        return "fail", "result type is not the translated source type"
+    if r.induced.basis != ctx_to_basis(r.context, _TARGETS[flavor]):
+        return "fail", "induced basis does not render the context"
+    if not alpha_eq(r.induced.subject, r.expanded):
+        return "fail", "induced derivation is not about the expanded term"
+    if flavor is not Flavor.A and lambda_i:
+        if r.strict is None:
+            return "fail", "lambda-I subject lost its strict derivation"
+        strict_res = check_derivation(r.strict)
+        if not strict_res.ok:
+            return "fail", f"strict derivation fails: {strict_res.reason}"
+    want = classify(r.expanded)
+    if flavor is Flavor.ACI and lambda_i and not want.is_lambda_i:
+        return "fail", "expansion of a lambda-I subject left lambda-I"
+    if flavor is Flavor.AC and not want.is_affine:
+        return "fail", "multiset expansion produced a non-affine term"
+    if flavor is Flavor.A and not want.is_linear:
+        return "fail", "ordered expansion produced a non-linear term"
+    return "ok", ""
+
+
+def _expansion_context_laws(f: Facts, flavor: Flavor) -> tuple[str, str]:
+    r = _expansion_or_verdict(f, flavor)
+    if isinstance(r, tuple):
+        return r
+    d = f.derivation
+    drawn = env_to_set_ctx(d.environment(), FreshSupply(all_names(d.subject)))
+    if not any(True for _ in ctx_match(r.context, drawn, flavor)):
+        return "fail", "context differs from drawing fresh names for the environment"
+    if not env_eq(set_ctx_to_env(r.context), d.environment(), flavor):
+        return "fail", "collapsing the context does not give back the environment"
+    return "ok", ""
+
+
+def _expansion_occurrences(f: Facts, flavor: Flavor) -> tuple[str, str]:
+    r = _expansion_or_verdict(f, flavor)
+    if isinstance(r, tuple):
+        return r
+    subject = f.derivation.subject
+    if flavor is Flavor.A:
+        groups = [(v, [y for y, _ in g]) for v, g in r.context.groups]
+    else:
+        groups = [(v, list(g)) for v, g in r.context.groups.items()]
+    seen: dict[str, int] = {}
+    for owner, names in groups:
+        seen[owner] = seen.get(owner, 0) + len(names)
+        for y in names:
+            c = count_free_occurrences(r.expanded, y)
+            if flavor is Flavor.ACI:
+                if c < 1:
+                    return "fail", f"drawn variable {y} vanished from the expansion"
+            elif c != 1:
+                return "fail", f"drawn variable {y} occurs {c} times, wanted exactly 1"
+    for owner in free_vars(subject):
+        if owner not in seen:
+            return "fail", f"free name {owner} drew no variables"
+    for owner, k in seen.items():
+        occ = count_free_occurrences(subject, owner)
+        if occ == 0:
+            return "fail", f"{owner} owns drawn variables but never occurs"
+        if k < occ:
+            return "fail", f"{owner}: {k} drawn variables for {occ} occurrences"
+    return "ok", ""
+
+
+def _whd_diagram(f: Facts, flavor: Flavor) -> tuple[str, str]:
+    if f.derivation is None:
+        return "vacuous", "no derivation"
+    rep = verify_whd_diagram(f.derivation, flavor, fuel=1000)
+    if rep.ok:
         return "ok", ""
+    bad = next(s for s in rep.steps if not s.ok)
+    return "fail", bad.reason or "weak-head step did not close"
 
-    return prop
 
-
-def _prop_expansion_context_laws(flavor: Flavor):
-    def prop(t: Term) -> tuple[str, str]:
-        got = _expansion_or_verdict(t, flavor)
-        if isinstance(got[0], str):
-            return got
-        d, r = got
-        drawn = env_to_set_ctx(d.environment(), FreshSupply(all_names(d.subject)))
-        if not any(True for _ in ctx_match(r.context, drawn, flavor)):
-            return "fail", "context differs from drawing fresh names for the environment"
-        if not env_eq(set_ctx_to_env(r.context), d.environment(), flavor):
-            return "fail", "collapsing the context does not give back the environment"
+def _beta_diagram_li(f: Facts, flavor: Flavor) -> tuple[str, str]:
+    if not f.term_class.is_lambda_i:
+        return "vacuous", "not a lambda-I term"
+    if f.derivation is None:
+        return "vacuous", "no derivation"
+    try:
+        rep = f.beta_diagram(flavor)
+    except ExpansionError:
+        return "vacuous", "no derivation"
+    if rep.ok:
         return "ok", ""
+    bad = next(s for s in rep.steps if not s.ok)
+    return "fail", bad.reason or "beta step did not close"
 
-    return prop
 
-
-def _prop_expansion_occurrences(flavor: Flavor):
-    def prop(t: Term) -> tuple[str, str]:
-        got = _expansion_or_verdict(t, flavor)
-        if isinstance(got[0], str):
-            return got
-        d, r = got
-        subject = d.subject
-        if flavor is Flavor.A:
-            groups = [(v, [y for y, _ in g]) for v, g in r.context.groups]
-        else:
-            groups = [(v, list(g)) for v, g in r.context.groups.items()]
-        seen: dict[str, int] = {}
-        for owner, names in groups:
-            seen[owner] = seen.get(owner, 0) + len(names)
-            for y in names:
-                c = count_free_occurrences(r.expanded, y)
-                if flavor is Flavor.ACI:
-                    if c < 1:
-                        return "fail", f"drawn variable {y} vanished from the expansion"
-                elif c != 1:
-                    return "fail", f"drawn variable {y} occurs {c} times, wanted exactly 1"
-        for owner in free_vars(subject):
-            if owner not in seen:
-                return "fail", f"free name {owner} drew no variables"
-        for owner, k in seen.items():
-            occ = count_free_occurrences(subject, owner)
-            if occ == 0:
-                return "fail", f"{owner} owns drawn variables but never occurs"
-            if k < occ:
-                return "fail", f"{owner}: {k} drawn variables for {occ} occurrences"
+def _beta_diagram_unrestricted(f: Facts, flavor: Flavor) -> tuple[str, str]:
+    if f.derivation is None:
+        return "vacuous", "no derivation"
+    try:
+        rep = f.beta_diagram(flavor)
+    except ExpansionError:
+        return "vacuous", "no derivation"
+    if rep.ok:
         return "ok", ""
-
-    return prop
-
-
-def _prop_whd_diagram(flavor: Flavor):
-    def prop(t: Term) -> tuple[str, str]:
-        try:
-            rep = verify_whd_diagram(t, flavor, fuel=1000)
-        except ExpansionError:
-            return "vacuous", "no derivation"
-        if rep.ok:
-            return "ok", ""
+    if f.term_class.is_lambda_i:
         bad = next(s for s in rep.steps if not s.ok)
-        return "fail", bad.reason or "weak-head step did not close"
-
-    return prop
-
-
-def _prop_beta_diagram_li(flavor: Flavor):
-    def prop(t: Term) -> tuple[str, str]:
-        if not classify(t).is_lambda_i:
-            return "vacuous", "not a lambda-I term"
-        try:
-            rep = verify_beta_diagram_lambdai(t, flavor, fuel=1000)
-        except ExpansionError:
-            return "vacuous", "no derivation"
-        if rep.ok:
-            return "ok", ""
-        bad = next(s for s in rep.steps if not s.ok)
-        return "fail", bad.reason or "beta step did not close"
-
-    return prop
+        return "fail", bad.reason or "beta step did not close on a lambda-I term"
+    return "collected", "erasing step does not preserve the context, as documented"
 
 
-def _prop_beta_diagram_unrestricted(flavor: Flavor):
-    def prop(t: Term) -> tuple[str, str]:
-        try:
-            rep = verify_beta_diagram_lambdai(t, flavor, fuel=1000)
-        except ExpansionError:
-            return "vacuous", "no derivation"
-        if rep.ok:
-            return "ok", ""
-        if classify(t).is_lambda_i:
-            bad = next(s for s in rep.steps if not s.ok)
-            return "fail", bad.reason or "beta step did not close on a lambda-I term"
-        return "collected", "erasing step does not preserve the context, as documented"
-
-    return prop
-
-
-def _prop_substitution_composes(flavor: Flavor):
-    def prop(t: Term) -> tuple[str, str]:
-        return substitution_composes(t, flavor)
-
-    return prop
-
-
-def _prop_linear_steps_bounded(t: Term) -> tuple[str, str]:
-    if not classify(t).is_linear:
+def _linear_steps_bounded(f: Facts) -> tuple[str, str]:
+    if not f.term_class.is_linear:
         return "vacuous", "not a linear term"
-    bound = size(t)
-    r = reduce(t, Strategy.LEFTMOST, fuel=bound + 1)
+    bound = size(f.term)
+    r = f.leftmost
     if r.status != "normal-form":
-        return "fail", "linear term failed to normalize within its size in steps"
+        return "fail", "linear term did not normalize"
     steps = len(r.trace)
     if steps > bound:
         return "fail", f"{steps} steps for size {bound}"
     return "ok", ""
 
 
-PROPERTIES: dict[str, Callable[[Term], tuple[str, str]]] = {
-    "typable-iff-leftmost-normalizes": _prop_typable_iff_normalizing,
-    "inference-replay-checks": _prop_inference_replay_checks,
-    "affine-decision-matches-term-class": _prop_affine_decision,
-    "linear-decision-matches-term-class": _prop_linear_decision,
-    "expansion-checks-aci": _prop_expansion_checks(Flavor.ACI),
-    "expansion-checks-ac": _prop_expansion_checks(Flavor.AC),
-    "expansion-checks-ordered": _prop_expansion_checks(Flavor.A),
-    "expansion-context-laws-aci": _prop_expansion_context_laws(Flavor.ACI),
-    "expansion-context-laws-ac": _prop_expansion_context_laws(Flavor.AC),
-    "expansion-occurrences-aci": _prop_expansion_occurrences(Flavor.ACI),
-    "expansion-occurrences-ac": _prop_expansion_occurrences(Flavor.AC),
-    "expansion-occurrences-ordered": _prop_expansion_occurrences(Flavor.A),
-    "whd-diagram-aci": _prop_whd_diagram(Flavor.ACI),
-    "whd-diagram-ac": _prop_whd_diagram(Flavor.AC),
-    "beta-diagram-li-aci": _prop_beta_diagram_li(Flavor.ACI),
-    "beta-diagram-li-ac": _prop_beta_diagram_li(Flavor.AC),
-    "beta-diagram-li-ordered": _prop_beta_diagram_li(Flavor.A),
-    "beta-diagram-unrestricted-aci": _prop_beta_diagram_unrestricted(Flavor.ACI),
-    "beta-diagram-unrestricted-ac": _prop_beta_diagram_unrestricted(Flavor.AC),
-    "substitution-composes-aci": _prop_substitution_composes(Flavor.ACI),
-    "substitution-composes-ac": _prop_substitution_composes(Flavor.AC),
-    "substitution-composes-ordered": _prop_substitution_composes(Flavor.A),
-    "linear-leftmost-steps-bounded": _prop_linear_steps_bounded,
+def _property(check: Callable[..., tuple[str, str]], *args):
+    """A registry entry: ``check`` on the subject's record, which a bare
+    term gets fresh."""
+    return lambda subject: check(Facts.of(subject), *args)
+
+
+PROPERTIES: dict[str, Callable[[Term | Facts], tuple[str, str]]] = {
+    "typable-iff-leftmost-normalizes": _property(_typable_iff_normalizing),
+    "inference-replay-checks": _property(_inference_replay_checks),
+    "affine-decision-matches-term-class": _property(_decision_matches, System.AFFINE),
+    "linear-decision-matches-term-class": _property(_decision_matches, System.LINEAR),
+    "expansion-checks-aci": _property(_expansion_checks, Flavor.ACI),
+    "expansion-checks-ac": _property(_expansion_checks, Flavor.AC),
+    "expansion-checks-ordered": _property(_expansion_checks, Flavor.A),
+    "expansion-context-laws-aci": _property(_expansion_context_laws, Flavor.ACI),
+    "expansion-context-laws-ac": _property(_expansion_context_laws, Flavor.AC),
+    "expansion-occurrences-aci": _property(_expansion_occurrences, Flavor.ACI),
+    "expansion-occurrences-ac": _property(_expansion_occurrences, Flavor.AC),
+    "expansion-occurrences-ordered": _property(_expansion_occurrences, Flavor.A),
+    "whd-diagram-aci": _property(_whd_diagram, Flavor.ACI),
+    "whd-diagram-ac": _property(_whd_diagram, Flavor.AC),
+    "beta-diagram-li-aci": _property(_beta_diagram_li, Flavor.ACI),
+    "beta-diagram-li-ac": _property(_beta_diagram_li, Flavor.AC),
+    "beta-diagram-li-ordered": _property(_beta_diagram_li, Flavor.A),
+    "beta-diagram-unrestricted-aci": _property(_beta_diagram_unrestricted, Flavor.ACI),
+    "beta-diagram-unrestricted-ac": _property(_beta_diagram_unrestricted, Flavor.AC),
+    "substitution-composes-aci": _property(substitution_composes, Flavor.ACI),
+    "substitution-composes-ac": _property(substitution_composes, Flavor.AC),
+    "substitution-composes-ordered": _property(substitution_composes, Flavor.A),
+    "linear-leftmost-steps-bounded": _property(_linear_steps_bounded),
 }
 """Registry of executable properties, keyed by what each one claims."""

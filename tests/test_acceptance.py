@@ -15,6 +15,7 @@ from contextlib import contextmanager, redirect_stderr, redirect_stdout
 
 from lambda_expand.cli import main
 from lambda_expand.expansion import verify_beta_diagram_lambdai
+from lambda_expand.intersection import infer
 from lambda_expand.syntax import parse_inter_type, parse_ordered_type, parse_term
 from lambda_expand.terms import Abs, App, alpha_eq, classify
 from lambda_expand.typelang import Flavor, ListExpCtx, ctx_append, inter_eq
@@ -208,7 +209,7 @@ def test_criterion_4_reduction_diagrams_close():
         control = parse_term("\\x. (\\y. z) x x")
         assert not classify(control).is_lambda_i
         for flavor in (Flavor.ACI, Flavor.AC):
-            rep = verify_beta_diagram_lambdai(control, flavor, fuel=1000)
+            rep = verify_beta_diagram_lambdai(infer(control), flavor, fuel=1000)
             assert not rep.ok, f"erasing step unexpectedly closed under {flavor}"
         for prop in ("beta-diagram-unrestricted-aci", "beta-diagram-unrestricted-ac"):
             rep, = run_matrix(golden_corpus("erasing-control", [control]), [prop])

@@ -11,6 +11,7 @@ alpha-distinctness this certifies the enumeration is exhaustive: it emits
 the right number of terms and no two of them name the same class.
 """
 
+import copy
 import hashlib
 import json
 from functools import lru_cache
@@ -18,7 +19,7 @@ from functools import lru_cache
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lambda_expand import expansion
+from lambda_expand import expansion, verify
 from lambda_expand.expansion import ExpansionError, expand
 from lambda_expand.intersection import infer
 from lambda_expand.reduction import Strategy, reduce
@@ -31,6 +32,7 @@ from lambda_expand.verify import (
     FILTERS,
     PROPERTIES,
     Corpus,
+    Facts,
     collapse_distributes,
     enumerate_environments,
     enumerate_terms,
@@ -38,7 +40,6 @@ from lambda_expand.verify import (
     enumerated_corpus,
     env_union_distributes,
     golden_corpus,
-    random_simply_typable,
     reports_to_json,
     run_matrix,
     substitution_composes,
@@ -166,16 +167,6 @@ def test_environment_enumeration_counts():
     assert all(1 <= len(ms) <= 2 for env in envs for ms in env.values())
 
 
-def test_random_typable_is_deterministic_and_typable():
-    from lambda_expand.systems import infer_curry
-
-    one = random_simply_typable(10, max_size=7, seed=3)
-    two = random_simply_typable(10, max_size=7, seed=3)
-    assert one == two
-    assert all(infer_curry(t) is not None for t in one)
-    assert all(not free_vars(t) for t in one)
-
-
 # --------------------------------------------------------------------------
 # corpora
 
@@ -211,8 +202,8 @@ def test_run_matrix_rejects_unknown_properties():
 
 
 def test_a_raising_property_fails_that_subject_and_the_run_goes_on(monkeypatch):
-    def replay_breaks_on_x(t):
-        if t == Var("x"):
+    def replay_breaks_on_x(facts):
+        if facts.term == Var("x"):
             raise RuntimeError("replay broke")
         return "ok", ""
 
@@ -298,6 +289,55 @@ def test_weak_head_chain_expands_each_derivation_once(monkeypatch):
     refuse = True
     assert PROPERTIES["whd-diagram-ac"](two_steps) == ("fail", "second expansion refused")
     assert len(calls) == 2
+
+
+def test_matrix_infers_each_subject_once_and_draws_each_beta_diagram_once(monkeypatch):
+    inferred, diagrams = [], []
+    real_infer, real_diagram = verify.infer, verify.verify_beta_diagram_lambdai
+
+    def counted_infer(t, *args, **kwargs):
+        inferred.append(t)
+        return real_infer(t, *args, **kwargs)
+
+    def counted_diagram(d, flavor, *args, **kwargs):
+        diagrams.append((d.subject, flavor))
+        return real_diagram(d, flavor, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "infer", counted_infer)
+    monkeypatch.setattr(verify, "verify_beta_diagram_lambdai", counted_diagram)
+    corpus = enumerated_corpus(5, closed_only=False)
+    run_matrix(corpus)
+    assert inferred == list(corpus.terms)
+    assert diagrams and len(diagrams) == len(set(diagrams))
+
+
+def test_a_bare_term_gets_the_verdict_the_matrix_gives():
+    # the benchmark calls each property on a bare term, one pair at a time
+    corpus = enumerated_corpus(4, closed_only=False)
+    for report in run_matrix(corpus):
+        prop = PROPERTIES[report.prop]
+        for v in report.verdicts:
+            assert prop(v.subject) == (v.status, v.note), (report.prop, v.subject)
+
+
+def test_no_property_changes_a_shared_expansion():
+    corpus = enumerated_corpus(5, closed_only=False)
+    for t in corpus.terms:
+        facts = Facts(t)
+        if facts.derivation is None:
+            continue
+        flavors = [Flavor.ACI, Flavor.AC]
+        if facts.term_class.is_lambda_i:
+            flavors.append(Flavor.A)
+        before = {}
+        for flavor in flavors:
+            try:
+                before[flavor] = copy.deepcopy(facts.expansion(flavor))
+            except ExpansionError:
+                pass
+        for prop in PROPERTIES.values():
+            prop(facts)
+        assert {f: facts.expansion(f) for f in before} == before, t
 
 
 def test_summary_table_lists_every_property():
