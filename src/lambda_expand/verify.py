@@ -611,20 +611,21 @@ def _decision_matches(f: Facts, system: System) -> tuple[str, str]:
 _TARGETS = {Flavor.ACI: Target.SIMPLE, Flavor.AC: Target.LINEAR, Flavor.A: Target.ORDERED}
 
 
-def _expansion_or_verdict(f: Facts, flavor: Flavor):
-    """Shared premise: the derivation's expansion, or an early verdict."""
+def _flavored_or_verdict(f: Facts, flavor: Flavor, fact: Callable[[Flavor], object]):
+    """Shared premise: a per-flavor fact of the record (its expansion or
+    beta-diagram report), or an early verdict."""
     if f.derivation is None:
         return "vacuous", "no derivation"
     if flavor is Flavor.A and not f.term_class.is_lambda_i:
         return "vacuous", "ordered expansion needs a lambda-I subject"
     try:
-        return f.expansion(flavor)
+        return fact(flavor)
     except OrderViolation as exc:
         return "collected", f"order violation: {exc}"
 
 
 def _expansion_checks(f: Facts, flavor: Flavor) -> tuple[str, str]:
-    r = _expansion_or_verdict(f, flavor)
+    r = _flavored_or_verdict(f, flavor, f.expansion)
     if isinstance(r, tuple):
         return r
     lambda_i = f.term_class.is_lambda_i
@@ -654,7 +655,7 @@ def _expansion_checks(f: Facts, flavor: Flavor) -> tuple[str, str]:
 
 
 def _expansion_context_laws(f: Facts, flavor: Flavor) -> tuple[str, str]:
-    r = _expansion_or_verdict(f, flavor)
+    r = _flavored_or_verdict(f, flavor, f.expansion)
     if isinstance(r, tuple):
         return r
     d = f.derivation
@@ -667,7 +668,7 @@ def _expansion_context_laws(f: Facts, flavor: Flavor) -> tuple[str, str]:
 
 
 def _expansion_occurrences(f: Facts, flavor: Flavor) -> tuple[str, str]:
-    r = _expansion_or_verdict(f, flavor)
+    r = _flavored_or_verdict(f, flavor, f.expansion)
     if isinstance(r, tuple):
         return r
     subject = f.derivation.subject
@@ -710,12 +711,9 @@ def _whd_diagram(f: Facts, flavor: Flavor) -> tuple[str, str]:
 def _beta_diagram_li(f: Facts, flavor: Flavor) -> tuple[str, str]:
     if not f.term_class.is_lambda_i:
         return "vacuous", "not a lambda-I term"
-    if f.derivation is None:
-        return "vacuous", "no derivation"
-    try:
-        rep = f.beta_diagram(flavor)
-    except ExpansionError:
-        return "vacuous", "no derivation"
+    rep = _flavored_or_verdict(f, flavor, f.beta_diagram)
+    if isinstance(rep, tuple):
+        return rep
     if rep.ok:
         return "ok", ""
     bad = next(s for s in rep.steps if not s.ok)
@@ -723,12 +721,9 @@ def _beta_diagram_li(f: Facts, flavor: Flavor) -> tuple[str, str]:
 
 
 def _beta_diagram_unrestricted(f: Facts, flavor: Flavor) -> tuple[str, str]:
-    if f.derivation is None:
-        return "vacuous", "no derivation"
-    try:
-        rep = f.beta_diagram(flavor)
-    except ExpansionError:
-        return "vacuous", "no derivation"
+    rep = _flavored_or_verdict(f, flavor, f.beta_diagram)
+    if isinstance(rep, tuple):
+        return rep
     if rep.ok:
         return "ok", ""
     if f.term_class.is_lambda_i:

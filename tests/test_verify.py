@@ -253,7 +253,7 @@ def test_matrix_full_sweep_has_no_failures_on_small_terms():
 # sha256 of the JSON reports of every property over every open term up to
 # size 6.  A refactor leaves every verdict and note as it is; a change that
 # mends a defect updates the digest.
-MATRIX_TO_SIZE_6 = "a5f9f5c16ff34a72c9e84e72a91b88dfb8d80d8990aab3829e9a2677b8a94307"
+MATRIX_TO_SIZE_6 = "79070aae79f9cc721d236c90e6702ce522e59228eda39d47315130aa3553b55e"
 
 
 def test_matrix_reports_to_size_6_are_pinned():
@@ -267,6 +267,15 @@ def test_diagrams_close_when_a_step_respells_the_untouched_side():
     for pid in ("whd-diagram-aci", "whd-diagram-ac", "beta-diagram-li-aci",
                 "beta-diagram-li-ac", "beta-diagram-li-ordered"):
         assert PROPERTIES[pid](subject) == ("ok", ""), pid
+
+
+def test_a_refused_ordered_expansion_is_an_order_violation_in_the_beta_diagram():
+    # typable and lambda-I, but no ordered expansion fits: the diagram has
+    # no source expansion to start from, as expansion-checks-ordered reports
+    subject = parse_term("\\x1. x1 v1")
+    verdict = PROPERTIES["beta-diagram-li-ordered"](subject)
+    assert verdict == PROPERTIES["expansion-checks-ordered"](subject)
+    assert verdict[0] == "collected" and verdict[1].startswith("order violation: ")
 
 
 def test_weak_head_chain_expands_each_derivation_once(monkeypatch):
