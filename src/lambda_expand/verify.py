@@ -262,7 +262,8 @@ class Facts:
         return self._flavored(expand, flavor)
 
     def beta_diagram(self, flavor: Flavor) -> DiagramReport:
-        """The beta-diagram report at fuel 1000; it needs a derivation."""
+        """The beta-diagram report at the verifier's default fuel; it needs a
+        derivation."""
         return self._flavored(verify_beta_diagram_lambdai, flavor)
 
     def _flavored(self, compute: Callable, flavor: Flavor):
