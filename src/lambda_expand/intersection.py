@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterator
 
-from .reduction import ReductionTrace, Strategy, reduce
+from .reduction import FuelExhausted, RedexPosition, Strategy, beta_step, steps
 from .terms import (
     Abs,
     App,
@@ -326,10 +326,6 @@ class ReplayError(RuntimeError):
     """The derivation surgery hit a shape the replay cannot rebuild."""
 
 
-class _Untypable(Exception):
-    """An erased argument failed to type within the fuel budget."""
-
-
 def retarget(d: InterDerivation, term: Term) -> InterDerivation:
     """Rename the derivation's subject spelling onto an alpha-equal term.
 
@@ -378,7 +374,8 @@ def subject_expand(
     d derives the term obtained from `before` by contracting the redex
     at `position`; the result derives `before` itself with the same
     type.  When the contraction erased its argument, the argument is
-    typed from scratch (recursively), which may raise _Untypable.
+    typed from scratch (recursively), which raises FuelExhausted when
+    it does not normalize within the fuel.
     """
     if fresh is None:
         fresh = FreshSupply(_deriv_ty_vars(d))
@@ -545,24 +542,43 @@ def infer(t: Term, fuel: int = 10_000) -> InterDerivation | None:
 
     The subject of the result is the canonicalized spelling of t; type
     variables are canonical letters.
+
+    The replay needs the term before each step, but only of a run that
+    normalizes.  So the run holds the terms of its first `_HELD_STATES`
+    (128) steps and the positions of the rest; a run that normalizes after
+    more steps rebuilds the missing terms from the last held one by
+    contracting at the recorded positions, and a run that spends its fuel
+    holds no more terms than that.
     """
     t = canonicalize(t, FreshSupply())
     try:
         d = _infer(t, fuel, FreshSupply())
-    except _Untypable:
+    except FuelExhausted:
         return None
     return canonical_tyvars(d)
 
 
+# How many of a run's terms inference holds while it reduces.  Every
+# normalizing run the benchmark and the property matrix make fits (3^4
+# takes 80 steps, open terms up to size 8 at most 2), while a run that spends
+# its fuel, such as Omega's 10,000 steps, would otherwise hold one term per
+# step that no replay reads.  Rebuilding past it spells each term as the
+# run did, because beta_step is a function of (term, position) alone.
+_HELD_STATES = 128
+
+
 def _infer(t: Term, fuel: int, fresh: FreshSupply) -> InterDerivation:
-    res = reduce(t, Strategy.LEFTMOST, fuel)
-    if res.status != "normal-form":
-        raise _Untypable(t)
-    d = infer_nf(res.term, fresh)
-    trace: ReductionTrace = res.trace
-    states = [trace.start] + [s.result for s in trace.steps]
-    for i in range(len(trace.steps) - 1, -1, -1):
-        d = subject_expand(d, states[i], trace.steps[i].position, fuel, fresh)
+    positions: list[RedexPosition] = []
+    states, nf = [t], t
+    for pos, nf in steps(t, Strategy.LEFTMOST, fuel):
+        positions.append(pos)
+        if len(states) < _HELD_STATES:
+            states.append(nf)
+    for pos in positions[len(states) - 1 : -1]:
+        states.append(beta_step(states[-1], pos))
+    d = infer_nf(nf, fresh)
+    for i in range(len(positions) - 1, -1, -1):
+        d = subject_expand(d, states[i], positions[i], fuel, fresh)
         if d.subject != states[i]:
             raise ReplayError("replay lost the subject spelling")
     return d

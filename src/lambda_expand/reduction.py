@@ -17,6 +17,10 @@ class NotARedexError(ValueError):
     pass
 
 
+class FuelExhausted(Exception):
+    """A run spent its fuel without landing on a final form."""
+
+
 class Strategy(enum.Enum):
     LEFTMOST = "leftmost"
     WEAK_HEAD = "weak-head"
@@ -132,30 +136,47 @@ def weak_head_step(t: Term) -> tuple[Term, RedexPosition] | None:
     return beta_step(t, pos), pos
 
 
-def reduce(t: Term, strategy: Strategy = Strategy.LEFTMOST, fuel: int = 10_000) -> ReduceResult:
-    """Run a strategy for at most `fuel` steps. Fuel exhaustion is reported as
-    its own status: it is inconclusive, not a verdict on the term.
+def _next_position(t: Term, strategy: Strategy) -> RedexPosition | None:
+    if strategy is Strategy.LEFTMOST:
+        return next(redex_positions(t), None)
+    return weak_head_position(t)
+
+
+_FINAL_STATUS = {Strategy.LEFTMOST: "normal-form", Strategy.WEAK_HEAD: "weak-head-nf"}
+
+
+def steps(
+    t: Term, strategy: Strategy = Strategy.LEFTMOST, fuel: int = 10_000
+) -> Iterator[tuple[RedexPosition, Term]]:
+    """Each step of a strategy run from t, as (position, result), for at
+    most `fuel` steps.  The run ends when it lands on a final form; once
+    `fuel` steps are taken without landing on one it raises FuelExhausted.
 
     Under LEFTMOST each step locates only the leftmost-outermost redex,
     the first that `redex_positions` yields; it does not list every redex
     of the term.
     """
-    trace = ReductionTrace(start=t)
-    current = t
     for _ in range(fuel):
-        if strategy is Strategy.LEFTMOST:
-            pos = next(redex_positions(current), None)
-            if pos is None:
-                return ReduceResult(trace, "normal-form", current)
-        else:
-            pos = weak_head_position(current)
-            if pos is None:
-                return ReduceResult(trace, "weak-head-nf", current)
-        current = beta_step(current, pos)
-        trace.steps.append(TraceStep(pos, "beta", current))
+        pos = _next_position(t, strategy)
+        if pos is None:
+            return
+        t = beta_step(t, pos)
+        yield pos, t
     # fuel spent; the last step may still have landed on a final form
-    if strategy is Strategy.LEFTMOST and next(redex_positions(current), None) is None:
-        return ReduceResult(trace, "normal-form", current)
-    if strategy is Strategy.WEAK_HEAD and weak_head_position(current) is None:
-        return ReduceResult(trace, "weak-head-nf", current)
-    return ReduceResult(trace, "fuel-exhausted", current)
+    if _next_position(t, strategy) is not None:
+        raise FuelExhausted
+
+
+def reduce(t: Term, strategy: Strategy = Strategy.LEFTMOST, fuel: int = 10_000) -> ReduceResult:
+    """Run a strategy for at most `fuel` steps, keeping every step in the
+    trace. Fuel exhaustion is reported as its own status: it is
+    inconclusive, not a verdict on the term.
+    """
+    trace = ReductionTrace(start=t)
+    status = _FINAL_STATUS[strategy]
+    try:
+        for pos, result in steps(t, strategy, fuel):
+            trace.steps.append(TraceStep(pos, "beta", result))
+    except FuelExhausted:
+        status = "fuel-exhausted"
+    return ReduceResult(trace, status, trace.final())

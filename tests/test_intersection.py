@@ -6,6 +6,7 @@ everything the replay produces.
 """
 
 import time
+import tracemalloc
 from functools import lru_cache
 from itertools import permutations, product
 
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lambda_expand import intersection
 from lambda_expand.intersection import (
     InterDerivation,
     ReductionTypeError,
@@ -127,6 +129,55 @@ def test_infer_erasing_step():
 
 def test_infer_omega_gives_up():
     assert infer(t("(\\x. x x) (\\x. x x)"), fuel=200) is None
+
+
+def test_a_run_that_spends_its_fuel_holds_no_trace():
+    # Omega at the default fuel: 10,000 steps, of which only the first
+    # few terms are held
+    tracemalloc.start()
+    try:
+        assert infer(t("(\\x. x x) (\\x. x x)")) is None
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak
+
+
+def _church(n):
+    return "(\\f x. " + "f (" * n + "x" + ")" * n + ")"
+
+
+PLUS = "(\\m n f x. m f (n f x))"
+MULT = "(\\m n f. m (n f))"
+CHURCH_TERMS = (
+    f"{PLUS} {_church(4)} {_church(4)}",
+    f"{MULT} {_church(3)} {_church(4)}",
+    f"{_church(3)} {_church(3)}",
+    f"{_church(4)} {_church(2)}",
+    f"{_church(4)} {_church(3)}",  # 3^4: 80 leftmost steps
+    f"{_church(2)} {_church(2)} {_church(2)}",
+)
+
+
+def test_the_held_window_changes_no_spelling(monkeypatch):
+    subjects = [*enumerate_terms(6, closed_only=False), *map(t, CHURCH_TERMS)]
+    # above every run length at the default fuel: every term is held
+    monkeypatch.setattr(intersection, "_HELD_STATES", 10_001)
+    whole = [infer(u) for u in subjects]
+    rebuilt = []
+    real_step = intersection.beta_step
+
+    def counted_step(*args):
+        rebuilt.append(args)
+        return real_step(*args)
+
+    monkeypatch.setattr(intersection, "beta_step", counted_step)
+    for held in (1, 8):
+        monkeypatch.setattr(intersection, "_HELD_STATES", held)
+        rebuilt.clear()
+        for u, d in zip(subjects, whole):
+            assert infer(u) == d, (held, u)
+        assert rebuilt, held
 
 
 def test_infer_erased_divergent_argument_gives_up():
