@@ -29,7 +29,6 @@ class Strategy(enum.Enum):
 @dataclass(frozen=True, slots=True)
 class TraceStep:
     position: RedexPosition
-    kind: str  # "beta"
     result: Term
 
 
@@ -176,7 +175,7 @@ def reduce(t: Term, strategy: Strategy = Strategy.LEFTMOST, fuel: int = 10_000) 
     status = _FINAL_STATUS[strategy]
     try:
         for pos, result in steps(t, strategy, fuel):
-            trace.steps.append(TraceStep(pos, "beta", result))
+            trace.steps.append(TraceStep(pos, result))
     except FuelExhausted:
         status = "fuel-exhausted"
     return ReduceResult(trace, status, trace.final())
