@@ -547,20 +547,22 @@ def _whd_close(
 
 
 def verify_beta_diagram_lambdai(
-    d: InterDerivation, flavor: Flavor = Flavor.ACI, fuel: int = 1000
+    d: InterDerivation,
+    r1: ExpansionResult,
+    flavor: Flavor = Flavor.ACI,
+    fuel: int = 1000,
 ) -> DiagramReport:
     """Check, for every single beta step from d's subject, that the
     expansions of source and target close the diagram with the same
     context: the target expansion (bindings renamed to match) is
-    beta-reachable from the source expansion.
+    beta-reachable from the source expansion `r1`, which is
+    `expand(d, flavor)` as the caller holds it.
 
     On lI subjects every step must pass; terms that erase arguments are
-    accepted so the expected failures can be observed.  A refused
-    expansion of d itself raises, as `expand` does.
+    accepted so the expected failures can be observed.
     """
     steps: list[DiagramStep] = []
     base = d.subject
-    r1 = expand(d, flavor)
     for pos in redex_positions(base):
         t2 = beta_step(base, pos)
         try:

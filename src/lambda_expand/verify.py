@@ -262,14 +262,14 @@ class Facts:
         return self._flavored(expand, flavor)
 
     def beta_diagram(self, flavor: Flavor) -> DiagramReport:
-        """The beta-diagram report at the verifier's default fuel; it needs a
-        derivation."""
-        return self._flavored(verify_beta_diagram_lambdai, flavor)
+        """The beta-diagram report at the verifier's default fuel, drawn from
+        the record's expansion; it needs a derivation."""
+        return self._flavored(verify_beta_diagram_lambdai, flavor, self.expansion(flavor))
 
-    def _flavored(self, compute: Callable, flavor: Flavor):
+    def _flavored(self, compute: Callable, flavor: Flavor, *given: object):
         key = (compute, flavor)
         if key not in self._per_flavor:
-            self._per_flavor[key] = compute(self.derivation, flavor)
+            self._per_flavor[key] = compute(self.derivation, *given, flavor)
         return self._per_flavor[key]
 
 

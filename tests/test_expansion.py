@@ -277,14 +277,16 @@ def test_weak_head_diagram_rejects_the_ordered_flavor():
 
 
 def test_beta_diagram_closes_on_used_binders_in_all_flavors():
+    d = infer(t(r"(\x. x x)(\x. x)"))
     for flavor in (Flavor.ACI, Flavor.AC, Flavor.A):
-        rep = verify_beta_diagram_lambdai(infer(t(r"(\x. x x)(\x. x)")), flavor)
+        rep = verify_beta_diagram_lambdai(d, expand(d, flavor), flavor)
         assert len(rep.steps) == 1
         assert rep.ok, (flavor, rep.steps)
 
 
 def test_beta_diagram_closes_for_the_ordered_example():
-    rep = verify_beta_diagram_lambdai(infer(t(r"(\x. x z) z")), Flavor.A)
+    d = infer(t(r"(\x. x z) z"))
+    rep = verify_beta_diagram_lambdai(d, expand(d, Flavor.A), Flavor.A)
     assert rep.ok and len(rep.steps) == 1
 
 
@@ -292,8 +294,9 @@ def test_beta_diagram_fails_when_an_argument_is_erased():
     # contracting under the binder drops one x-use; the expansion of the
     # reduct keeps one binder where the source expansion kept two, so no
     # reduct of the source expansion can match it
+    d = infer(t(r"\x. (\y. z) x x"))
     for flavor in (Flavor.ACI, Flavor.AC):
-        rep = verify_beta_diagram_lambdai(infer(t(r"\x. (\y. z) x x")), flavor)
+        rep = verify_beta_diagram_lambdai(d, expand(d, flavor), flavor)
         assert len(rep.steps) == 1
         step = rep.steps[0]
         assert alpha_eq(step.target, t(r"\x. z x"))
@@ -446,7 +449,7 @@ def test_beta_diagram_closes_on_li_terms(u):
     if d is None:
         return
     for flavor in (Flavor.ACI, Flavor.AC):
-        rep = verify_beta_diagram_lambdai(d, flavor, fuel=300)
+        rep = verify_beta_diagram_lambdai(d, expand(d, flavor), flavor, fuel=300)
         assert rep.ok, (flavor, [s.reason for s in rep.steps if not s.ok])
 
 

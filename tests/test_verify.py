@@ -14,6 +14,7 @@ the right number of terms and no two of them name the same class.
 import copy
 import hashlib
 import json
+from collections import Counter
 from functools import lru_cache
 
 from hypothesis import given, settings
@@ -22,7 +23,7 @@ from hypothesis import strategies as st
 from lambda_expand import expansion, verify
 from lambda_expand.expansion import ExpansionError, expand
 from lambda_expand.intersection import infer
-from lambda_expand.reduction import Strategy, reduce
+from lambda_expand.reduction import Strategy, reduce, weak_head_position
 from lambda_expand.syntax import parse_term, render_term
 from lambda_expand.terms import Abs, App, Var, classify, count_free_occurrences, de_bruijn, free_vars, size
 from lambda_expand.typelang import Flavor, TVar, InterArrow
@@ -302,22 +303,43 @@ def test_weak_head_chain_expands_each_derivation_once(monkeypatch):
 
 def test_matrix_infers_each_subject_once_and_draws_each_beta_diagram_once(monkeypatch):
     inferred, diagrams = [], []
+    # each inferred derivation by id, held so that no other object takes its id
+    derived = {}
+    expanded = Counter()
     real_infer, real_diagram = verify.infer, verify.verify_beta_diagram_lambdai
+    real_expand = expansion.expand
 
     def counted_infer(t, *args, **kwargs):
         inferred.append(t)
-        return real_infer(t, *args, **kwargs)
+        d = real_infer(t, *args, **kwargs)
+        derived[id(d)] = (t, d)
+        return d
 
-    def counted_diagram(d, flavor, *args, **kwargs):
+    def counted_diagram(d, source, flavor, *args, **kwargs):
         diagrams.append((d.subject, flavor))
-        return real_diagram(d, flavor, *args, **kwargs)
+        return real_diagram(d, source, flavor, *args, **kwargs)
+
+    def counted_expand(d, flavor, *args, **kwargs):
+        r = real_expand(d, flavor, *args, **kwargs)
+        if id(d) in derived:
+            expanded[derived[id(d)][0], flavor] += 1
+        return r
 
     monkeypatch.setattr(verify, "infer", counted_infer)
     monkeypatch.setattr(verify, "verify_beta_diagram_lambdai", counted_diagram)
+    monkeypatch.setattr(verify, "expand", counted_expand)
+    monkeypatch.setattr(expansion, "expand", counted_expand)
     corpus = enumerated_corpus(5, closed_only=False)
     run_matrix(corpus)
     assert inferred == list(corpus.terms)
     assert diagrams and len(diagrams) == len(set(diagrams))
+    # a subject's derivation expands once per flavor for the whole record,
+    # and once more at the head of the weak-head diagram's chain, which
+    # expands only when a weak-head step exists
+    assert expanded
+    for (subject, flavor), n in expanded.items():
+        head_step = flavor is not Flavor.A and weak_head_position(subject) is not None
+        assert n == 1 + head_step, (render_term(subject), flavor, n)
 
 
 def test_a_bare_term_gets_the_verdict_the_matrix_gives():
