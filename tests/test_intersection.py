@@ -133,7 +133,7 @@ def test_infer_omega_gives_up():
 
 def test_a_run_that_spends_its_fuel_holds_no_trace():
     # Omega at the default fuel: 10,000 steps, of which only the first
-    # few terms are held
+    # 128 terms are held
     tracemalloc.start()
     try:
         assert infer(t("(\\x. x x) (\\x. x x)")) is None
