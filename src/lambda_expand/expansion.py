@@ -20,8 +20,9 @@ returns alongside the rebuilt term.
 The diagram verifiers at the bottom check that expansion commutes with
 reduction: reducing the rebuilt term can catch up with the expansion of
 the reduct, with a context that only ever shrinks (weak head) or stays
-identical (full beta on lI subjects).  They start from a derivation, so
-whether a subject is typable at all is the caller's question.
+identical (full beta on lI subjects).  They start from a derivation and
+its expansion, so whether a subject is typable or expands at all is the
+caller's question.
 """
 
 from __future__ import annotations
@@ -494,33 +495,30 @@ def _bindings_count(ctx: SetExpCtx) -> int:
 
 
 def verify_whd_diagram(
-    d: InterDerivation, flavor: Flavor = Flavor.ACI, fuel: int = 1000
+    d: InterDerivation, r1: ExpansionResult, flavor: Flavor = Flavor.ACI, fuel: int = 1000
 ) -> DiagramReport:
     """Check, along the whole weak-head chain of d's subject, that each
     step's expansions close the diagram: the source expansion weak-head
     reduces to the target expansion, whose context is contained in the
-    source's.
+    source's.  The chain starts from `r1`, which is `expand(d, flavor)` as
+    the caller holds it.
 
     The target keeps the source's derived type by pushing the derivation
     through the step, so both expansions answer the same question.  Each
-    derivation of the chain is expanded once; an expansion that fails is a
+    reduct's derivation is expanded once; an expansion that fails is a
     failed step and ends the chain.
     """
     if flavor not in (Flavor.ACI, Flavor.AC):
         raise ValueError("the weak-head diagram covers the set-shaped flavors")
     steps: list[DiagramStep] = []
     cur_t, cur_d = d.subject, d
-    r1: ExpansionResult | None = None
     while (nxt := weak_head_step(cur_t)) is not None:
         t2, pos = nxt
         d2 = subject_reduce(cur_d, t2, pos)
         try:
-            if r1 is None:
-                r1 = expand(cur_d, flavor)
             r2 = expand(d2, flavor)
         except ExpansionError as e:
-            source = None if r1 is None else r1.expanded
-            steps.append(DiagramStep(cur_t, t2, source, None, False, False, str(e)))
+            steps.append(DiagramStep(cur_t, t2, r1.expanded, None, False, False, str(e)))
             break
         ok, shrank, reason = _whd_close(r1, r2, fuel)
         steps.append(
@@ -593,15 +591,11 @@ def _beta_close(
     r1: ExpansionResult, r2: ExpansionResult, flavor: Flavor, fuel: int
 ) -> tuple[bool, str]:
     if flavor is Flavor.A:
-        renamings = list(ctx_match(r2.context, r1.context, Flavor.A))
-        if not renamings:
+        ren = next(ctx_match(r2.context, r1.context, Flavor.A), None)
+        if ren is None:
             return False, "ordered contexts do not match"
-        ren = renamings[0]
-        if _beta_reaches(
-            r1.expanded, lambda c: alpha_eq_renamed(r2.expanded, ren, c), fuel
-        ):
-            return True, ""
-        return False, "no beta reduct matches the expanded target"
+        return _beta_reaches(r1.expanded, lambda c: alpha_eq_renamed(r2.expanded, ren, c),
+                             fuel, "no beta reduct matches the expanded target")
 
     def matches(cand: Term) -> bool:
         ren = _free_renaming(r2.expanded, cand)
@@ -609,13 +603,14 @@ def _beta_close(
             return False
         return set_ctx_eq(_rename_set_ctx(r2.context, ren), r1.context, flavor)
 
-    if _beta_reaches(r1.expanded, matches, fuel):
-        return True, ""
-    return False, "no beta reduct matches the expanded target with equal context"
+    return _beta_reaches(r1.expanded, matches, fuel,
+                         "no beta reduct matches the expanded target with equal context")
 
 
-def _beta_reaches(start: Term, hit, fuel: int) -> bool:
-    """Breadth-first walk of beta reducts, at most `fuel` contractions."""
+def _beta_reaches(start: Term, hit, fuel: int, miss: str) -> tuple[bool, str]:
+    """Breadth-first walk of beta reducts, at most `fuel` contractions.
+    A walk that ends without a hit reports `miss` when it explored every
+    reduct, and the spent fuel when reducts were left."""
     seen = {de_bruijn(start)}
     frontier = [start]
     budget = fuel
@@ -623,10 +618,10 @@ def _beta_reaches(start: Term, hit, fuel: int) -> bool:
         nxt: list[Term] = []
         for cur in frontier:
             if hit(cur):
-                return True
+                return True, ""
             for pos in redex_positions(cur):
                 if budget <= 0:
-                    return False
+                    return False, "fuel exhausted walking the beta reducts"
                 budget -= 1
                 red = beta_step(cur, pos)
                 key = de_bruijn(red)
@@ -634,4 +629,4 @@ def _beta_reaches(start: Term, hit, fuel: int) -> bool:
                     seen.add(key)
                     nxt.append(red)
         frontier = nxt
-    return False
+    return False, miss

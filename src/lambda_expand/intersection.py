@@ -710,9 +710,10 @@ def _match_members(
 ) -> Iterator[dict[str, InterType]]:
     """Backtracking over pattern members in order: under A each takes the
     target member at its own position, under AC an unused one, under ACI
-    any one, and in the end every target member must be covered.  Under
-    ACI a pattern member covers its target's whole class of ACI-equal
-    members, so (a & a) -> a takes a one-member pattern."""
+    any one, its own position first so that an exact spelling wins, and in
+    the end every target member must be covered.  Under ACI a pattern
+    member covers its target's whole class of ACI-equal members, so
+    (a & a) -> a takes a one-member pattern."""
     if flavor is not Flavor.ACI and len(pats) != len(tgts):
         return
     if flavor is Flavor.ACI:
@@ -728,7 +729,10 @@ def _match_members(
         if i == len(pats):
             yield s
             return
-        for j in (i,) if flavor is Flavor.A else range(len(tgts)):
+        order = (i,) if flavor is Flavor.A else range(len(tgts))
+        if flavor is Flavor.ACI:
+            order = sorted(order, key=lambda j: j != i)
+        for j in order:
             if flavor is Flavor.AC and j in used:
                 continue  # the cover check would reject it one member later
             for s2 in _match_ty(pats[i], tgts[j], s, flavor):

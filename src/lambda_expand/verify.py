@@ -13,7 +13,9 @@ subject to a verdict — ``ok``, ``vacuous`` (premise unmet), ``collected``
 (an anomaly the contract expects to exist and wants counted), or ``fail``.
 A property reads the subject's ``Facts``: its term class, leftmost
 reduction, inference, and per flavor its expansion and beta-diagram report,
-each worked out the first time a property asks.  ``run_matrix`` goes
+each worked out the first time a property asks; a per-flavor computation
+that raises holds the exception, so every property that asks meets it
+without working it out again.  ``run_matrix`` goes
 subject by subject, runs the requested properties on one record and drops
 it, and returns reports, one per property in the requested order, that
 serialize to JSON.
@@ -43,7 +45,7 @@ from .terms import (
     simultaneous_substitute,
     size,
 )
-from .reduction import ReduceResult, Strategy, beta_step, reduce
+from .reduction import ReduceResult, Strategy, beta_step, reduce, weak_head_position
 from .typelang import (
     Flavor,
     InterArrow,
@@ -232,8 +234,9 @@ class Facts:
     """One subject and the facts the properties ask about it.
 
     Each fact is worked out the first time a property asks and kept until
-    the record is dropped.  A computation that raises keeps nothing, so
-    every property that asks meets the same exception.
+    the record is dropped.  A per-flavor computation that raises holds the
+    exception and raises it again, so every property that asks meets the
+    same refusal from one computation.
     """
 
     def __init__(self, term: Term) -> None:
@@ -269,8 +272,13 @@ class Facts:
     def _flavored(self, compute: Callable, flavor: Flavor, *given: object):
         key = (compute, flavor)
         if key not in self._per_flavor:
-            self._per_flavor[key] = compute(self.derivation, *given, flavor)
-        return self._per_flavor[key]
+            try:
+                self._per_flavor[key] = compute(self.derivation, *given, flavor)
+            except Exception as exc:
+                self._per_flavor[key] = exc
+        if isinstance(held := self._per_flavor[key], Exception):
+            raise held
+        return held
 
 
 # --------------------------------------------------------------------------
@@ -630,21 +638,15 @@ def _expansion_checks(f: Facts, flavor: Flavor) -> tuple[str, str]:
     if isinstance(r, tuple):
         return r
     lambda_i = f.term_class.is_lambda_i
-    res = check_derivation(r.induced)
-    if not res.ok:
-        return "fail", f"induced derivation fails its checker: {res.reason}"
+    # expand refuses unless the induced and strict derivations pass their checkers
     if r.ty != translate(f.derivation.ty, _TARGETS[flavor]):
         return "fail", "result type is not the translated source type"
     if r.induced.basis != ctx_to_basis(r.context, _TARGETS[flavor]):
         return "fail", "induced basis does not render the context"
     if not alpha_eq(r.induced.subject, r.expanded):
         return "fail", "induced derivation is not about the expanded term"
-    if flavor is not Flavor.A and lambda_i:
-        if r.strict is None:
-            return "fail", "lambda-I subject lost its strict derivation"
-        strict_res = check_derivation(r.strict)
-        if not strict_res.ok:
-            return "fail", f"strict derivation fails: {strict_res.reason}"
+    if flavor is not Flavor.A and lambda_i and r.strict is None:
+        return "fail", "lambda-I subject lost its strict derivation"
     want = classify(r.expanded)
     if flavor is Flavor.ACI and lambda_i and not want.is_lambda_i:
         return "fail", "expansion of a lambda-I subject left lambda-I"
@@ -699,37 +701,29 @@ def _expansion_occurrences(f: Facts, flavor: Flavor) -> tuple[str, str]:
     return "ok", ""
 
 
+def _diagram_verdict(rep: DiagramReport) -> tuple[str, str]:
+    if rep.ok:
+        return "ok", ""
+    return "fail", next(s.reason for s in rep.steps if not s.ok)
+
+
 def _whd_diagram(f: Facts, flavor: Flavor) -> tuple[str, str]:
     if f.derivation is None:
         return "vacuous", "no derivation"
-    rep = verify_whd_diagram(f.derivation, flavor, fuel=1000)
-    if rep.ok:
+    if weak_head_position(f.term) is None:
         return "ok", ""
-    bad = next(s for s in rep.steps if not s.ok)
-    return "fail", bad.reason or "weak-head step did not close"
+    return _diagram_verdict(verify_whd_diagram(f.derivation, f.expansion(flavor), flavor))
 
 
-def _beta_diagram_li(f: Facts, flavor: Flavor) -> tuple[str, str]:
-    if not f.term_class.is_lambda_i:
+def _beta_diagram(f: Facts, flavor: Flavor, lambda_i_only: bool) -> tuple[str, str]:
+    lambda_i = f.term_class.is_lambda_i
+    if lambda_i_only and not lambda_i:
         return "vacuous", "not a lambda-I term"
     rep = _flavored_or_verdict(f, flavor, f.beta_diagram)
     if isinstance(rep, tuple):
         return rep
-    if rep.ok:
-        return "ok", ""
-    bad = next(s for s in rep.steps if not s.ok)
-    return "fail", bad.reason or "beta step did not close"
-
-
-def _beta_diagram_unrestricted(f: Facts, flavor: Flavor) -> tuple[str, str]:
-    rep = _flavored_or_verdict(f, flavor, f.beta_diagram)
-    if isinstance(rep, tuple):
-        return rep
-    if rep.ok:
-        return "ok", ""
-    if f.term_class.is_lambda_i:
-        bad = next(s for s in rep.steps if not s.ok)
-        return "fail", bad.reason or "beta step did not close on a lambda-I term"
+    if rep.ok or lambda_i:
+        return _diagram_verdict(rep)
     return "collected", "erasing step does not preserve the context, as documented"
 
 
@@ -767,11 +761,11 @@ PROPERTIES: dict[str, Callable[[Term | Facts], tuple[str, str]]] = {
     "expansion-occurrences-ordered": _property(_expansion_occurrences, Flavor.A),
     "whd-diagram-aci": _property(_whd_diagram, Flavor.ACI),
     "whd-diagram-ac": _property(_whd_diagram, Flavor.AC),
-    "beta-diagram-li-aci": _property(_beta_diagram_li, Flavor.ACI),
-    "beta-diagram-li-ac": _property(_beta_diagram_li, Flavor.AC),
-    "beta-diagram-li-ordered": _property(_beta_diagram_li, Flavor.A),
-    "beta-diagram-unrestricted-aci": _property(_beta_diagram_unrestricted, Flavor.ACI),
-    "beta-diagram-unrestricted-ac": _property(_beta_diagram_unrestricted, Flavor.AC),
+    "beta-diagram-li-aci": _property(_beta_diagram, Flavor.ACI, True),
+    "beta-diagram-li-ac": _property(_beta_diagram, Flavor.AC, True),
+    "beta-diagram-li-ordered": _property(_beta_diagram, Flavor.A, True),
+    "beta-diagram-unrestricted-aci": _property(_beta_diagram, Flavor.ACI, False),
+    "beta-diagram-unrestricted-ac": _property(_beta_diagram, Flavor.AC, False),
     "substitution-composes-aci": _property(substitution_composes, Flavor.ACI),
     "substitution-composes-ac": _property(substitution_composes, Flavor.AC),
     "substitution-composes-ordered": _property(substitution_composes, Flavor.A),

@@ -357,6 +357,16 @@ def test_expand_aci_curries_a_repeated_member_once(capsys):
     assert code == 0 and '[label="ctr\\n' in out
 
 
+def test_expand_aci_keeps_the_requested_spelling(capsys):
+    # the match keeps x1's members spelled (a -> a) & a & a, so the last
+    # occurrence of x1, at type a, expands to x4; spelled (a -> a) & a &
+    # (a -> a), the same type under ACI, it would expand to x3
+    code, out, _ = run(capsys, "expand", "--flavor", "aci", "--type",
+                       "(a -> a) & a & a -> a", "\\x1. x1 ((\\x2. x1) x1)")
+    assert code == 0
+    assert out.splitlines()[0] == "\\x3 x4. x3 ((\\x5. x4) x4) : (a -> a) -> a -> a"
+
+
 POW_3_4 = "(\\f x. f (f (f (f x)))) (\\f x. f (f (f x)))"
 
 

@@ -248,15 +248,17 @@ def test_ordered_rejects_unknown_orientation():
 
 
 def test_weak_head_diagram_closes_for_the_unsharing_example():
+    d = infer(t(r"(\x. x x)(\x. x)"))
     for flavor in (Flavor.ACI, Flavor.AC):
-        rep = verify_whd_diagram(infer(t(r"(\x. x x)(\x. x)")), flavor)
+        rep = verify_whd_diagram(d, expand(d, flavor), flavor)
         assert isinstance(rep, DiagramReport)
         assert len(rep.steps) == 2
         assert rep.ok
 
 
 def test_weak_head_diagram_context_shrinks_on_erasure():
-    rep = verify_whd_diagram(infer(t(r"(\x. (\y. z) x) w")), Flavor.ACI)
+    d = infer(t(r"(\x. (\y. z) x) w"))
+    rep = verify_whd_diagram(d, expand(d, Flavor.ACI), Flavor.ACI)
     assert rep.ok
     assert [s.shrank for s in rep.steps] == [False, True]
     # the second step drops w's binding: the reduct is just z
@@ -266,14 +268,28 @@ def test_weak_head_diagram_context_shrinks_on_erasure():
 def test_weak_head_diagram_closes_when_a_binder_shares_a_free_name():
     # the expanded target \y3. y2 matches \y2. y3 by renaming its free y2
     # to y3, which its own binder y3 must not capture
+    d = infer(t(r"(\x. \y. x) y"))
     for flavor in (Flavor.ACI, Flavor.AC):
-        rep = verify_whd_diagram(infer(t(r"(\x. \y. x) y")), flavor)
+        rep = verify_whd_diagram(d, expand(d, flavor), flavor)
         assert rep.ok, (flavor, [s.reason for s in rep.steps if not s.ok])
 
 
 def test_weak_head_diagram_rejects_the_ordered_flavor():
+    d = infer(t("x"))
     with pytest.raises(ValueError):
-        verify_whd_diagram(infer(t("x")), Flavor.A)
+        verify_whd_diagram(d, expand(d, Flavor.A), Flavor.A)
+
+
+def test_beta_diagram_reports_the_fuel_it_ran_out_of():
+    # the expanded source (\x1. x1) z1 reaches the expanded target z2 in
+    # one contraction: with none to spend, the walk leaves that reduct
+    # unexplored and says so rather than that no reduct matches
+    d = infer(t(r"(\x. x) z"))
+    for flavor in (Flavor.ACI, Flavor.AC, Flavor.A):
+        r1 = expand(d, flavor)
+        assert verify_beta_diagram_lambdai(d, r1, flavor, fuel=1).ok
+        rep = verify_beta_diagram_lambdai(d, r1, flavor, fuel=0)
+        assert [s.reason for s in rep.steps] == ["fuel exhausted walking the beta reducts"]
 
 
 def test_beta_diagram_closes_on_used_binders_in_all_flavors():
@@ -436,7 +452,7 @@ def test_weak_head_diagram_closes_everywhere(u):
     if d is None:
         return
     for flavor in (Flavor.ACI, Flavor.AC):
-        rep = verify_whd_diagram(d, flavor, fuel=200)
+        rep = verify_whd_diagram(d, expand(d, flavor), flavor, fuel=200)
         assert rep.ok, (flavor, [s.reason for s in rep.steps if not s.ok])
 
 

@@ -347,6 +347,24 @@ def test_match_requested_compares_a_bound_variable_under_the_flavor():
     assert match_requested(d, doubled, Flavor.AC) is None
 
 
+def test_a_collapsed_request_comes_back_spelled_exactly_under_aci():
+    # every type variable of infer's type set to a: an instance of the
+    # principal type, so a match exists that spells it member for member,
+    # and the search finds that one by trying each member's own position
+    # first.  Taking the first target that fits instead spells
+    # \x1. x1 ((\x2. x1) x1) at (a -> a) & a & (a -> a) -> a.
+    checked = 0
+    for u in enumerate_terms(7, closed_only=False):
+        d = infer(u)
+        if d is None:
+            continue
+        req = rename_tyvars(d, {v: A for v in _deriv_ty_vars(d)}).ty
+        out = match_requested(d, req, Flavor.ACI)
+        assert out is not None and out.ty == req, u
+        checked += 1
+    assert checked == 1033
+
+
 def test_match_requested_reversed_wide_domain_is_fast():
     # a search over every permutation (AC) or every map (ACI) of the eight
     # argument members took about 16 s under ACI on a 2-core machine

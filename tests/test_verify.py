@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from lambda_expand import expansion, verify
 from lambda_expand.expansion import ExpansionError, expand
 from lambda_expand.intersection import infer
-from lambda_expand.reduction import Strategy, reduce, weak_head_position
+from lambda_expand.reduction import Strategy, reduce
 from lambda_expand.syntax import parse_term, render_term
 from lambda_expand.terms import Abs, App, Var, classify, count_free_occurrences, de_bruijn, free_vars, size
 from lambda_expand.typelang import Flavor, TVar, InterArrow
@@ -290,7 +290,12 @@ def test_weak_head_chain_expands_each_derivation_once(monkeypatch):
             raise ExpansionError("second expansion refused")
         return real(d, flavor, *args, **kwargs)
 
+    monkeypatch.setattr(verify, "expand", counted)
     monkeypatch.setattr(expansion, "expand", counted)
+    # no weak-head step: nothing to expand
+    assert PROPERTIES["whd-diagram-ac"](parse_term("\\x. x")) == ("ok", "")
+    assert calls == []
+    # the record's expansion heads the chain, then one per reduct
     two_steps = parse_term("(\\x. x) (\\y. y) z")
     assert PROPERTIES["whd-diagram-ac"](two_steps) == ("ok", "")
     assert len(calls) == 3
@@ -303,11 +308,13 @@ def test_weak_head_chain_expands_each_derivation_once(monkeypatch):
 
 def test_matrix_infers_each_subject_once_and_draws_each_beta_diagram_once(monkeypatch):
     inferred, diagrams = [], []
-    # each inferred derivation by id, held so that no other object takes its id
+    # each inferred or checked derivation by id, held so that no other
+    # object takes its id
     derived = {}
+    checked, rechecked = {}, []
     expanded = Counter()
     real_infer, real_diagram = verify.infer, verify.verify_beta_diagram_lambdai
-    real_expand = expansion.expand
+    real_expand, real_check = expansion.expand, expansion.check_derivation
 
     def counted_infer(t, *args, **kwargs):
         inferred.append(t)
@@ -320,26 +327,35 @@ def test_matrix_infers_each_subject_once_and_draws_each_beta_diagram_once(monkey
         return real_diagram(d, source, flavor, *args, **kwargs)
 
     def counted_expand(d, flavor, *args, **kwargs):
-        r = real_expand(d, flavor, *args, **kwargs)
         if id(d) in derived:
             expanded[derived[id(d)][0], flavor] += 1
-        return r
+        return real_expand(d, flavor, *args, **kwargs)
+
+    def counted_check(d):
+        if id(d) in checked:
+            rechecked.append(render_term(d.subject))
+        checked[id(d)] = d
+        return real_check(d)
 
     monkeypatch.setattr(verify, "infer", counted_infer)
     monkeypatch.setattr(verify, "verify_beta_diagram_lambdai", counted_diagram)
     monkeypatch.setattr(verify, "expand", counted_expand)
     monkeypatch.setattr(expansion, "expand", counted_expand)
+    monkeypatch.setattr(verify, "check_derivation", counted_check)
+    monkeypatch.setattr(expansion, "check_derivation", counted_check)
     corpus = enumerated_corpus(5, closed_only=False)
-    run_matrix(corpus)
+    reports = run_matrix(corpus)
     assert inferred == list(corpus.terms)
     assert diagrams and len(diagrams) == len(set(diagrams))
     # a subject's derivation expands once per flavor for the whole record,
-    # and once more at the head of the weak-head diagram's chain, which
-    # expands only when a weak-head step exists
-    assert expanded
-    for (subject, flavor), n in expanded.items():
-        head_step = flavor is not Flavor.A and weak_head_position(subject) is not None
-        assert n == 1 + head_step, (render_term(subject), flavor, n)
+    # the weak-head chain included, and a refusal is held, not worked out again
+    assert expanded and checked and rechecked == []
+    assert set(expanded.values()) == {1}
+    refused = {
+        v.subject for r in reports if r.prop == "expansion-checks-ordered"
+        for v in r.collected()
+    }
+    assert refused and all((u, Flavor.A) in expanded for u in refused)
 
 
 def test_a_bare_term_gets_the_verdict_the_matrix_gives():
