@@ -392,6 +392,22 @@ def test_expand_ordered_violation_is_absent_not_a_crash(capsys):
     assert code == 1 and "no expansion" in err
 
 
+@pytest.mark.parametrize(
+    "src, message",
+    [
+        ("v1 (v2 v1)", "appending the contexts interleaves bindings the derivation keeps apart"),
+        (
+            "\\x1. x1 v1",
+            "binder x1: its bindings sit neither at the usable end of the context "
+            "nor in the required order",
+        ),
+    ],
+)
+def test_expand_ordered_names_the_cause_of_a_refusal(capsys, src, message):
+    code, out, err = run(capsys, "expand", "--flavor", "ordered", src)
+    assert (code, out, err) == (1, "", f"no expansion: {message}")
+
+
 def test_expand_reports_an_induced_derivation_it_cannot_build(capsys, monkeypatch):
     def refuse(system, term, var_types, basis_order=None):
         raise ValueError("curry cannot weaken in 'x'")

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lambda_expand import expansion
+from lambda_expand import expansion, serialize
 from lambda_expand.expansion import (
     DiagramReport,
     ExpansionError,
@@ -242,6 +242,49 @@ def test_ordered_expansion_reports_unreachable_arrangements():
 def test_ordered_rejects_unknown_orientation():
     with pytest.raises(ValueError):
         expand_ordered(infer(t(r"(\x. x z) z")), orientation="sideways")
+
+
+# sha256 over every typable lI open term up to size 7, under both
+# orientations, of the expansion's JSON document or the refusal's class and
+# message; a change to a rebuilt term, its context, its induced derivation
+# or a refusal's wording moves it
+ORDERED_TO_SIZE_7 = "7746dbd96bcbea4388893341f9d331514b153f8a146e986671311a176cb2dae1"
+
+
+def test_ordered_expansions_and_refusals_are_pinned():
+    digest = hashlib.sha256()
+    expanded = refused = 0
+    for u in enumerate_terms(7, closed_only=False):
+        d = infer(u) if classify(u).is_lambda_i else None
+        if d is None:
+            continue
+        for orientation in ("right", "mixed"):
+            try:
+                out = serialize.dumps(expand_ordered(d, orientation=orientation))
+                expanded += 1
+            except ExpansionError as e:
+                out = f"{type(e).__name__}: {e}"
+                refused += 1
+            digest.update(out.encode())
+    assert (expanded, refused) == (260, 174)
+    assert digest.hexdigest() == ORDERED_TO_SIZE_7
+
+
+@pytest.mark.parametrize(
+    "src, message",
+    [
+        ("v1 (v2 v1)", "appending the contexts interleaves bindings the derivation keeps apart"),
+        (
+            r"\x1. x1 v1",
+            "binder x1: its bindings sit neither at the usable end of the context "
+            "nor in the required order",
+        ),
+    ],
+)
+def test_ordered_refusals_name_their_cause(src, message):
+    with pytest.raises(OrderViolation) as exc:
+        expand_ordered(infer(t(src)))
+    assert str(exc.value) == message
 
 
 # --- reduction diagrams -------------------------------------------------------
