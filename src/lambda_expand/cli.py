@@ -20,7 +20,7 @@ import os
 import sys
 
 from . import serialize
-from .expansion import ExpansionError, Orientation, expand
+from .expansion import ExpansionError, expand
 from .intersection import ReplayError, check_inter, infer, match_requested
 from .reduction import Strategy, reduce
 from .syntax import (
@@ -52,7 +52,6 @@ EXIT_USAGE = 3
 DEFAULT_FUEL = 10_000
 
 _FLAVORS = {"aci": Flavor.ACI, "ac": Flavor.AC, "a": Flavor.A, "ordered": Flavor.A}
-_ORIENTATIONS = {"right": Orientation.RIGHT, "mixed": Orientation.MIXED}
 _TYPE_PARSERS = {
     System.CURRY: parse_simple_type,
     System.RELEVANT: parse_simple_type,
@@ -135,16 +134,20 @@ def _input_term(args):
 
 
 def _fuel(args) -> int:
-    explicit = getattr(args, "fuel", None)
-    if explicit is not None:
-        return explicit
-    env = os.environ.get("LEXP_FUEL")
-    if env is not None:
+    fuel = getattr(args, "fuel", None)
+    source = "--fuel"
+    if fuel is None:
+        env = os.environ.get("LEXP_FUEL")
+        if env is None:
+            return DEFAULT_FUEL
+        source = "LEXP_FUEL"
         try:
-            return int(env)
+            fuel = int(env)
         except ValueError:
             raise UsageError("LEXP_FUEL must be an integer") from None
-    return DEFAULT_FUEL
+    if fuel < 0:
+        raise UsageError(f"{source} must not be negative")
+    return fuel
 
 
 def _env_lines(env, unicode: bool, flavor: Flavor | None = None) -> list[str]:
@@ -307,7 +310,7 @@ def _cmd_expand(args) -> int:
             print("the term is not typable at the requested type", file=sys.stderr)
             return EXIT_ABSENT
     try:
-        r = expand(d, flavor, orientation=_ORIENTATIONS[args.orientation])
+        r = expand(d, flavor, orientation=args.orientation)
     except ExpansionError as exc:  # includes order violations
         print(f"no expansion: {exc}", file=sys.stderr)
         return EXIT_ABSENT

@@ -68,7 +68,6 @@ from .typelang import (
     SetExpCtx,
     Target,
     Type,
-    ctx_append,
     ctx_leq,
     ctx_match,
     ctx_to_basis,
@@ -264,35 +263,39 @@ def expand_ac(
 # list-shaped expansion (ordered)
 
 
-class Orientation:
-    """Which abstraction clause to prefer where both could apply.
-
-    Only an abstraction applied as a function may discharge on the left;
-    arguments and root terms must keep the right-handed annotation their
-    consumers expect.  RIGHT prefers -o_r and falls back to -o_l where the
-    binder's bindings sit at the front of the context; MIXED prefers -o_l
-    at those positions.
-    """
-
-    RIGHT = "right"
-    MIXED = "mixed"
+def _owner_runs(basis: Basis, owner: dict[str, str]) -> list[tuple[str, list[tuple[str, Type]]]]:
+    """The basis as runs of bindings drawn for the same original variable.
+    Each owner's bindings must form one run."""
+    runs: list[tuple[str, list[tuple[str, Type]]]] = []
+    for y, ty in basis.entries:
+        o = owner[y]
+        if runs and runs[-1][0] == o:
+            runs[-1][1].append((y, ty))
+        elif any(o == prev for prev, _ in runs):
+            raise OrderViolation(
+                "appending the contexts interleaves bindings the derivation "
+                "keeps apart"
+            )
+        else:
+            runs.append((o, [(y, ty)]))
+    return runs
 
 
 def _exp_ord(
     d: InterDerivation,
     supply: FreshSupply,
+    owner: dict[str, str],
     prefer_left: bool,
     at_fun: bool,
-) -> tuple[ListExpCtx, Derivation]:
-    """The context and the induced ordered derivation, whose subject is
-    the expanded term."""
+) -> Derivation:
+    """The induced ordered derivation, whose subject is the expanded term.
+    `owner` maps each drawn variable to the variable it was drawn for."""
     if d.rule == "ax":
         x = d.subject.name
         y = supply.fresh(x)
+        owner[y] = x
         oty = translate(d.ty, Target.ORDERED)
-        ctx = ListExpCtx([(x, [(y, oty)])])
-        deriv = Derivation(System.ORDERED, "ax", Basis(((y, oty),)), Var(y), oty)
-        return ctx, deriv
+        return Derivation(System.ORDERED, "ax", Basis(((y, oty),)), Var(y), oty)
 
     if d.rule == "arrow_i_prime":
         raise ExpansionError(
@@ -301,46 +304,23 @@ def _exp_ord(
 
     if d.rule == "arrow_i":
         (p,) = d.premises
-        ctx, bd = _exp_ord(p, supply, prefer_left, at_fun=False)
+        bd = _exp_ord(p, supply, owner, prefer_left, at_fun=False)
         x = d.subject.binder
         tdoms = [translate(t, Target.ORDERED) for t in d.ty.doms]
-
-        def fit_right():
-            if ctx.groups and ctx.groups[-1][0] == x:
-                entries = ctx.groups[-1][1]
-                if [t for _, t in entries] == tdoms:
-                    return entries
-            return None
-
-        def fit_left():
-            if not at_fun:
-                return None
-            if ctx.groups and ctx.groups[0][0] == x:
-                entries = ctx.groups[0][1]
-                if [t for _, t in entries] == list(reversed(tdoms)):
-                    return entries
-            return None
-
-        attempts = (fit_left, fit_right) if prefer_left else (fit_right, fit_left)
-        for fit in attempts:
-            entries = fit()
-            if entries is None:
-                continue
-            leftward = fit is fit_left
-            rest = ListExpCtx(
-                [(o, list(g)) for o, g in ctx.groups if o != x]
-            )
-            cur = bd
-            # discharge innermost-first: from the back when the bindings
-            # close the context, from the front when they open it
-            order = entries if leftward else list(reversed(entries))
-            for y, t in order:
-                pe = cur.basis.entries
-                if not pe or pe[0 if leftward else -1] != (y, t):
-                    side = "front" if leftward else "back"
-                    raise OrderViolation(f"binding {y} is not at the {side} of the basis")
-                cur = intro(cur, "arrow_i_l" if leftward else "arrow_i_r")
-            return rest, cur
+        entries = bd.basis.entries
+        owned = tuple((y, t) for y, t in entries if owner[y] == x)
+        types = [t for _, t in owned]
+        # -o_r discharges the bindings when they close the basis, -o_l (on
+        # an abstraction applied as a function) when they open it
+        fits = {
+            "arrow_i_r": entries[len(entries) - len(owned):] == owned and types == tdoms,
+            "arrow_i_l": at_fun and entries[:len(owned)] == owned and types[::-1] == tdoms,
+        }
+        for rule in ("arrow_i_l", "arrow_i_r") if prefer_left else ("arrow_i_r", "arrow_i_l"):
+            if fits[rule]:
+                for _ in owned:
+                    bd = intro(bd, rule)
+                return bd
         raise OrderViolation(
             f"binder {x}: its bindings sit neither at the usable end of the "
             "context nor in the required order"
@@ -348,7 +328,7 @@ def _exp_ord(
 
     if d.rule == "arrow_e":
         pf, *pas = d.premises
-        fctx, fd = _exp_ord(pf, supply, prefer_left, at_fun=True)
+        fd = _exp_ord(pf, supply, owner, prefer_left, at_fun=True)
         peeled: list[tuple[str, Type]] = []
         t = fd.ty
         for _ in pas:
@@ -364,32 +344,18 @@ def _exp_ord(
         senses = {s for s, _ in peeled}
         if len(senses) != 1:
             raise OrderViolation("function annotation mixes arrow senses")
-        leftward = senses == {"l"}
+        rule = "arrow_e_l" if senses == {"l"} else "arrow_e_r"
 
-        parts = [_exp_ord(pa, supply, prefer_left, at_fun=False) for pa in pas]
+        parts = [_exp_ord(pa, supply, owner, prefer_left, at_fun=False) for pa in pas]
         cur = fd
-        for (_actx, ad), (_s, want) in zip(parts, peeled):
+        for ad, (_s, want) in zip(parts, peeled):
             if ad.ty != want:
                 raise OrderViolation(
                     "argument annotation does not match the function's domain"
                 )
-            cur = elim(cur, ad, "arrow_e_l" if leftward else "arrow_e_r")
-        arg_ctxs = [actx for actx, _ad in parts]
-        if leftward:
-            ctx = arg_ctxs[-1]
-            for actx in reversed(arg_ctxs[:-1]):
-                ctx = ctx_append(ctx, actx)
-            ctx = ctx_append(ctx, fctx)
-        else:
-            ctx = fctx
-            for actx in arg_ctxs:
-                ctx = ctx_append(ctx, actx)
-        if ctx_to_basis(ctx, Target.ORDERED).entries != cur.basis.entries:
-            raise OrderViolation(
-                "appending the contexts interleaves bindings the derivation "
-                "keeps apart"
-            )
-        return ctx, cur
+            cur = elim(cur, ad, rule)
+        _owner_runs(cur.basis, owner)
+        return cur
 
     raise AssertionError(d.rule)
 
@@ -397,10 +363,18 @@ def _exp_ord(
 def expand_ordered(
     d: InterDerivation,
     supply: FreshSupply | None = None,
-    orientation: str = Orientation.RIGHT,
+    orientation: str = "right",
 ) -> ExpansionResult:
     """Expand a sequence-flavored derivation of a lI term; the output is
     ordered typable, and the induced derivation is built alongside it.
+    The context is read off that derivation's basis.
+
+    The orientation says which abstraction clause to prefer where both
+    could apply.  Only an abstraction applied as a function may discharge
+    on the left; arguments and root terms must keep the right-handed
+    annotation their consumers expect.  "right" prefers -o_r and falls
+    back to -o_l where the binder's bindings sit at the front of the
+    context; "mixed" prefers -o_l at those positions.
 
     Raises OrderViolation when no arrangement of the clauses fits under
     the requested orientation.
@@ -415,15 +389,17 @@ def expand_ordered(
         raise ExpansionError(
             "ordered expansion needs every binder to occur in its body"
         )
-    if orientation not in (Orientation.RIGHT, Orientation.MIXED):
+    if orientation not in ("right", "mixed"):
         raise ValueError(f"unknown orientation {orientation!r}")
     supply = _supply_for(d.subject, supply)
-    ctx, deriv = _exp_ord(d, supply, orientation == Orientation.MIXED, at_fun=False)
+    owner: dict[str, str] = {}
+    deriv = _exp_ord(d, supply, owner, orientation == "mixed", at_fun=False)
     res = check_derivation(deriv)
     if not res:
         raise OrderViolation(
             f"induced ordered derivation fails at {list(res.path)}: {res.reason}"
         )
+    ctx = ListExpCtx(_owner_runs(deriv.basis, owner))
     return ExpansionResult(deriv.subject, deriv.ty, ctx, deriv, None)
 
 
@@ -431,7 +407,7 @@ def expand(
     d: InterDerivation,
     flavor: Flavor,
     supply: FreshSupply | None = None,
-    orientation: str = Orientation.RIGHT,
+    orientation: str = "right",
 ) -> ExpansionResult:
     """Expansion under any flavor: ACI and AC give set contexts, A gives
     an ordered (list) context."""

@@ -670,16 +670,13 @@ def match_requested(
     covering both ways under ACI.  Returns the substituted derivation,
     or None when no consistent assignment exists.
     """
-    # keep the derivation's variables apart from the requested type's
-    pre = {v: TVar(f"_m{i}") for i, v in enumerate(_deriv_ty_vars(d))}
-    d = rename_tyvars(d, pre)
+    own = _deriv_ty_vars(d)
+    rigid = set(ty_vars(requested))
     for s in _match_ty(d.ty, requested, {}, flavor):
-        out = rename_tyvars(d, s)
-        leftovers = [v for v in _deriv_ty_vars(out) if v.startswith("_m")]
-        if leftovers:
-            taken = set(_deriv_ty_vars(out)) | set(ty_vars(requested))
-            names = (n for n in letter_names() if n not in taken)
-            out = rename_tyvars(out, {v: TVar(next(names)) for v in leftovers})
+        # the variables the match leaves free take letters the request
+        # does not use, so they stay apart from its rigid ones
+        names = (n for n in letter_names() if n not in rigid)
+        out = rename_tyvars(d, {**s, **{v: TVar(next(names)) for v in own if v not in s}})
         if check_inter(out, flavor):
             return out
     return None

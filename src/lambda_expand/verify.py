@@ -487,8 +487,6 @@ def substitution_composes(subject: Term | Facts, flavor: Flavor) -> tuple[str, s
             composed = _compose_set(rb, x, args, flavor, supply)
     except OrderViolation as exc:
         return "collected", f"order violation expanding an argument: {exc}"
-    if isinstance(composed, str):
-        return "collected", composed
     rhs_term, rhs_ctx = composed
 
     reduct = beta_step(d.subject, ())
@@ -536,18 +534,12 @@ def _compose_set(
 
 def _compose_ordered(
     rb, x: str, args: list[InterDerivation], supply: FreshSupply
-) -> tuple[Term, ListExpCtx] | str:
+) -> tuple[Term, ListExpCtx]:
     """Ordered composition: splice the argument contexts at the position of
-    the group the bound name owns.  Returns a note instead when the body's
-    context does not present that group contiguously."""
-    groups = [(v, list(g)) for v, g in rb.context.groups]
-    idxs = [i for i, (v, _) in enumerate(groups) if v == x]
-    if len(idxs) != 1:
-        return (
-            "the bound name's drawn variables are not one contiguous group, "
-            "so the spliced form is not defined on this instance"
-        )
-    idx = idxs[0]
+    the group the bound name owns.  The subject is a lI term, so that group
+    exists, and expansion keeps each owner's bindings in one group."""
+    groups = rb.context.groups
+    idx = rb.context.owners().index(x)
     entries = groups[idx][1]
     if len(entries) != len(args):
         raise ExpansionError("drawn-variable count differs from premise count")

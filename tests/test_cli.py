@@ -282,6 +282,18 @@ def test_infer_fuel_env_override(capsys, monkeypatch):
     assert code == 3 and "LEXP_FUEL" in err
 
 
+def test_a_negative_fuel_is_a_usage_error(capsys, monkeypatch):
+    code, out, err = run(capsys, "reduce", "--fuel", "-1", "(\\x. x) y")
+    assert (code, out, err) == (3, "", "usage error: --fuel must not be negative")
+    monkeypatch.setenv("LEXP_FUEL", "-1")
+    code, out, err = run(capsys, "infer", "--system", "intersection", "(\\x. x) y")
+    assert (code, out, err) == (3, "", "usage error: LEXP_FUEL must not be negative")
+    # no fuel at all stays a budget: the redex is left, so the run is inconclusive
+    monkeypatch.setenv("LEXP_FUEL", "0")
+    code, _, err = run(capsys, "infer", "--system", "intersection", "(\\x. x) y")
+    assert (code, err) == (2, "no derivation within fuel 0")
+
+
 def test_infer_dot_output(capsys):
     code, out, _ = run(capsys, "infer", "--system", "intersection", "--format", "dot", "\\x. x x")
     assert code == 0

@@ -17,7 +17,6 @@ from lambda_expand.expansion import (
     DiagramReport,
     ExpansionError,
     ExpansionResult,
-    Orientation,
     OrderViolation,
     expand,
     expand_ac,
@@ -212,8 +211,8 @@ def test_ordered_expansion_of_applied_abstraction():
 
 def test_ordered_expansion_same_under_either_orientation():
     d = infer(t(r"(\x. x z) z"))
-    right = expand_ordered(d, orientation=Orientation.RIGHT)
-    mixed = expand_ordered(d, orientation=Orientation.MIXED)
+    right = expand_ordered(d, orientation="right")
+    mixed = expand_ordered(d, orientation="mixed")
     assert alpha_eq(right.expanded, mixed.expanded)
     assert right.ty == mixed.ty
 
