@@ -543,6 +543,15 @@ def infer(t: Term, fuel: int = 10_000) -> InterDerivation | None:
     The subject of the result is the canonicalized spelling of t; type
     variables are canonical letters.
 
+    A leftmost step is a function of the term's alpha class, so a run that
+    meets a term it has already met never lands.  The run compares each
+    term with one checkpoint, moved to the current term after steps 1, 2,
+    4, 8, ... (Brent's cycle detection), and gives up at the first repeat
+    it meets: Omega after one step, and a run whose terms repeat with period
+    p from step m on within 2 max(m, p) + p steps.  Only a run that neither
+    lands nor repeats spends the whole fuel.  `reduction.reduce` keeps no
+    checkpoint and still runs to its fuel.
+
     The replay needs the term before each step, but only of a run that
     normalizes.  So the run holds the terms of its first `_HELD_STATES`
     (128) steps and the positions of the rest; a run that normalizes after
@@ -561,17 +570,23 @@ def infer(t: Term, fuel: int = 10_000) -> InterDerivation | None:
 # How many of a run's terms inference holds while it reduces.  Every
 # normalizing run the benchmark and the property matrix make fits (3^4
 # takes 80 steps, open terms up to size 8 at most 2), while a run that spends
-# its fuel, such as Omega's 10,000 steps, would otherwise hold one term per
-# step that no replay reads.  Rebuilding past it spells each term as the
-# run did, because beta_step is a function of (term, position) alone.
+# its fuel without repeating a term, such as (\x. x x y) (\x. x x y), whose
+# terms grow by one argument a step, would otherwise hold one term per step
+# that no replay reads.  Rebuilding past it spells each term as the run did,
+# because beta_step is a function of (term, position) alone.
 _HELD_STATES = 128
 
 
 def _infer(t: Term, fuel: int, fresh: FreshSupply) -> InterDerivation:
     positions: list[RedexPosition] = []
     states, nf = [t], t
+    checkpoint, moves_at = t, 1
     for pos, nf in steps(t, Strategy.LEFTMOST, fuel):
         positions.append(pos)
+        if alpha_eq(nf, checkpoint):
+            raise FuelExhausted
+        if len(positions) == moves_at:
+            checkpoint, moves_at = nf, 2 * moves_at
         if len(states) < _HELD_STATES:
             states.append(nf)
     for pos in positions[len(states) - 1 : -1]:

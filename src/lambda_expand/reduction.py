@@ -169,7 +169,8 @@ def steps(
 def reduce(t: Term, strategy: Strategy = Strategy.LEFTMOST, fuel: int = 10_000) -> ReduceResult:
     """Run a strategy for at most `fuel` steps, keeping every step in the
     trace. Fuel exhaustion is reported as its own status: it is
-    inconclusive, not a verdict on the term.
+    inconclusive, not a verdict on the term.  A run that meets a term again
+    still runs to its fuel, so the trace shows every step it was given.
     """
     trace = ReductionTrace(start=t)
     status = _FINAL_STATUS[strategy]

@@ -370,29 +370,92 @@ def simultaneous_substitute(t: Term, bindings: list[tuple[str, Term]]) -> Term:
 
 def de_bruijn(t: Term, ren: dict[str, str] | None = None):
     """Nameless key: alpha-equivalent terms get equal keys.  Free names are
-    first renamed by ``ren`` when given."""
-    ren = ren or {}
+    first renamed by ``ren`` when given.
 
-    def go(t: Term, depth: dict[str, int], level: int):
+    Built on an explicit stack, so a term's depth is bounded by memory: a
+    str on the stack ends that binder's scope and wraps the body's key, and
+    None pairs the last two keys into an application's.
+    """
+    ren = ren or {}
+    # each name's enclosing binders' levels, innermost last
+    levels: dict[str, list[int]] = {}
+    level = 0
+    keys: list = []
+    stack: list[Term | str | None] = [t]
+    while stack:
+        t = stack.pop()
         if isinstance(t, Var):
             v = t.name
-            if v in depth:
-                return ("b", level - depth[v])
-            return ("f", ren.get(v, v))
-        if isinstance(t, Abs):
-            return ("l", go(t.body, {**depth, t.binder: level + 1}, level + 1))
-        if isinstance(t, App):
-            return ("a", go(t.fun, depth, level), go(t.arg, depth, level))
-        raise TypeError(t)
-
-    return go(t, {}, 0)
+            at = levels.get(v)
+            keys.append(("b", level - at[-1]) if at else ("f", ren.get(v, v)))
+        elif isinstance(t, App):
+            stack.append(None)
+            stack.append(t.arg)
+            stack.append(t.fun)
+        elif isinstance(t, Abs):
+            level += 1
+            levels.setdefault(t.binder, []).append(level)
+            stack.append(t.binder)
+            stack.append(t.body)
+        elif isinstance(t, str):
+            levels[t].pop()
+            level -= 1
+            keys.append(("l", keys.pop()))
+        elif t is None:
+            arg = keys.pop()
+            keys.append(("a", keys.pop(), arg))
+        else:
+            raise TypeError(t)
+    return keys[0]
 
 
 def alpha_eq(a: Term, b: Term) -> bool:
-    return de_bruijn(a) == de_bruijn(b)
+    return alpha_eq_renamed(a, {}, b)
 
 
 def alpha_eq_renamed(t: Term, ren: dict[str, str], u: Term) -> bool:
-    """Is t, with its free names renamed by ren, alpha-equal to u?  The
-    renaming acts on de Bruijn keys, where no name can be captured."""
-    return de_bruijn(t, ren) == de_bruijn(u)
+    """Is t, with its free names renamed by ren, alpha-equal to u?
+
+    One walk over both terms in step, on an explicit stack, that returns at
+    the first difference.  A bound name compares by the level of its
+    binder, so a renamed free name can never be captured.  This runs on
+    every step of inference: it dispatches with isinstance, as _scan does.
+    """
+    # each name's enclosing binders' levels, innermost last, on either
+    # side; a pair of strs on the stack ends those two binders' scopes
+    left: dict[str, list[int]] = {}
+    right: dict[str, list[int]] = {}
+    level = 0
+    stack: list[tuple] = [(t, u)]
+    while stack:
+        a, b = stack.pop()
+        if isinstance(a, Var):
+            if not isinstance(b, Var):
+                return False
+            at = left.get(a.name)
+            bt = right.get(b.name)
+            if at:
+                if not bt or at[-1] != bt[-1]:
+                    return False
+            elif bt or ren.get(a.name, a.name) != b.name:
+                return False
+        elif isinstance(a, App):
+            if not isinstance(b, App):
+                return False
+            stack.append((a.arg, b.arg))
+            stack.append((a.fun, b.fun))
+        elif isinstance(a, Abs):
+            if not isinstance(b, Abs):
+                return False
+            level += 1
+            left.setdefault(a.binder, []).append(level)
+            right.setdefault(b.binder, []).append(level)
+            stack.append((a.binder, b.binder))
+            stack.append((a.body, b.body))
+        elif isinstance(a, str):
+            left[a].pop()
+            right[b].pop()
+            level -= 1
+        else:
+            raise TypeError(a)
+    return True

@@ -225,10 +225,15 @@ def test_infer_intersection_through_an_untypable_subterm(capsys):
     assert out.splitlines()[0].endswith(" : a -> a")
 
 
-def test_infer_nonterminating_term_is_inconclusive(capsys):
-    code, _, err = run(capsys, "infer", "--system", "intersection", "(\\x. x x)(\\x. x x)")
-    assert code == 2
-    assert "fuel" in err
+def test_infer_nonterminating_term_is_inconclusive(capsys, monkeypatch):
+    # Omega repeats its term at the first step, and the message still
+    # names the whole budget, not the steps taken
+    monkeypatch.delenv("LEXP_FUEL", raising=False)
+    code, out, err = run(capsys, "infer", "--system", "intersection", "(\\x. x x)(\\x. x x)")
+    assert (code, out, err) == (2, "", "no derivation within fuel 10000")
+    monkeypatch.setenv("LEXP_FUEL", "0")
+    code, out, err = run(capsys, "infer", "--system", "intersection", "(\\x. x x)(\\x. x x)")
+    assert (code, out, err) == (2, "", "no derivation within fuel 0")
 
 
 TWO_TWO_TWO = " ".join(["(\\f x. f (f x))"] * 3)
@@ -458,6 +463,15 @@ def test_reduce_fuel_exhaustion_is_inconclusive(capsys):
     code, out, _ = run(capsys, "reduce", "--fuel", "5", "(\\x. x x) (\\x. x x)")
     assert code == 2
     assert out.endswith("[fuel-exhausted after 5 steps]")
+
+
+def test_reduce_runs_a_repeating_term_to_its_fuel(capsys, monkeypatch):
+    # unlike infer, reduce keeps no checkpoint: every step is printed
+    monkeypatch.delenv("LEXP_FUEL", raising=False)
+    code, out, _ = run(capsys, "reduce", "(\\x. x x) (\\x. x x)")
+    assert code == 2
+    assert out.endswith("[fuel-exhausted after 10000 steps]")
+    assert out.count("\n-> ") == 10_000
 
 
 def test_reduce_weak_head_stops_under_binders(capsys):

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lambda_expand import intersection
+from lambda_expand import intersection, reduction
 from lambda_expand.intersection import (
     InterDerivation,
     ReductionTypeError,
@@ -131,16 +131,61 @@ def test_infer_omega_gives_up():
     assert infer(t("(\\x. x x) (\\x. x x)"), fuel=200) is None
 
 
+# each step applies the term to one more y, so no term repeats and the run
+# spends its fuel
+GROWING = "(\\x. x x y) (\\x. x x y)"
+
+
 def test_a_run_that_spends_its_fuel_holds_no_trace():
-    # Omega at the default fuel: 10,000 steps, of which only the first
-    # 128 terms are held
+    # 300 steps, of which only the first 128 terms are held; holding all
+    # 300 peaks near 2.7 MB, because the k-th term has k arguments
     tracemalloc.start()
     try:
-        assert infer(t("(\\x. x x) (\\x. x x)")) is None
+        assert infer(t(GROWING), fuel=300) is None
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1_000_000, peak
+    assert peak < 1_500_000, peak
+
+
+def _count_beta_steps(monkeypatch):
+    calls = []
+    real_step = reduction.beta_step
+
+    def counted_step(*args):
+        calls.append(args)
+        return real_step(*args)
+
+    monkeypatch.setattr(reduction, "beta_step", counted_step)
+    monkeypatch.setattr(intersection, "beta_step", counted_step)
+    return calls
+
+
+OMEGA = "(\\x. x x) (\\x. x x)"
+
+
+@pytest.mark.parametrize(
+    "src",
+    [
+        OMEGA,
+        f"({OMEGA}) v",
+        f"v ({OMEGA})",
+        # period 2: Y applied to the identity
+        "(\\f. (\\x. f (x x)) (\\x. f (x x))) (\\y. y)",
+        # Omega is the argument the replay types after the erasing step
+        f"(\\x. y) ({OMEGA})",
+    ],
+)
+def test_a_run_that_repeats_a_term_ends_there(monkeypatch, src):
+    calls = _count_beta_steps(monkeypatch)
+    assert infer(t(src)) is None
+    assert 1 <= len(calls) <= 4, len(calls)
+
+
+def test_a_run_that_never_repeats_spends_its_fuel(monkeypatch):
+    calls = _count_beta_steps(monkeypatch)
+    assert infer(t(GROWING), fuel=200) is None
+    assert len(calls) == 200
 
 
 def _church(n):

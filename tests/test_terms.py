@@ -313,6 +313,84 @@ def test_de_bruijn_key_is_alpha_invariant():
     assert de_bruijn(t("\\x. x")) != de_bruijn(t("\\x. \\y. y"))
 
 
+def _recursive_de_bruijn(t, ren=None):
+    """The key de_bruijn built by recursion before it ran on a stack."""
+    ren = ren or {}
+
+    def go(t, depth, level):
+        if isinstance(t, Var):
+            v = t.name
+            if v in depth:
+                return ("b", level - depth[v])
+            return ("f", ren.get(v, v))
+        if isinstance(t, Abs):
+            return ("l", go(t.body, {**depth, t.binder: level + 1}, level + 1))
+        return ("a", go(t.fun, depth, level), go(t.arg, depth, level))
+
+    return go(t, {}, 0)
+
+
+def _rename_binders(t, ren):
+    """t with every name in ren renamed, binders and occurrences alike, with
+    no regard for capture: a clash or a shadowing may change the term."""
+    if isinstance(t, Var):
+        return Var(ren.get(t.name, t.name))
+    if isinstance(t, Abs):
+        return Abs(ren.get(t.binder, t.binder), _rename_binders(t.body, ren))
+    return App(_rename_binders(t.fun, ren), _rename_binders(t.arg, ren))
+
+
+def test_de_bruijn_keys_match_the_recursive_keys_to_size_7():
+    swap = {"v1": "v2", "v2": "v1"}
+    for u in enumerate_terms(7, closed_only=False):
+        assert de_bruijn(u) == _recursive_de_bruijn(u), u
+        assert de_bruijn(u, swap) == _recursive_de_bruijn(u, swap), u
+
+
+@given(terms)
+def test_de_bruijn_keys_match_the_recursive_keys_under_shadowing(u):
+    assert de_bruijn(u) == _recursive_de_bruijn(u)
+
+
+def test_a_term_nested_10000_deep_gets_a_key_and_compares():
+    deep, renamed, free_renamed = Var("x"), Var("x"), Var("w")
+    for i in range(10_000):
+        deep = Abs(f"y{i % 3}", App(deep, Var("y0")))
+        renamed = Abs(f"z{i % 3}", App(renamed, Var("z0")))
+        free_renamed = Abs(f"y{i % 3}", App(free_renamed, Var("y0")))
+    assert isinstance(hash(de_bruijn(deep)), int)
+    assert alpha_eq(deep, renamed)
+    # the outermost binder no longer binds the z0 below it
+    assert not alpha_eq(deep, Abs("y0", renamed.body))
+    assert alpha_eq_renamed(deep, {"x": "w"}, free_renamed)
+    assert not alpha_eq(deep, free_renamed)
+
+
+def test_alpha_eq_agrees_with_de_bruijn_keys_to_size_5():
+    # each term, and copies whose binders are renamed apart, all spelled x
+    # (shadowing), or spelled like the free names v1, v2, ... (clashing);
+    # the last two may change the alpha class, and the keys say when
+    pool = []
+    for u in enumerate_terms(5, closed_only=False):
+        depth = range(1, 6)
+        pool.append(u)
+        pool.append(_rename_binders(u, {f"x{k}": f"y{k}" for k in depth}))
+        pool.append(_rename_binders(u, {f"x{k}": "x" for k in depth}))
+        pool.append(_rename_binders(u, {f"x{k}": f"v{k}" for k in depth}))
+    swap = {"v1": "v2", "v2": "v1"}
+    keys = [de_bruijn(u) for u in pool]
+    swapped = [de_bruijn(u, swap) for u in pool]
+    equal = 0
+    for a, ka, sa in zip(pool, keys, swapped):
+        for b, kb in zip(pool, keys):
+            assert alpha_eq(a, b) == (ka == kb), (a, b)
+            assert alpha_eq_renamed(a, swap, b) == (sa == kb), (a, b)
+            equal += ka == kb
+    # the renamed copies are alpha-equal to their sources, and some of the
+    # shadowed and clashing ones are not
+    assert len(pool) * 2 <= equal < len(pool) ** 2
+
+
 @given(terms)
 def test_canonicalize_preserves_alpha_class(u):
     assert alpha_eq(canonicalize(u), u)
