@@ -15,6 +15,7 @@ not rebuild a derivation, or the input nests past the recursion limit);
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -70,7 +71,10 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The `lexp` parser, built on the first call and shared after it: parsing
+    keeps no state in the parser, and every error raises `UsageError`."""
     p = _Parser(prog="lexp", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -355,6 +359,8 @@ def _parse_corpus_spec(spec: str):
         max_size = int(parts[1])
     except ValueError:
         raise UsageError(f"corpus size {parts[1]!r} is not an integer") from None
+    if max_size < 0:
+        raise UsageError("corpus size must not be negative")
     keep = parts[2] if len(parts) == 3 else None
     if keep is not None and keep not in ("lambda-i", "affine", "linear", "typable"):
         raise UsageError(f"unknown corpus filter {keep!r}")
@@ -391,6 +397,8 @@ def _cmd_verify(args) -> int:
 def _cmd_enumerate(args) -> int:
     from .verify import CapExceeded, enumerate_terms
 
+    if args.max_size < 0:
+        raise UsageError("--max-size must not be negative")
     try:
         terms = enumerate_terms(args.max_size, closed_only=not args.open)
     except CapExceeded as exc:

@@ -6,6 +6,7 @@ also pin the exit-code contract: 0 success/typable, 1 absent, 2 inconclusive
 3 usage or syntax errors.
 """
 
+import gc
 import io
 import json
 import os
@@ -16,7 +17,7 @@ import pytest
 
 import lambda_expand
 from lambda_expand import expansion, serialize
-from lambda_expand.cli import main
+from lambda_expand.cli import _build_parser, main
 from lambda_expand.expansion import ExpansionResult
 from lambda_expand.intersection import ReplayError, infer
 from lambda_expand.syntax import parse_inter_type, parse_term
@@ -299,6 +300,18 @@ def test_a_negative_fuel_is_a_usage_error(capsys, monkeypatch):
     assert (code, err) == (2, "no derivation within fuel 0")
 
 
+def test_a_negative_enumeration_size_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "enumerate", "--max-size", "-1")
+    assert (code, out, err) == (3, "", "usage error: --max-size must not be negative")
+    for corpus in ("open:-1", "closed:-1", "open:-1:typable"):
+        code, out, err = run(capsys, "verify", "--corpus", corpus)
+        assert (code, out, err) == (3, "", "usage error: corpus size must not be negative")
+    # size 0 stays an empty corpus, not an error
+    assert run(capsys, "enumerate", "--max-size", "0", "--open") == (0, "", "")
+    code, out, _ = run(capsys, "verify", "--corpus", "closed:0", "--props", "inference-replay-checks")
+    assert code == 0 and "all-closed-le-0" in out
+
+
 def test_infer_dot_output(capsys):
     code, out, _ = run(capsys, "infer", "--system", "intersection", "--format", "dot", "\\x. x x")
     assert code == 0
@@ -576,3 +589,54 @@ def test_importing_the_cli_leaves_the_property_matrix_unloaded():
 def test_unknown_subcommand_is_a_usage_error(capsys):
     code, _, err = run(capsys, "frobnicate")
     assert code == 3 and "usage error" in err
+
+
+# --------------------------------------------------------------------------
+# the parser, built once per process
+
+# the README's worked examples, each as the argv of one `lexp` command
+README_EXAMPLES = (
+    ["parse", "λx. x x"],
+    ["reduce", "(\\x. x x) (\\y. y)"],
+    ["check", "--system", "linear", "\\x. \\y. x"],
+    ["check", "--system", "ordered", "--basis", "z1: a -o_r b, z2: a", "--type", "b",
+     "(\\x. x z2) z1"],
+    ["check", "--system", "curry", "--basis", "x: a", "--type", "b -> b", "\\x. x"],
+    ["infer", "--system", "intersection", "\\x. x x"],
+    ["infer", "--system", "intersection", "(\\x. x x)(\\x. x x)"],
+    ["expand", "--flavor", "aci", "--type", "a -> a", "(\\x. x x)(\\x. x)"],
+    ["expand", "--flavor", "ordered", "--type", "b", "(\\x. x z) z"],
+    ["enumerate", "--max-size", "3", "--open"],
+    ["verify", "--corpus", "open:5"],
+    ["verify", "--corpus", "closed:7", "--props", "linear-decision-matches-term-class",
+     "--format", "json"],
+)
+
+
+def test_every_call_shares_one_parser():
+    assert _build_parser() is _build_parser()
+
+
+def test_the_shared_parser_keeps_no_state_between_calls(capsys):
+    first = [run(capsys, *argv) for argv in README_EXAMPLES]
+    assert [code for code, _, _ in first] == [0, 0, 1, 0, 0, 0, 2, 0, 0, 0, 0, 0]
+    assert run(capsys, "reduce", "--strategy", "normal", "x")[0] == 3
+    assert run(capsys, "parse", "\\x.")[0] == 3
+    assert [run(capsys, *argv) for argv in README_EXAMPLES] == first
+
+
+def test_an_option_does_not_carry_over_to_the_next_call(capsys):
+    code, out, _ = run(capsys, "reduce", "--fuel", "1", "(\\x. x x) (\\x. x x)")
+    assert (code, out.splitlines()[-1]) == (2, "[fuel-exhausted after 1 steps]")
+    code, out, _ = run(capsys, "reduce", "(\\x. x x) (\\x. x x)")
+    assert (code, out.splitlines()[-1]) == (2, "[fuel-exhausted after 10000 steps]")
+
+    assert json.loads(run(capsys, "parse", "--format", "json", "x")[1])["schema"]
+    assert run(capsys, "parse", "x") == (0, "x", "")
+
+
+def test_main_leaves_no_parser_garbage(capsys):
+    main(["parse", "x"])  # builds the shared parser
+    gc.collect()
+    main(["parse", "x"])
+    assert gc.collect() == 0
