@@ -44,6 +44,7 @@ from .systems import (
     check_derivation,
     elim,
     intro,
+    relabel,
 )
 from .terms import (
     Abs,
@@ -73,7 +74,6 @@ from .typelang import (
     ctx_to_basis,
     ctx_union,
     dedup_members,
-    fold,
     set_ctx_eq,
     translate,
 )
@@ -220,22 +220,25 @@ def _expand_set_flavored(
         raise ExpansionError(
             f"induced {main.value} derivation cannot be built: {exc}"
         ) from exc
+    _require_pass(induced)
     strict = None
     if classify(d.subject).is_lambda_i:
         # a lI subject's expansion needs no weak node, and an AC expansion
-        # no ctr node, so the strict derivation is the induced one relabelled
-        strict = fold(
-            induced,
-            lambda n, ps: Derivation(strict_sys, n.rule, n.basis, n.subject, n.ty, ps),
-        )
-    for built in (induced, strict) if strict else (induced,):
-        res = check_derivation(built)
-        if not res:
-            raise ExpansionError(
-                f"induced {built.system.value} derivation fails "
-                f"at {list(res.path)}: {res.reason}"
-            )
+        # no ctr node, so the strict derivation is the induced one
+        # relabelled; relabel records its pass unless a node needs a rule
+        # strict_sys lacks, and only then is it walked, to name that node
+        strict = relabel(induced, strict_sys)
+        _require_pass(strict)
     return ExpansionResult(term, induced.ty, ctx, induced, strict)
+
+
+def _require_pass(built: Derivation) -> None:
+    res = check_derivation(built)
+    if not res:
+        raise ExpansionError(
+            f"induced {built.system.value} derivation fails "
+            f"at {list(res.path)}: {res.reason}"
+        )
 
 
 def expand_aci(

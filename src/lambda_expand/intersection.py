@@ -117,9 +117,11 @@ def check_inter(d: InterDerivation, flavor: Flavor = Flavor.A) -> CheckResult:
     normal form (typelang.normalize): A demands the exact sequences, AC
     equal multisets, ACI equal sets.  Argument premises pair one to one
     with domain members under every flavor.  Derivations produced by this
-    module are A-strict and therefore pass under every flavor.
+    module are A-strict and therefore pass under every flavor.  A pass is
+    recorded on d under its flavor (typelang.check_tree), so d is walked
+    once per flavor; a pass under ACI says nothing about A.
     """
-    return check_tree(d, partial(_icheck_node, flavor))
+    return check_tree(d, partial(_icheck_node, flavor), flavor)
 
 
 def _icheck_node(flavor: Flavor, d: InterDerivation) -> str | None:
@@ -733,21 +735,32 @@ def _match_members(
         cover = [classes.setdefault(normalize(t, flavor), len(classes)) for t in tgts]
     else:
         cover = list(range(len(tgts)))
-    n_cover = len(set(cover))
+    yield from _place(pats, tgts, cover, len(set(cover)), 0, s, frozenset(), flavor)
 
-    def place(i: int, s: dict[str, InterType], used: frozenset[int]):
-        if len(pats) - i < n_cover - len(used):
-            return  # too few pattern members left to cover the targets
-        if i == len(pats):
-            yield s
-            return
-        order = (i,) if flavor is Flavor.A else range(len(tgts))
-        if flavor is Flavor.ACI:
-            order = sorted(order, key=lambda j: j != i)
-        for j in order:
-            if flavor is Flavor.AC and j in used:
-                continue  # the cover check would reject it one member later
-            for s2 in _match_ty(pats[i], tgts[j], s, flavor):
-                yield from place(i + 1, s2, used | {cover[j]})
 
-    yield from place(0, s, frozenset())
+def _place(
+    pats: tuple[InterType, ...],
+    tgts: tuple[InterType, ...],
+    cover: list[int],
+    n_cover: int,
+    i: int,
+    s: dict[str, InterType],
+    used: frozenset[int],
+    flavor: Flavor,
+) -> Iterator[dict[str, InterType]]:
+    """_match_members from pattern member i on, with the cover classes in
+    `used` taken; a module-level generator, so a match leaves no
+    reference cycle behind."""
+    if len(pats) - i < n_cover - len(used):
+        return  # too few pattern members left to cover the targets
+    if i == len(pats):
+        yield s
+        return
+    order = (i,) if flavor is Flavor.A else range(len(tgts))
+    if flavor is Flavor.ACI:
+        order = sorted(order, key=lambda j: j != i)
+    for j in order:
+        if flavor is Flavor.AC and j in used:
+            continue  # the cover check would reject it one member later
+        for s2 in _match_ty(pats[i], tgts[j], s, flavor):
+            yield from _place(pats, tgts, cover, n_cover, i + 1, s2, used | {cover[j]}, flavor)

@@ -242,56 +242,67 @@ def _parse_type(src: str, language: str, *classes: type) -> Type:
     `&` is admitted only with InterArrow, and only to form a whole arrow
     domain: `a & b -> c`, or `(a & b) -> c`, which parses the same.
     """
-    arrows = {_CONNECTIVE[cls].kind: cls for cls in classes}
-    cur = _Cursor(_lex(src))
-
-    def single(group: _Group) -> Type:
-        members, amp = group
-        if amp is not None:
-            raise ParseError("an intersection may only appear in an arrow domain", amp.line, amp.col)
-        return members[0]
-
-    def arrow_type() -> _Group:
-        dom = domain()
-        tok = cur.peek()
-        if tok.kind not in _ARROW_KINDS:
-            return dom
-        cls = arrows.get(tok.kind)
-        if cls is None:
-            raise ParseError(f"{tok.text!r} is not a connective of {language} types", tok.line, tok.col)
-        cur.next()
-        cod = single(arrow_type())
-        ty = InterArrow(dom[0], cod) if cls is InterArrow else cls(single(dom), cod)
-        return (ty,), None
-
-    def domain() -> _Group:
-        group = atom()
-        first = cur.peek()
-        if first.kind != "AMP":
-            return group
-        members = [single(group)]
-        while (tok := cur.peek()).kind == "AMP":
-            if InterArrow not in classes:
-                raise ParseError(f"{tok.text!r} is not a connective of {language} types", tok.line, tok.col)
-            cur.next()
-            members.append(single(atom()))
-        return tuple(members), first
-
-    def atom() -> _Group:
-        tok = cur.next()
-        if tok.kind == "IDENT":
-            return (TVar(tok.text),), None
-        if tok.kind == "LPAREN":
-            group = arrow_type()
-            cur.expect("RPAREN")
-            return group
-        raise ParseError(f"expected a type, found {tok.text or 'end of input'!r}", tok.line, tok.col)
-
-    ty = single(arrow_type())
-    tok = cur.peek()
+    parser = _TypeParser(_Cursor(_lex(src)), language, classes)
+    ty = _single(parser.arrow_type())
+    tok = parser.cur.peek()
     if tok.kind != "EOF":
         raise ParseError(f"unexpected {tok.text!r}", tok.line, tok.col)
     return ty
+
+
+def _single(group: _Group) -> Type:
+    members, amp = group
+    if amp is not None:
+        raise ParseError("an intersection may only appear in an arrow domain", amp.line, amp.col)
+    return members[0]
+
+
+class _TypeParser:
+    """The descent's state, held by an object rather than closed over by
+    nested functions that refer to themselves, so a parse leaves no
+    reference cycle behind."""
+
+    def __init__(self, cur: _Cursor, language: str, classes: tuple[type, ...]):
+        self.cur = cur
+        self.language = language
+        self.classes = classes
+        self.arrows = {_CONNECTIVE[cls].kind: cls for cls in classes}
+
+    def arrow_type(self) -> _Group:
+        dom = self.domain()
+        tok = self.cur.peek()
+        if tok.kind not in _ARROW_KINDS:
+            return dom
+        cls = self.arrows.get(tok.kind)
+        if cls is None:
+            raise ParseError(f"{tok.text!r} is not a connective of {self.language} types", tok.line, tok.col)
+        self.cur.next()
+        cod = _single(self.arrow_type())
+        ty = InterArrow(dom[0], cod) if cls is InterArrow else cls(_single(dom), cod)
+        return (ty,), None
+
+    def domain(self) -> _Group:
+        group = self.atom()
+        first = self.cur.peek()
+        if first.kind != "AMP":
+            return group
+        members = [_single(group)]
+        while (tok := self.cur.peek()).kind == "AMP":
+            if InterArrow not in self.classes:
+                raise ParseError(f"{tok.text!r} is not a connective of {self.language} types", tok.line, tok.col)
+            self.cur.next()
+            members.append(_single(self.atom()))
+        return tuple(members), first
+
+    def atom(self) -> _Group:
+        tok = self.cur.next()
+        if tok.kind == "IDENT":
+            return (TVar(tok.text),), None
+        if tok.kind == "LPAREN":
+            group = self.arrow_type()
+            self.cur.expect("RPAREN")
+            return group
+        raise ParseError(f"expected a type, found {tok.text or 'end of input'!r}", tok.line, tok.col)
 
 
 def parse_simple_type(src: str) -> SimpleType:

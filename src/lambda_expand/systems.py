@@ -50,7 +50,10 @@ from .typelang import (
     check_distinct,
     check_tree,
     fold,
+    has_passed,
     letter_names,
+    preorder,
+    record_pass,
 )
 
 
@@ -108,10 +111,14 @@ class Derivation:
 
 
 _FOREIGN = "premise belongs to a different system"
+# check_derivation's key in a tree's pass record: the root fixes the
+# system, so one key serves every derivation
+_CHECKED = "check_derivation"
 
 
 def check_derivation(d: Derivation) -> CheckResult:
-    """Replay one derivation tree against the rule table of d.system."""
+    """Replay one derivation tree against the rule table of d.system.  A
+    pass is recorded on d (typelang.check_tree), so d is walked once."""
     sys = d.system
     structural = STRUCTURAL[sys]
     arrows = CONNECTIVE[sys]
@@ -131,7 +138,7 @@ def check_derivation(d: Derivation) -> CheckResult:
             return _check_intro(n, conn)
         return _check_elim(n, conn)
 
-    res = check_tree(d, check)
+    res = check_tree(d, check, _CHECKED)
     # a recursive check rejects a premise of another system before it
     # enters that premise, so a failure beneath one is reported there
     node = d
@@ -258,6 +265,26 @@ def rename_in_derivation(d: Derivation, ren: dict[str, str]) -> Derivation:
         return Derivation(n.system, n.rule, Basis(entries), subject, n.ty, prems)
 
     return fold(d, build)
+
+
+def relabel(d: Derivation, system: System) -> Derivation:
+    """d's tree with every node in `system`.
+
+    Where `system` has d.system's arrow rules (curry and relevant, affine
+    and linear), the copy passes check_derivation exactly when d passes
+    and `system` admits every rule d uses, since no node check but the
+    rule table reads the system.  So when d's pass is recorded and its
+    rules are admitted, the copy is recorded as passed without a walk;
+    otherwise check_derivation walks it and names the rule it lacks."""
+    out = fold(d, lambda n, ps: Derivation(system, n.rule, n.basis, n.subject, n.ty, ps))
+    admitted = {"ax", *STRUCTURAL[system], *CONNECTIVE[system]}
+    if (
+        CONNECTIVE[system] == CONNECTIVE[d.system]
+        and has_passed(d, _CHECKED)
+        and all(n.rule in admitted for n in preorder(d))
+    ):
+        record_pass(out, _CHECKED)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -257,10 +257,16 @@ class CheckResult:
 _OK = CheckResult(True)
 
 
-def check_tree(root, check) -> CheckResult:
+def check_tree(root, check, key) -> CheckResult:
     """check(node), the reason the node breaks its rule or None, on every
     node in the order a recursive check finishes them: left to right,
-    premises first.  Only the first failure works out its path."""
+    premises first.  Only the first failure works out its path.
+
+    The trees are frozen, so a pass stays true: it is recorded on root
+    under key, which names the check, and a root that has passed under
+    key is not walked again.  A failure is recorded nowhere."""
+    if has_passed(root, key):
+        return _OK
     nodes = preorder(root)
     for k in range(len(nodes) - 1, -1, -1):
         reason = check(nodes[k])
@@ -271,7 +277,20 @@ def check_tree(root, check) -> CheckResult:
                 n, path = stack.pop()
                 stack += [(p, path + (i,)) for i, p in enumerate(n.premises)]
             return CheckResult(False, path, reason)
+    record_pass(root, key)
     return _OK
+
+
+def has_passed(root, key) -> bool:
+    """Whether root's pass under key is recorded (see check_tree)."""
+    return key in getattr(root, "_passed", ())
+
+
+def record_pass(root, key) -> None:
+    """Record that the frozen tree under root passes the check named key,
+    as an attribute that is not a field, so equality and hashing ignore
+    it.  Only a check's owner records a pass it has not walked."""
+    object.__setattr__(root, "_passed", (*getattr(root, "_passed", ()), key))
 
 
 def fold(root, build):

@@ -640,3 +640,12 @@ def test_main_leaves_no_parser_garbage(capsys):
     gc.collect()
     main(["parse", "x"])
     assert gc.collect() == 0
+
+
+def test_a_type_parse_leaves_no_reference_cycle(capsys):
+    argv = ["check", "--system", "ordered", "--basis", "z1: a -o_r b, z2: a",
+            "--type", "b", "(\\x. x z2) z1"]
+    assert main(argv) == 0
+    gc.collect()
+    assert main(argv) == 0
+    assert gc.collect() == 0

@@ -34,7 +34,7 @@ from lambda_expand.intersection import (
     rename_tyvars,
 )
 from lambda_expand.syntax import parse_inter_type, parse_term, render_term, render_type
-from lambda_expand.systems import System, check_derivation
+from lambda_expand.systems import Derivation, System, check_derivation
 from lambda_expand.terms import (
     Abs,
     App,
@@ -58,6 +58,7 @@ from lambda_expand.typelang import (
     ctx_to_basis,
     env_eq,
     env_to_set_ctx,
+    fold,
     preorder,
     set_ctx_to_env,
     translate,
@@ -548,3 +549,24 @@ def test_inference_and_expansion_spellings_are_pinned():
     assert len(corpus) == 268
     text = "\n".join(line for u in corpus for line in _spellings(u))
     assert hashlib.sha256(text.encode()).hexdigest() == SPELLINGS_TO_SIZE_6
+
+
+def test_the_strict_derivation_passes_a_full_check_of_a_fresh_copy():
+    # expand records the strict derivation as passed without walking it;
+    # a copy built here is a new object, so check_derivation walks it whole
+    checked = 0
+    for u in enumerate_terms(6, closed_only=False):
+        d = infer(u)
+        if d is None or not classify(u).is_lambda_i:
+            continue
+        for flavor in (Flavor.ACI, Flavor.AC):
+            r = expand(d, flavor)
+            system = r.strict.system
+            copy = fold(
+                r.induced,
+                lambda n, ps: Derivation(system, n.rule, n.basis, n.subject, n.ty, ps),
+            )
+            assert copy == r.strict
+            assert check_derivation(copy), (render_term(u), flavor)
+            checked += 1
+    assert checked == 2 * 66  # the typable lI subjects, under each flavor

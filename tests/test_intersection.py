@@ -269,6 +269,20 @@ def test_check_inter_flavor_sensitivity():
     assert check_inter(tampered, Flavor.ACI)
 
 
+def test_a_pass_under_aci_says_nothing_about_a():
+    d = infer(t("\\x. x x"))
+    assert check_inter(d, Flavor.A)
+    doms = d.ty.doms
+    swapped = InterDerivation(
+        d.rule, d.env, d.subject, InterArrow((doms[1], doms[0]), d.ty.cod), d.premises
+    )
+    assert check_inter(swapped, Flavor.ACI)
+    res = check_inter(swapped, Flavor.A)
+    assert not res and res.path == () and res.reason
+    # a failure is recorded nowhere: the next call walks again to the same node
+    assert check_inter(swapped, Flavor.A) == res
+
+
 @pytest.mark.parametrize("width", [8, 9])
 def test_check_inter_wide_domain_in_any_order(width):
     # f : (a0 & ... & a_{width-1}) -> b applied to z, one argument premise

@@ -29,10 +29,11 @@ from lambda_expand.systems import (
     infer_curry,
     infer_ordered,
     permute_basis,
+    relabel,
     rename_in_derivation,
 )
 from lambda_expand.terms import Abs, App, Var, canonicalize, FreshSupply
-from lambda_expand.typelang import Arrow, Basis, Flavor, Lolli, LolliL, LolliR, TVar, fold
+from lambda_expand.typelang import Arrow, Basis, Flavor, Lolli, LolliL, LolliR, TVar, fold, preorder
 from lambda_expand.verify import enumerate_terms
 
 
@@ -329,6 +330,23 @@ def test_structural_rules_rejected_outside_their_systems():
         Lolli(A, A),
     )
     assert check_derivation(q)
+
+
+def test_relabelling_a_weak_node_into_relevant_is_not_recorded_as_a_pass():
+    # relabel records a copy's pass only when the target system admits
+    # every rule the checked source uses; expansion's strict derivation
+    # relies on that scan
+    d = decide(System.CURRY, t("\\x. \\y. x"))
+    assert check_derivation(d) and "weak" in {n.rule for n in preorder(d)}
+    res = check_derivation(relabel(d, System.RELEVANT))
+    assert not res and res.path == (0, 0)
+    assert res.reason == "rule 'weak' not available in relevant"
+    # the failure is recorded nowhere, so the same copy fails alike again
+    strict = relabel(d, System.RELEVANT)
+    assert check_derivation(strict) == res == check_derivation(strict)
+    # and a copy into the affine system, with weak but another arrow, is
+    # walked in full
+    assert not check_derivation(relabel(d, System.AFFINE))
 
 
 def test_contraction_rejected_in_affine_and_linear():

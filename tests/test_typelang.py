@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import dataclass
 
 from hypothesis import given
 from hypothesis import strategies as st
@@ -23,6 +24,7 @@ from lambda_expand.typelang import (
     ctx_match,
     ctx_to_basis,
     ctx_union,
+    check_tree,
     env_eq,
     env_meet,
     env_to_set_ctx,
@@ -445,3 +447,39 @@ def test_ctx_to_basis_list_flavor_keeps_order():
     ctx = list_ctx([("z", [("z2", ot("a -o_r b")), ("z1", ot("a"))])])
     basis = ctx_to_basis(ctx, Target.ORDERED)
     assert basis.entries == (("z2", ot("a -o_r b")), ("z1", ot("a")))
+
+
+@dataclass(frozen=True)
+class _Node:
+    premises: tuple = ()
+
+
+def test_check_tree_walks_a_passing_root_once_per_key():
+    leaf = _Node()
+    root = _Node((leaf, _Node()))
+    seen = []
+
+    def check(n):
+        seen.append(n)
+
+    assert check_tree(root, check, "k") and len(seen) == 3
+    assert check_tree(root, check, "k") and len(seen) == 3
+    # another key walks again, and a premise holds no record of its own
+    assert check_tree(root, check, "other") and len(seen) == 6
+    assert check_tree(leaf, check, "k") and len(seen) == 7
+    # the record is not a field: it changes neither equality nor hashing
+    assert root == _Node((_Node(), _Node())) and hash(root) == hash(_Node((_Node(), _Node())))
+
+
+def test_check_tree_records_no_failure():
+    bad = _Node()
+    root = _Node((_Node(), bad))
+    seen = []
+
+    def check(n):
+        seen.append(n)
+        return "bad node" if n is bad else None
+
+    first = check_tree(root, check, "k")
+    assert not first and first.path == (1,) and first.reason == "bad node"
+    assert check_tree(root, check, "k") == first and len(seen) == 4

@@ -20,10 +20,11 @@ from functools import lru_cache
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lambda_expand import expansion, verify
+from lambda_expand import expansion, intersection, systems, typelang, verify
 from lambda_expand.expansion import ExpansionError, expand
-from lambda_expand.intersection import infer
+from lambda_expand.intersection import InterDerivation, infer
 from lambda_expand.reduction import Strategy, reduce
+from lambda_expand.systems import Derivation
 from lambda_expand.syntax import parse_term, render_term
 from lambda_expand.terms import Abs, App, Var, classify, count_free_occurrences, de_bruijn, free_vars, size
 from lambda_expand.typelang import Flavor, TVar, InterArrow
@@ -356,6 +357,36 @@ def test_matrix_infers_each_subject_once_and_draws_each_beta_diagram_once(monkey
         for v in r.collected()
     }
     assert refused and all((u, Flavor.A) in expanded for u in refused)
+
+
+def test_matrix_walks_each_derivation_once_per_check(monkeypatch):
+    # a walk, not a call: the checks share typelang.check_tree, which
+    # returns at once for a root that has passed under the same key
+    walks = Counter()
+    held = {}  # every walked root by id, so that no other object takes its id
+    real_tree = typelang.check_tree
+
+    def counted_tree(root, check, key):
+        walked = []
+
+        def counted(n):
+            walked.append(n)
+            return check(n)
+
+        res = real_tree(root, counted, key)
+        if walked:
+            held[id(root)] = root
+            walks[id(root), key] += 1
+        return res
+
+    monkeypatch.setattr(intersection, "check_tree", counted_tree)
+    monkeypatch.setattr(systems, "check_tree", counted_tree)
+    run_matrix(enumerated_corpus(7, closed_only=False))
+    inter = [n for (i, key), n in walks.items() if isinstance(held[i], InterDerivation)]
+    built = [n for (i, key), n in walks.items() if isinstance(held[i], Derivation)]
+    assert len(inter) > 4000 and len(built) > 5000
+    # at most once per (derivation, flavor) and once per built derivation
+    assert set(inter) == {1} and set(built) == {1}
 
 
 def test_a_bare_term_gets_the_verdict_the_matrix_gives():
