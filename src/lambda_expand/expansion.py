@@ -12,10 +12,10 @@ input derivation:
     AC  (multiset-like)   affine types; linear on lI subjects    -o
     A   (sequence-like)   ordered types; lI subjects only        -o_r, -o_l
 
-The expansion context records, per original variable (the "owner"), the
-fresh variables it turned into and their types.  Translating the context
-gives exactly the basis of the induced derivation, which every expansion
-returns alongside the rebuilt term.
+Every flavor builds the induced derivation as it rebuilds the term, which
+is that derivation's subject.  The expansion context records, per original
+variable (the "owner"), the fresh variables it turned into and their
+types, read off the induced derivation's root basis, which lists it in order.
 
 The diagram verifiers at the bottom check that expansion commutes with
 reduction: reducing the rebuilt term can catch up with the expansion of
@@ -40,15 +40,16 @@ from .reduction import beta_step, redex_positions, weak_head_step
 from .systems import (
     Derivation,
     System,
-    build_derivation,
     check_derivation,
+    contract_pair,
     elim,
     intro,
+    move_to_end,
+    permute_basis,
     relabel,
+    weaken,
 )
 from .terms import (
-    Abs,
-    App,
     FreshSupply,
     Term,
     Var,
@@ -57,7 +58,6 @@ from .terms import (
     classify,
     de_bruijn,
     free_vars,
-    rename_free,
 )
 from .typelang import (
     Basis,
@@ -71,8 +71,6 @@ from .typelang import (
     Type,
     ctx_leq,
     ctx_match,
-    ctx_to_basis,
-    ctx_union,
     dedup_members,
     set_ctx_eq,
     translate,
@@ -132,44 +130,37 @@ def _supply_for(subject: Term, supply: FreshSupply | None) -> FreshSupply:
 def _exp_set(
     d: InterDerivation,
     supply: FreshSupply,
-    idempotent: bool,
-    var_types: dict[str, InterType],
-) -> tuple[Term, SetExpCtx]:
+    main: System,
+    owner: dict[str, tuple[str, InterType]],
+) -> Derivation:
+    """The induced `main` derivation, whose subject is the expanded term.
+    `owner` maps each drawn variable to the one it was drawn for, and its type."""
+    idempotent = main is System.CURRY
+    target = Target.SIMPLE if idempotent else Target.LINEAR
     if d.rule == "ax":
-        x = d.subject.name
-        y = supply.fresh(x)
-        var_types[y] = d.ty
-        return Var(y), SetExpCtx({x: {y: d.ty}})
+        y = supply.fresh(d.subject.name)
+        owner[y] = (d.subject.name, d.ty)
+        sty = translate(d.ty, target)
+        return Derivation(main, "ax", Basis(((y, sty),)), Var(y), sty)
 
     if d.rule == "arrow_i_prime":
-        (p,) = d.premises
-        body, ctx = _exp_set(p, supply, idempotent, var_types)
+        bd = _exp_set(d.premises[0], supply, main, owner)
         y = supply.fresh(d.subject.binder)
-        var_types[y] = d.ty.doms[0]
-        return Abs(y, body), ctx
+        return intro(weaken(bd, y, translate(d.ty.doms[0], target)), "arrow_i")
 
     if d.rule == "arrow_i":
-        (p,) = d.premises
-        body, ctx = _exp_set(p, supply, idempotent, var_types)
+        bd = _exp_set(d.premises[0], supply, main, owner)
         x = d.subject.binder
-        group = ctx.groups.get(x, {})
-        if not group:
+        items = [(y, ty) for y in bd.basis.vars() for o, ty in (owner[y],) if o == x]
+        if not items:
             raise ExpansionError(f"binder {x} left no occurrence bindings")
-        rest = SetExpCtx({k: dict(g) for k, g in ctx.groups.items() if k != x})
-        items = list(group.items())
         if idempotent:
             # occurrences with the same type share one fresh variable
-            merged: list[tuple[str, InterType]] = []
-            ren: dict[str, str] = {}
+            heads: dict[InterType, str] = {}
             for y, ty in items:
-                head = next((ry for ry, rt in merged if rt == ty), None)
-                if head is None:
-                    merged.append((y, ty))
-                else:
-                    ren[y] = head
-            if ren:
-                body = rename_free(body, ren)
-            items = merged
+                if heads.setdefault(ty, y) != y:
+                    bd = contract_pair(bd, heads[ty], y)
+            items = [(y, ty) for ty, y in heads.items()]
         doms = dedup_members(d.ty.doms) if idempotent else list(d.ty.doms)
         binders = [_take_by_type(items, t, lambda it: it[1]) for t in doms]
         if items:
@@ -177,20 +168,24 @@ def _exp_set(
                 f"binder {x} has occurrence types beyond its domain members"
             )
         for y, _ty in reversed(binders):
-            body = Abs(y, body)
-        return body, rest
+            bd = intro(move_to_end(bd, y), "arrow_i")
+        return bd
 
     if d.rule == "arrow_e":
         pf, *pas = d.premises
-        fun, ctx = _exp_set(pf, supply, idempotent, var_types)
+        cur = _exp_set(pf, supply, main, owner)
         doms = dedup_members(pf.ty.doms) if idempotent else list(pf.ty.doms)
         pool = list(pas)
         chosen = [_take_by_type(pool, t, lambda p: p.ty) for t in doms]
         for ap in chosen:
-            at, actx = _exp_set(ap, supply, idempotent, var_types)
-            ctx = ctx_union(ctx, actx)
-            fun = App(fun, at)
-        return fun, ctx
+            ad = _exp_set(ap, supply, main, owner)
+            try:
+                cur = elim(cur, ad, "arrow_e")
+            except ValueError as exc:
+                raise ExpansionError(
+                    f"induced {main.value} derivation cannot be built: {exc}"
+                ) from exc
+        return cur
 
     raise AssertionError(d.rule)
 
@@ -205,21 +200,16 @@ def _expand_set_flavored(
             f"at {list(chk.path)}: {chk.reason}"
         )
     supply = _supply_for(d.subject, supply)
-    var_types: dict[str, InterType] = {}
     idempotent = flavor is Flavor.ACI
-    term, ctx = _exp_set(d, supply, idempotent, var_types)
-
-    target = Target.SIMPLE if idempotent else Target.LINEAR
     main = System.CURRY if idempotent else System.AFFINE
     strict_sys = System.RELEVANT if idempotent else System.LINEAR
-    basis = ctx_to_basis(ctx, target)
-    simple_types = {y: translate(t, target) for y, t in var_types.items()}
-    try:
-        induced = build_derivation(main, term, simple_types, basis_order=basis.vars())
-    except ValueError as exc:
-        raise ExpansionError(
-            f"induced {main.value} derivation cannot be built: {exc}"
-        ) from exc
+    owner: dict[str, tuple[str, InterType]] = {}
+    built = _exp_set(d, supply, main, owner)
+    # the root basis grouped by owner, in order of first appearance
+    ctx = SetExpCtx()
+    for y in built.basis.vars():
+        ctx.groups.setdefault(owner[y][0], {})[y] = owner[y][1]
+    induced = permute_basis(built, tuple(y for g in ctx.groups.values() for y in g))
     _require_pass(induced)
     strict = None
     if classify(d.subject).is_lambda_i:
@@ -229,7 +219,7 @@ def _expand_set_flavored(
         # strict_sys lacks, and only then is it walked, to name that node
         strict = relabel(induced, strict_sys)
         _require_pass(strict)
-    return ExpansionResult(term, induced.ty, ctx, induced, strict)
+    return ExpansionResult(induced.subject, induced.ty, ctx, induced, strict)
 
 
 def _require_pass(built: Derivation) -> None:

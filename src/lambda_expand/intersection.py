@@ -227,26 +227,37 @@ def ty_vars(t: InterType) -> list[str]:
     return list(seen)
 
 
-def rename_tyvars(d: InterDerivation, s: dict[str, InterType]) -> InterDerivation:
-    """Substitute s into every type of d.  Each distinct type node (by
-    identity; d keeps them all alive) is rewritten once."""
+def _sub_ty(t: InterType, name: Callable[[TVar], InterType], done: dict) -> InterType:
+    """t with name(v) for each type variable v, domains first; `done` memoizes by id."""
+    out = done.get(id(t))
+    if out is None:
+        if isinstance(t, TVar):
+            out = name(t)
+        else:
+            doms = tuple(_sub_ty(m, name, done) for m in t.doms)
+            out = InterArrow(doms, _sub_ty(t.cod, name, done))
+        done[id(t)] = out
+    return out
+
+
+def _retype(d: InterDerivation, name: Callable[[TVar], InterType]) -> InterDerivation:
+    """d with name(v) for each type variable v, met in _deriv_ty_vars' order."""
     done: dict[int, InterType] = {}
+    nodes = preorder(d, right_first=False)
+    typed = [(_sub_ty(n.ty, name, done),
+              tuple((x, tuple([_sub_ty(m, name, done) for m in ms])) for x, ms in n.env))
+             for n in nodes]
+    # one walk names and builds: reversed, it puts each node's premises last-first on `out`
+    out: list[InterDerivation] = []
+    for n, (ty, env) in zip(reversed(nodes), reversed(typed)):
+        k = len(out) - len(n.premises)
+        out[k:] = [InterDerivation(n.rule, env, n.subject, ty, tuple(reversed(out[k:])))]
+    return out[0]
 
-    def sub(t: InterType) -> InterType:
-        out = done.get(id(t))
-        if out is None:
-            if isinstance(t, TVar):
-                out = s.get(t.name, t)
-            else:
-                out = InterArrow(tuple(sub(m) for m in t.doms), sub(t.cod))
-            done[id(t)] = out
-        return out
 
-    def build(n: InterDerivation, prems: tuple[InterDerivation, ...]) -> InterDerivation:
-        env = tuple((x, tuple(sub(m) for m in members)) for x, members in n.env)
-        return InterDerivation(n.rule, env, n.subject, sub(n.ty), prems)
-
-    return fold(d, build)
+def rename_tyvars(d: InterDerivation, s: dict[str, InterType]) -> InterDerivation:
+    """Substitute s into every type of d."""
+    return _retype(d, lambda v: s.get(v.name, v))
 
 
 def _deriv_ty_vars(d: InterDerivation) -> list[str]:
@@ -263,8 +274,9 @@ def _deriv_ty_vars(d: InterDerivation) -> list[str]:
 def canonical_tyvars(d: InterDerivation) -> InterDerivation:
     """Rename type variables to a, b, c, ... in first-occurrence order of
     the root type, then the root environment, then the premises."""
-    names = letter_names()
-    return rename_tyvars(d, {v: TVar(next(names)) for v in _deriv_ty_vars(d)})
+    named: dict[str, TVar] = {}
+    letters = map(TVar, letter_names())
+    return _retype(d, lambda v: named.get(v.name) or named.setdefault(v.name, next(letters)))
 
 
 # ---------------------------------------------------------------------------

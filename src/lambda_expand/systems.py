@@ -319,7 +319,7 @@ def permute_basis(d: Derivation, order: tuple[str, ...]) -> Derivation:
     return cur
 
 
-def _move_to_end(d: Derivation, x: str) -> Derivation:
+def move_to_end(d: Derivation, x: str) -> Derivation:
     """Bubble variable x to the last basis position with ex nodes."""
     pos = d.basis.vars().index(x)
     cur = d
@@ -329,16 +329,16 @@ def _move_to_end(d: Derivation, x: str) -> Derivation:
     return cur
 
 
-def _contract_pair(d: Derivation, x: str, y: str) -> Derivation:
+def contract_pair(d: Derivation, x: str, y: str) -> Derivation:
     """Merge y into x: move both to the end, then one ctr node."""
-    cur = _move_to_end(d, x)
-    cur = _move_to_end(cur, y)
+    cur = move_to_end(d, x)
+    cur = move_to_end(cur, y)
     entries = cur.basis.entries[:-1]
     subject = rename_free(cur.subject, {y: x})
     return Derivation(d.system, "ctr", Basis(entries), subject, d.ty, (cur,))
 
 
-def _weaken(d: Derivation, x: str, ty: Type) -> Derivation:
+def weaken(d: Derivation, x: str, ty: Type) -> Derivation:
     entries = d.basis.entries + ((x, ty),)
     return Derivation(d.system, "weak", Basis(entries), d.subject, d.ty, (d,))
 
@@ -384,7 +384,7 @@ def build_derivation(
     given, fixes the root basis: variables it lists beyond the free
     variables of the term are weakened in.
 
-    Not used for ordered derivations; check_ordered searches instead.
+    Serves `decide`; check_ordered searches for ordered derivations instead.
     """
     if system is System.ORDERED:
         raise ValueError("use check_ordered for the ordered system")
@@ -398,7 +398,7 @@ def build_derivation(
             if x not in present:
                 if "weak" not in STRUCTURAL[system]:
                     raise ValueError(f"{system.value} cannot weaken in {x!r}")
-                d = _weaken(d, x, var_types[x])
+                d = weaken(d, x, var_types[x])
         d = permute_basis(d, basis_order)
     return d
 
@@ -422,7 +422,7 @@ def _build(
             if not used and "weak" not in STRUCTURAL[system]:
                 raise ValueError(f"{system.value} cannot discharge unused {x!r}")
             p = _build(system, body, var_types, supply, binder_uses)
-            p = _move_to_end(p, x) if used else _weaken(p, x, var_types[x])
+            p = move_to_end(p, x) if used else weaken(p, x, var_types[x])
             return intro(p, "arrow_i")
         case App(f, a):
             df = _build(system, f, var_types, supply, binder_uses)
@@ -439,7 +439,7 @@ def _build(
                 da = rename_in_derivation(da, ren)
             d = elim(df, da, "arrow_e")
             for x, y in ren.items():
-                d = _contract_pair(d, x, y)
+                d = contract_pair(d, x, y)
             d = permute_basis(d, order)
             return d
     raise AssertionError

@@ -439,14 +439,15 @@ def test_expand_ordered_names_the_cause_of_a_refusal(capsys, src, message):
 
 
 def test_expand_reports_an_induced_derivation_it_cannot_build(capsys, monkeypatch):
-    def refuse(system, term, var_types, basis_order=None):
-        raise ValueError("curry cannot weaken in 'x'")
+    def refuse(pf, pa, rule):
+        raise ValueError("function part needs Arrow from the argument type")
 
-    monkeypatch.setattr(expansion, "build_derivation", refuse)
+    monkeypatch.setattr(expansion, "elim", refuse)
     code, out, err = run(capsys, "expand", "--flavor", "aci", "\\x. x x")
     assert (code, out) == (1, "")
     assert err == (
-        "no expansion: induced curry derivation cannot be built: curry cannot weaken in 'x'"
+        "no expansion: induced curry derivation cannot be built: "
+        "function part needs Arrow from the argument type"
     )
 
 

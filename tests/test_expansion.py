@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lambda_expand import expansion, serialize
+from lambda_expand import expansion, serialize, systems
 from lambda_expand.expansion import (
     DiagramReport,
     ExpansionError,
@@ -175,12 +175,37 @@ def test_expansion_rejects_a_broken_derivation():
 
 
 def test_an_induced_derivation_that_cannot_be_built_is_an_expansion_error(monkeypatch):
-    def refuse(system, term, var_types, basis_order=None):
-        raise ValueError("affine cannot weaken in 'x'")
+    def refuse(pf, pa, rule):
+        raise ValueError("function part needs Lolli from the argument type")
 
-    monkeypatch.setattr(expansion, "build_derivation", refuse)
+    monkeypatch.setattr(expansion, "elim", refuse)
     with pytest.raises(ExpansionError, match="induced affine derivation cannot be built"):
-        expand_ac(infer(t("\\x. x")))
+        expand_ac(infer(t("\\x. x x")))
+
+
+def test_set_expansion_builds_its_derivation_in_its_own_walk(monkeypatch):
+    # the walk that rebuilds the term builds its induced derivation, so
+    # systems.build_derivation, which decide still uses, is never reached
+    class Reached(Exception):
+        pass
+
+    def reached(*args, **kwargs):
+        raise Reached
+
+    monkeypatch.setattr(systems, "build_derivation", reached)
+    # a module that imported build_derivation by name still reaches _build
+    monkeypatch.setattr(systems, "_build", reached)
+    expanded = 0
+    for u in enumerate_terms(6, closed_only=False):
+        d = infer(u)
+        if d is None:
+            continue
+        for flavor in (Flavor.ACI, Flavor.AC):
+            assert check_derivation(expand(d, flavor).induced)
+            expanded += 1
+    assert expanded == 2 * 268
+    with pytest.raises(Reached):
+        systems.decide(System.CURRY, t(r"\x. x"))
 
 
 def test_generic_entry_point_dispatches_by_flavor():
@@ -268,6 +293,32 @@ def test_ordered_expansions_and_refusals_are_pinned():
             digest.update(out.encode())
     assert (expanded, refused) == (260, 174)
     assert digest.hexdigest() == ORDERED_TO_SIZE_7
+
+
+# sha256 over every typable open term up to size 7, under ACI then AC, of
+# the expansion's JSON document or the refusal's class and message; a
+# change to a rebuilt term, its context, its induced or strict derivation
+# or a refusal's wording moves it
+SET_TO_SIZE_7 = "e37744a0775c5ea918ff583d5451728485c857d9f2b50ea6694263d7d3a93ac8"
+
+
+def test_set_expansions_and_refusals_are_pinned():
+    digest = hashlib.sha256()
+    expanded = refused = 0
+    for u in enumerate_terms(7, closed_only=False):
+        d = infer(u)
+        if d is None:
+            continue
+        for exp in (expand_aci, expand_ac):
+            try:
+                out = serialize.dumps(exp(d))
+                expanded += 1
+            except ExpansionError as e:
+                out = f"{type(e).__name__}: {e}"
+                refused += 1
+            digest.update(out.encode())
+    assert (expanded, refused) == (2 * 1033, 0)
+    assert digest.hexdigest() == SET_TO_SIZE_7
 
 
 @pytest.mark.parametrize(
@@ -409,10 +460,43 @@ def _repeats_a_member(d):
     return False
 
 
+def _ctrs_sit_under_their_binders(deriv) -> bool:
+    """Each ctr merges two bindings of one λ-prefix: the first node above
+    it that is not ex or ctr is an arrow_i, and the run of arrow_i, ex and
+    ctr nodes from there up discharges the variable the ctr keeps."""
+    stack = [(deriv, ())]
+    while stack:
+        n, above = stack.pop()
+        stack += [(p, (n, *above)) for p in n.premises]
+        if n.rule != "ctr":
+            continue
+        kept = n.premises[0].basis.entries[-2][0]
+        run = [m for m in above if m.rule != "ex"]
+        while run and run[0].rule == "ctr":
+            run.pop(0)
+        if not run or run[0].rule != "arrow_i":
+            return False
+        binders = []
+        for m in above:
+            if m.rule not in ("arrow_i", "ex", "ctr"):
+                break
+            if m.rule == "arrow_i":
+                binders.append(m.subject.binder)
+        if kept not in binders:
+            return False
+    return True
+
+
+# sha256 of the ACI expansions' terms, types and contexts, and of the AC
+# expansions' JSON documents, for the 45 collapsed derivations below
+COLLAPSED_ACI = "1609f441cd6c5046414bccfc749afdc01399bf6143cf241019cc071a1f47b904"
+COLLAPSED_AC = "1b53d0b765eb436ce183f6dbf107f755830b25d9c9195c87d379cce0cd6f5c4a"
+
+
 def test_collapsed_derivations_contract_exactly_under_aci():
     # every type variable of infer's derivation collapsed to a: an instance
     # of the principal typing whose domains can repeat a member, which ACI
-    # binds once (ctr) and AC once per copy
+    # binds once (ctr, under the binder's arrow_i) and AC once per copy
     a = TVar("a")
     collapsed = []
     for u in enumerate_terms(7, closed_only=False):
@@ -423,12 +507,18 @@ def test_collapsed_derivations_contract_exactly_under_aci():
         if _repeats_a_member(c) and all(check_inter(c, f) for f in Flavor):
             collapsed.append(c)
     assert len(collapsed) == 45
+    aci, ac = hashlib.sha256(), hashlib.sha256()
     for c in collapsed:
         r = expand(c, Flavor.ACI)
         assert r.ty == stable_dedup_translate(c.ty, Target.SIMPLE)
         assert "ctr" in {n.rule for n in preorder(r.induced)}
+        assert _ctrs_sit_under_their_binders(r.induced), render_term(c.subject)
+        for part in (r.expanded, r.ty, r.context):
+            aci.update(serialize.dumps(part).encode())
         r = expand(c, Flavor.AC)
         assert "ctr" not in {n.rule for n in preorder(r.induced)}
+        ac.update(serialize.dumps(r).encode())
+    assert (aci.hexdigest(), ac.hexdigest()) == (COLLAPSED_ACI, COLLAPSED_AC)
 
 
 @given(terms)

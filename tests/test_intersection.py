@@ -5,6 +5,7 @@ the implementation; check_inter acts as the independent oracle for
 everything the replay produces.
 """
 
+import gc
 import time
 import tracemalloc
 from functools import lru_cache
@@ -683,3 +684,12 @@ def test_canonical_tyvars_matches_the_three_loop_renaming():
     for u in enumerate_terms(6, closed_only=False):
         raw = _infer(canonicalize(u, FreshSupply()), 10_000, FreshSupply())
         assert canonical_tyvars(raw) == _three_loop_canonical_tyvars(raw), u
+
+
+def test_renaming_type_variables_leaves_no_reference_cycle():
+    d = infer(parse_term(r"(\x. x x)(\y. y) z"))
+    canonical_tyvars(d)
+    gc.collect()
+    canonical_tyvars(d)
+    rename_tyvars(d, {"a": d.ty})
+    assert gc.collect() == 0
