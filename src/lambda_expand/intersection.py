@@ -243,16 +243,12 @@ def _sub_ty(t: InterType, name: Callable[[TVar], InterType], done: dict) -> Inte
 def _retype(d: InterDerivation, name: Callable[[TVar], InterType]) -> InterDerivation:
     """d with name(v) for each type variable v, met in _deriv_ty_vars' order."""
     done: dict[int, InterType] = {}
-    nodes = preorder(d, right_first=False)
-    typed = [(_sub_ty(n.ty, name, done),
-              tuple((x, tuple([_sub_ty(m, name, done) for m in ms])) for x, ms in n.env))
-             for n in nodes]
-    # one walk names and builds: reversed, it puts each node's premises last-first on `out`
-    out: list[InterDerivation] = []
-    for n, (ty, env) in zip(reversed(nodes), reversed(typed)):
-        k = len(out) - len(n.premises)
-        out[k:] = [InterDerivation(n.rule, env, n.subject, ty, tuple(reversed(out[k:])))]
-    return out[0]
+    # name in the left-first preorder, then rebuild
+    typed = {id(n): (_sub_ty(n.ty, name, done),
+                     tuple((x, tuple([_sub_ty(m, name, done) for m in ms])) for x, ms in n.env))
+             for n in preorder(d, right_first=False)}
+    return fold(d, lambda n, prems: InterDerivation(n.rule, typed[id(n)][1], n.subject,
+                                                    typed[id(n)][0], prems))
 
 
 def rename_tyvars(d: InterDerivation, s: dict[str, InterType]) -> InterDerivation:

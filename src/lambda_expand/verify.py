@@ -638,6 +638,8 @@ def _expansion_checks(f: Facts, flavor: Flavor) -> tuple[str, str]:
     # context's order; the ordered context is that basis as it stands
     if flavor is not Flavor.A and r.induced.basis != ctx_to_basis(r.context, target):
         return "fail", "induced basis does not render the context"
+    if not alpha_eq(r.induced.subject, r.expanded):
+        return "fail", "induced derivation is not about the expanded term"
     if flavor is not Flavor.A and lambda_i and r.strict is None:
         return "fail", "lambda-I subject lost its strict derivation"
     want = classify(r.expanded)
