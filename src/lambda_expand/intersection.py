@@ -210,21 +210,37 @@ def _doms_matched(
 # type-variable plumbing
 
 
-def _add_ty_vars(t: InterType, seen: dict[str, None]) -> None:
-    """Add t's type variables to `seen` in first-occurrence order."""
-    if isinstance(t, TVar):
-        seen.setdefault(t.name)
-    else:
-        for m in t.doms:
-            _add_ty_vars(m, seen)
-        _add_ty_vars(t.cod, seen)
+def _deriv_ty_vars(root: InterDerivation | InterType) -> list[TVar]:
+    """The type variable objects under root, a derivation or a type, in
+    first-occurrence order: nodes in left-first preorder, a node's type
+    before its environment, domains before the codomain.  The walk runs on
+    an explicit stack and enters each node, member tuple and type object
+    once, so a shared subtree costs one visit."""
+    out: list[TVar] = []
+    seen: set[int] = set()
+    stack: list = [root]
+    while stack:
+        x = stack.pop()
+        if id(x) in seen:
+            continue
+        seen.add(id(x))
+        if isinstance(x, TVar):
+            out.append(x)
+        elif isinstance(x, InterArrow):
+            stack.append(x.cod)
+            stack += x.doms[::-1]
+        elif isinstance(x, tuple):  # an environment's member tuple
+            stack += x[::-1]
+        else:
+            stack += x.premises[::-1]
+            stack += [members for _, members in x.env[::-1]]
+            stack.append(x.ty)
+    return out
 
 
-def ty_vars(t: InterType) -> list[str]:
-    """Type variables in first-occurrence order."""
-    seen: dict[str, None] = {}
-    _add_ty_vars(t, seen)
-    return list(seen)
+def ty_vars(root: InterDerivation | InterType) -> list[str]:
+    """Type variable names in first-occurrence order (_deriv_ty_vars)."""
+    return list(dict.fromkeys(v.name for v in _deriv_ty_vars(root)))
 
 
 def _sub_ty(t: InterType, name: Callable[[TVar], InterType], done: dict) -> InterType:
@@ -252,27 +268,9 @@ def _retype(d: InterDerivation, name: Callable[[TVar], InterType]) -> InterDeriv
 
 
 def rename_tyvars(d: InterDerivation, s: dict[str, InterType]) -> InterDerivation:
-    """Substitute s into every type of d."""
+    """Substitute s into every type of d, in a copy: d belongs to the
+    caller and stays as it is."""
     return _retype(d, lambda v: s.get(v.name, v))
-
-
-def _deriv_ty_vars(d: InterDerivation) -> list[str]:
-    """First-occurrence order: root type, then environment, then premises."""
-    seen: dict[str, None] = {}
-    for n in preorder(d, right_first=False):
-        _add_ty_vars(n.ty, seen)
-        for _, members in n.env:
-            for m in members:
-                _add_ty_vars(m, seen)
-    return list(seen)
-
-
-def canonical_tyvars(d: InterDerivation) -> InterDerivation:
-    """Rename type variables to a, b, c, ... in first-occurrence order of
-    the root type, then the root environment, then the premises."""
-    named: dict[str, TVar] = {}
-    letters = map(TVar, letter_names())
-    return _retype(d, lambda v: named.get(v.name) or named.setdefault(v.name, next(letters)))
 
 
 # ---------------------------------------------------------------------------
@@ -290,34 +288,53 @@ def infer_nf(t: Term, fresh: FreshSupply | None = None) -> InterDerivation:
     typed once, vacuous abstractions get a fresh variable domain.  Only
     abstraction over a repeatedly used variable produces a wider list,
     collecting the occurrence types left to right.  Type variables are
-    drawn from `fresh` as t1, t2, ...
+    drawn from `fresh` as t1, t2, ..., in the order a recursive walk would
+    draw them.  This is where every variable of infer's result is drawn,
+    during that call and from the call's own supply, so each stays private
+    to the call until it returns: infer then renames each one in place,
+    once.
+
+    The walk runs on an explicit stack, so a normal form's depth is bounded
+    by memory: a str on the stack finishes the abstraction over that
+    binder, and a (head, count) pair the spine applying the head variable
+    to the last `count` derivations built.
     """
     if fresh is None:
         fresh = FreshSupply()
-    match t:
-        case Var(x):
+    out: list[InterDerivation] = []
+    stack: list = [t]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, Var):
             a = TVar(fresh.fresh("t"))
-            return _node("ax", {x: (a,)}, t, a)
-        case Abs(x, body):
-            p = infer_nf(body, fresh)
-            used = x in p.environment()
-            return _abs_node(x, p, () if used else (TVar(fresh.fresh("t")),))
-        case App(_, _):
+            out.append(_node("ax", {t.name: (a,)}, t, a))
+        elif isinstance(t, Abs):
+            stack.append(t.binder)
+            stack.append(t.body)
+        elif isinstance(t, App):
             spine, args = _spine(t)
             if not isinstance(spine, Var):
                 raise NotNormalError(f"redex in head position: {t}")
-            arg_ds = [infer_nf(a, fresh) for a in args]
-            result = TVar(fresh.fresh("t"))
-            head_ty: InterType = result
+            stack.append((spine, len(args)))
+            stack += args[::-1]
+        elif isinstance(t, str):
+            p = out.pop()
+            used = t in p.environment()
+            out.append(_abs_node(t, p, () if used else (TVar(fresh.fresh("t")),)))
+        elif isinstance(t, tuple):
+            spine, n = t
+            arg_ds = out[-n:]
+            del out[-n:]
+            head_ty: InterType = TVar(fresh.fresh("t"))
             for a in reversed(arg_ds):
                 head_ty = InterArrow((a.ty,), head_ty)
-            d: InterDerivation = _node(
-                "ax", {spine.name: (head_ty,)}, spine, head_ty
-            )
+            d: InterDerivation = _node("ax", {spine.name: (head_ty,)}, spine, head_ty)
             for a in arg_ds:
                 d = _app_node(d, [a], App(d.subject, a.subject))
-            return d
-    raise TypeError(t)
+            out.append(d)
+        else:
+            raise TypeError(t)
+    return out[0]
 
 
 def _spine(t: Term) -> tuple[Term, list[Term]]:
@@ -388,7 +405,7 @@ def subject_expand(
     it does not normalize within the fuel.
     """
     if fresh is None:
-        fresh = FreshSupply(_deriv_ty_vars(d))
+        fresh = FreshSupply(ty_vars(d))
     return _at(d, before, position, partial(_expand_site, fuel=fuel, fresh=fresh))
 
 
@@ -551,7 +568,12 @@ def infer(t: Term, fuel: int = 10_000) -> InterDerivation | None:
     land within the fuel budget (erased arguments included).
 
     The subject of the result is the canonicalized spelling of t; type
-    variables are canonical letters.
+    variables are canonical letters, a, b, c, ... in _deriv_ty_vars order.
+    Each variable of the result was drawn during this call, from the call's
+    own supply (infer_nf), so nothing outside the call can reach it before the
+    call returns.  That lets infer give each one its letter in place, once,
+    without rebuilding the derivation; no type is hashed into a container
+    that outlives the renaming.
 
     A leftmost step is a function of the term's alpha class, so a run that
     meets a term it has already met never lands.  The run compares each
@@ -574,7 +596,10 @@ def infer(t: Term, fuel: int = 10_000) -> InterDerivation | None:
         d = _infer(t, fuel, FreshSupply())
     except FuelExhausted:
         return None
-    return canonical_tyvars(d)
+    # infer_nf draws each name once, into one object
+    for v, letter in zip(_deriv_ty_vars(d), letter_names()):
+        object.__setattr__(v, "name", letter)
+    return d
 
 
 # How many of a run's terms inference holds while it reduces.  Every
@@ -695,7 +720,7 @@ def match_requested(
     covering both ways under ACI.  Returns the substituted derivation,
     or None when no consistent assignment exists.
     """
-    own = _deriv_ty_vars(d)
+    own = ty_vars(d)
     rigid = set(ty_vars(requested))
     for s in _match_ty(d.ty, requested, {}, flavor):
         # the variables the match leaves free take letters the request

@@ -314,23 +314,40 @@ def substitute(t: Term, x: str, s: Term) -> Term:
 
 def rename_free(t: Term, ren: dict[str, str]) -> Term:
     """t with its free names renamed by ren, binders untouched (nothing
-    avoids capture).  Unchanged subterms come back as the same objects."""
-    if not ren:
-        return t
-    if isinstance(t, Var):
-        v = ren.get(t.name)
-        return t if v is None or v == t.name else Var(v)
-    if isinstance(t, Abs):
-        inner = ren
-        if t.binder in ren:
-            inner = {k: v for k, v in ren.items() if k != t.binder}
-        body = rename_free(t.body, inner)
-        return t if body is t.body else Abs(t.binder, body)
-    if isinstance(t, App):
-        fun = rename_free(t.fun, ren)
-        arg = rename_free(t.arg, ren)
-        return t if fun is t.fun and arg is t.arg else App(fun, arg)
-    raise TypeError(t)
+    avoids capture).  Unchanged subterms come back as the same objects.
+
+    Runs on an explicit stack, so a term's depth is bounded by memory: a
+    (node, None) pair on the stack rebuilds that node from the results of
+    its children, and only when one of them changed."""
+    out: list[Term] = []
+    stack: list[tuple[Term, dict[str, str] | None]] = [(t, ren)]
+    while stack:
+        t, ren = stack.pop()
+        if ren is None:
+            if isinstance(t, App):
+                arg = out.pop()
+                fun = out.pop()
+                out.append(t if fun is t.fun and arg is t.arg else App(fun, arg))
+            else:
+                body = out.pop()
+                out.append(t if body is t.body else Abs(t.binder, body))
+        elif not ren:
+            out.append(t)
+        elif isinstance(t, Var):
+            v = ren.get(t.name)
+            out.append(t if v is None or v == t.name else Var(v))
+        elif isinstance(t, Abs):
+            if t.binder in ren:
+                ren = {k: v for k, v in ren.items() if k != t.binder}
+            stack.append((t, None))
+            stack.append((t.body, ren))
+        elif isinstance(t, App):
+            stack.append((t, None))
+            stack.append((t.arg, ren))
+            stack.append((t.fun, ren))
+        else:
+            raise TypeError(t)
+    return out[0]
 
 
 def simultaneous_substitute(t: Term, bindings: list[tuple[str, Term]]) -> Term:

@@ -226,6 +226,20 @@ def test_infer_intersection_through_an_untypable_subterm(capsys):
     assert out.splitlines()[0].endswith(" : a -> a")
 
 
+def test_infer_types_a_normal_form_two_thousand_deep(capsys):
+    # each occurrence of f gets its own arrow, chained through x's type;
+    # flavor a shows the members in occurrence order
+    deep = "\\f x. " + "f (" * 1_999 + "f x" + ")" * 1_999
+    assert 2_000 > sys.getrecursionlimit()
+    code, out, _ = run(capsys, "infer", "--system", "intersection", "--flavor", "a", deep)
+    assert code == 0
+    term, ty = out.split(" : ")
+    assert term == deep
+    got = parse_inter_type(ty)
+    assert len(got.doms) == 2_000 and len(got.cod.doms) == 1
+    assert got.doms[-1].doms == got.cod.doms and got.doms[0].cod == got.cod.cod
+
+
 def test_infer_nonterminating_term_is_inconclusive(capsys, monkeypatch):
     # Omega repeats its term at the first step, and the message still
     # names the whole budget, not the steps taken

@@ -27,11 +27,11 @@ from lambda_expand.expansion import (
 )
 from lambda_expand.intersection import (
     InterDerivation,
-    _deriv_ty_vars,
     check_inter,
     infer,
     match_requested,
     rename_tyvars,
+    ty_vars,
 )
 from lambda_expand.syntax import parse_inter_type, parse_term, render_term, render_type
 from lambda_expand.systems import Derivation, System, check_derivation
@@ -503,7 +503,7 @@ def test_collapsed_derivations_contract_exactly_under_aci():
         d = infer(u)
         if d is None:
             continue
-        c = rename_tyvars(d, {v: a for v in _deriv_ty_vars(d)})
+        c = rename_tyvars(d, {v: a for v in ty_vars(d)})
         if _repeats_a_member(c) and all(check_inter(c, f) for f in Flavor):
             collapsed.append(c)
     assert len(collapsed) == 45

@@ -24,7 +24,6 @@ from lambda_expand.intersection import (
     _deriv_ty_vars,
     _infer,
     _match_ty,
-    canonical_tyvars,
     check_inter,
     infer,
     infer_nf,
@@ -35,6 +34,7 @@ from lambda_expand.intersection import (
     ty_vars,
 )
 from lambda_expand.reduction import Strategy, beta_step, redex_positions, reduce
+from lambda_expand.serialize import dumps
 from lambda_expand.syntax import parse_inter_type, parse_term, render_type
 from lambda_expand.systems import infer_curry
 from lambda_expand.terms import (
@@ -418,7 +418,7 @@ def test_a_collapsed_request_comes_back_spelled_exactly_under_aci():
         d = infer(u)
         if d is None:
             continue
-        req = rename_tyvars(d, {v: A for v in _deriv_ty_vars(d)}).ty
+        req = rename_tyvars(d, {v: A for v in ty_vars(d)}).ty
         out = match_requested(d, req, Flavor.ACI)
         assert out is not None and out.ty == req, u
         checked += 1
@@ -486,12 +486,12 @@ def _oracle_pairs(pairs, s, flavor):
 
 
 def _oracle_match_requested(d, requested, flavor):
-    d = rename_tyvars(d, {v: TVar(f"_m{i}") for i, v in enumerate(_deriv_ty_vars(d))})
+    d = rename_tyvars(d, {v: TVar(f"_m{i}") for i, v in enumerate(ty_vars(d))})
     for s in _oracle_match(d.ty, requested, {}, flavor):
         out = rename_tyvars(d, s)
-        leftovers = [v for v in _deriv_ty_vars(out) if v.startswith("_m")]
+        leftovers = [v for v in ty_vars(out) if v.startswith("_m")]
         if leftovers:
-            taken = set(_deriv_ty_vars(out)) | set(ty_vars(requested))
+            taken = set(ty_vars(out)) | set(ty_vars(requested))
             names = (n for n in letter_names() if n not in taken)
             out = rename_tyvars(out, {v: TVar(next(names)) for v in leftovers})
         if check_inter(out, flavor):
@@ -554,7 +554,7 @@ def _repeats_a_member(ty):
 def test_match_requested_agrees_with_the_permutation_search(data):
     d = data.draw(st.sampled_from(_match_subjects()))
     requested = data.draw(st.one_of(_instances(d.ty), _types(3)))
-    pattern = rename_tyvars(d, {v: TVar(f"_m{i}") for i, v in enumerate(_deriv_ty_vars(d))}).ty
+    pattern = rename_tyvars(d, {v: TVar(f"_m{i}") for i, v in enumerate(ty_vars(d))}).ty
     for flavor in Flavor:
         new = _solutions(_match_ty(pattern, requested, {}, flavor))
         old = _solutions(_oracle_match(pattern, requested, {}, flavor))
@@ -681,15 +681,54 @@ def _three_loop_canonical_tyvars(d):
 
 
 def test_canonical_tyvars_matches_the_three_loop_renaming():
-    for u in enumerate_terms(6, closed_only=False):
+    # infer names its variables in place; the oracle renames a copy of the
+    # same replay's derivation
+    for u in [*enumerate_terms(7, closed_only=False), *map(t, CHURCH_TERMS)]:
         raw = _infer(canonicalize(u, FreshSupply()), 10_000, FreshSupply())
-        assert canonical_tyvars(raw) == _three_loop_canonical_tyvars(raw), u
+        assert infer(u) == _three_loop_canonical_tyvars(raw), u
+
+
+def test_infer_results_share_no_type_variable():
+    # each call draws its own variables and names them in place, so a later
+    # call can neither share nor rename an earlier result's
+    for src in (r"\x. x x", r"(\x. x x)(\y. y) z", CHURCH_TERMS[4]):
+        first = infer(t(src))
+        before = dumps(first)
+        second = infer(t(src))
+        assert second == first
+        assert not {id(v) for v in _deriv_ty_vars(first)} & {
+            id(v) for v in _deriv_ty_vars(second)
+        }
+        assert dumps(first) == before
+
+
+def test_infer_builds_no_node_past_the_replay(monkeypatch):
+    built = 0
+    init = InterDerivation.__init__
+
+    def counting_init(self, *args):
+        nonlocal built
+        built += 1
+        init(self, *args)
+
+    monkeypatch.setattr(InterDerivation, "__init__", counting_init)
+    for u in [*enumerate_terms(5, closed_only=False), *map(t, CHURCH_TERMS)]:
+        built = 0
+        d = infer(u)
+        by_infer = built
+        built = 0
+        if d is not None:
+            _infer(canonicalize(u, FreshSupply()), 10_000, FreshSupply())
+        assert by_infer == built, u
 
 
 def test_renaming_type_variables_leaves_no_reference_cycle():
+    # a beta-step still leaves terms._rebind's closure cycle, so the naming
+    # is watched on a normal form, which infer types without a step
     d = infer(parse_term(r"(\x. x x)(\y. y) z"))
-    canonical_tyvars(d)
+    nf = parse_term(r"\x y. x (y x) (\z. y)")
+    infer(nf)
     gc.collect()
-    canonical_tyvars(d)
+    infer(nf)
     rename_tyvars(d, {"a": d.ty})
     assert gc.collect() == 0

@@ -207,6 +207,24 @@ def test_rename_free_shares_what_it_does_not_rename():
     assert rename_free(u, {"x": "w"}) is u
 
 
+def test_rename_free_runs_ten_thousand_deep_and_shares():
+    spine = Var("y")  # f (f (... y)), no z
+    for _ in range(10_000):
+        spine = App(Var("f"), spine)
+    binders = Var("z")  # \x. \x. ... z
+    for _ in range(10_000):
+        binders = Abs("x", binders)
+    u = App(spine, binders)
+    out = rename_free(u, {"z": "w", "x": "v"})
+    assert out.fun is spine
+    want = Var("w")
+    for _ in range(10_000):
+        want = Abs("x", want)
+    assert alpha_eq(out.arg, want) and out.arg.binder == "x"
+    assert rename_free(Abs("z", u.arg), {"z": "w"}).body is u.arg
+    assert size(out) == size(u)
+
+
 @pytest.mark.parametrize("node", [Var("x"), Abs("x", Var("x")), App(Var("x"), Var("y"))])
 def test_term_nodes_are_slotted_and_frozen(node):
     assert not hasattr(node, "__dict__")
