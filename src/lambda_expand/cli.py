@@ -380,6 +380,8 @@ def _cmd_verify(args) -> int:
         props = None
     else:
         props = [p.strip() for p in args.props.split(",") if p.strip()]
+        if not props:
+            raise UsageError(f"--props {args.props!r} names no property")
         unknown = [p for p in props if p not in PROPERTIES]
         if unknown:
             raise UsageError(f"unknown properties: {', '.join(unknown)}")

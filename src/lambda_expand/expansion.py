@@ -12,10 +12,18 @@ input derivation:
     AC  (multiset-like)   affine types; linear on lI subjects    -o
     A   (sequence-like)   ordered types; lI subjects only        -o_r, -o_l
 
-Every flavor builds the induced derivation as it rebuilds the term, which
-is that derivation's subject.  The expansion context records, per original
-variable (the "owner"), the fresh variables it turned into and their
-types, read off the induced derivation's root basis, which lists it in order.
+Every flavor is one walk over the derivation, on an explicit stack, so
+depth is bounded by memory; it builds the induced derivation, whose
+subject is the rebuilt term, as it goes.  The flavor chooses only the
+structural rule: ACI (idempotence) merges a binder's bindings of equal
+type (ctr), ACI and AC (commutativity) move bindings into place and pair
+arguments with domain members by type (ex), and A (bare associativity)
+has none, so bindings must already sit at the -o_r or -o_l end and
+arguments pair with domain members by position.
+
+The expansion context records, per original variable (the "owner"), the
+fresh variables it turned into and their types, read off the induced
+derivation's root basis, which lists it in order.
 
 The diagram verifiers at the bottom check that expansion commutes with
 reduction: reducing the rebuilt term can catch up with the expansion of
@@ -103,7 +111,16 @@ class ExpansionResult:
 
 
 # ---------------------------------------------------------------------------
-# shared helpers
+# the walk, shared by every flavor
+
+# flavor -> (induced system, strict system, translation target).  The strict
+# system is the induced one without weakening; ordered expansion has none,
+# since it takes lI subjects only.
+TRANSLATIONS: dict[Flavor, tuple[System, System | None, Target]] = {
+    Flavor.ACI: (System.CURRY, System.RELEVANT, Target.SIMPLE),
+    Flavor.AC: (System.AFFINE, System.LINEAR, Target.LINEAR),
+    Flavor.A: (System.ORDERED, None, Target.ORDERED),
+}
 
 
 def _take_by_type(pool: list, ty: InterType, key) -> object:
@@ -116,152 +133,12 @@ def _take_by_type(pool: list, ty: InterType, key) -> object:
     )
 
 
-def _supply_for(subject: Term, supply: FreshSupply | None) -> FreshSupply:
-    if supply is None:
-        return FreshSupply(all_names(subject))
-    supply.reserve(all_names(subject))
-    return supply
-
-
-# ---------------------------------------------------------------------------
-# set-shaped expansion (ACI and AC)
-
-
-def _exp_set(
-    d: InterDerivation,
-    supply: FreshSupply,
-    main: System,
-    owner: dict[str, tuple[str, InterType]],
-) -> Derivation:
-    """The induced `main` derivation, whose subject is the expanded term.
-    `owner` maps each drawn variable to the one it was drawn for, and its type."""
-    idempotent = main is System.CURRY
-    target = Target.SIMPLE if idempotent else Target.LINEAR
-    if d.rule == "ax":
-        y = supply.fresh(d.subject.name)
-        owner[y] = (d.subject.name, d.ty)
-        sty = translate(d.ty, target)
-        return Derivation(main, "ax", Basis(((y, sty),)), Var(y), sty)
-
-    if d.rule == "arrow_i_prime":
-        bd = _exp_set(d.premises[0], supply, main, owner)
-        y = supply.fresh(d.subject.binder)
-        return intro(weaken(bd, y, translate(d.ty.doms[0], target)), "arrow_i")
-
-    if d.rule == "arrow_i":
-        bd = _exp_set(d.premises[0], supply, main, owner)
-        x = d.subject.binder
-        items = [(y, ty) for y in bd.basis.vars() for o, ty in (owner[y],) if o == x]
-        if not items:
-            raise ExpansionError(f"binder {x} left no occurrence bindings")
-        if idempotent:
-            # occurrences with the same type share one fresh variable
-            heads: dict[InterType, str] = {}
-            for y, ty in items:
-                if heads.setdefault(ty, y) != y:
-                    bd = contract_pair(bd, heads[ty], y)
-            items = [(y, ty) for ty, y in heads.items()]
-        doms = dedup_members(d.ty.doms) if idempotent else list(d.ty.doms)
-        binders = [_take_by_type(items, t, lambda it: it[1]) for t in doms]
-        if items:
-            raise ExpansionError(
-                f"binder {x} has occurrence types beyond its domain members"
-            )
-        for y, _ty in reversed(binders):
-            bd = intro(move_to_end(bd, y), "arrow_i")
-        return bd
-
-    if d.rule == "arrow_e":
-        pf, *pas = d.premises
-        cur = _exp_set(pf, supply, main, owner)
-        doms = dedup_members(pf.ty.doms) if idempotent else list(pf.ty.doms)
-        pool = list(pas)
-        chosen = [_take_by_type(pool, t, lambda p: p.ty) for t in doms]
-        for ap in chosen:
-            ad = _exp_set(ap, supply, main, owner)
-            try:
-                cur = elim(cur, ad, "arrow_e")
-            except ValueError as exc:
-                raise ExpansionError(
-                    f"induced {main.value} derivation cannot be built: {exc}"
-                ) from exc
-        return cur
-
-    raise AssertionError(d.rule)
-
-
-def _expand_set_flavored(
-    d: InterDerivation, supply: FreshSupply | None, flavor: Flavor
-) -> ExpansionResult:
-    chk = check_inter(d, flavor)
-    if not chk:
-        raise ExpansionError(
-            f"input derivation fails the {flavor.value} check "
-            f"at {list(chk.path)}: {chk.reason}"
-        )
-    supply = _supply_for(d.subject, supply)
-    idempotent = flavor is Flavor.ACI
-    main = System.CURRY if idempotent else System.AFFINE
-    strict_sys = System.RELEVANT if idempotent else System.LINEAR
-    owner: dict[str, tuple[str, InterType]] = {}
-    built = _exp_set(d, supply, main, owner)
-    # the root basis grouped by owner, in order of first appearance
-    ctx = SetExpCtx()
-    for y in built.basis.vars():
-        ctx.groups.setdefault(owner[y][0], {})[y] = owner[y][1]
-    induced = permute_basis(built, tuple(y for g in ctx.groups.values() for y in g))
-    _require_pass(induced)
-    strict = None
-    if classify(d.subject).is_lambda_i:
-        # a lI subject's expansion needs no weak node, and an AC expansion
-        # no ctr node, so the strict derivation is the induced one
-        # relabelled; relabel records its pass unless a node needs a rule
-        # strict_sys lacks, and only then is it walked, to name that node
-        strict = relabel(induced, strict_sys)
-        _require_pass(strict)
-    return ExpansionResult(induced.subject, induced.ty, ctx, induced, strict)
-
-
-def _require_pass(built: Derivation) -> None:
-    res = check_derivation(built)
-    if not res:
-        raise ExpansionError(
-            f"induced {built.system.value} derivation fails "
-            f"at {list(res.path)}: {res.reason}"
-        )
-
-
-def expand_aci(
-    d: InterDerivation, supply: FreshSupply | None = None
-) -> ExpansionResult:
-    """Expand a set-flavored derivation; the output is simply typable.
-
-    Occurrences of a binder that carry equal types share a single fresh
-    variable, and equal argument copies collapse to one, so expanding an
-    already unshared term reproduces it.
-    """
-    return _expand_set_flavored(d, supply, Flavor.ACI)
-
-
-def expand_ac(
-    d: InterDerivation, supply: FreshSupply | None = None
-) -> ExpansionResult:
-    """Expand a multiset-flavored derivation; the output is affine typable
-    (linear when the subject is a lI term).  Every occurrence gets its own
-    fresh variable."""
-    return _expand_set_flavored(d, supply, Flavor.AC)
-
-
-# ---------------------------------------------------------------------------
-# list-shaped expansion (ordered)
-
-
-def _owner_runs(basis: Basis, owner: dict[str, str]) -> list[tuple[str, list[tuple[str, Type]]]]:
+def _owner_runs(basis: Basis, owner: dict) -> list[tuple[str, list[tuple[str, Type]]]]:
     """The basis as runs of bindings drawn for the same original variable.
     Each owner's bindings must form one run."""
     runs: list[tuple[str, list[tuple[str, Type]]]] = []
     for y, ty in basis.entries:
-        o = owner[y]
+        o = owner[y][0]
         if runs and runs[-1][0] == o:
             runs[-1][1].append((y, ty))
         elif any(o == prev for prev, _ in runs):
@@ -274,37 +151,26 @@ def _owner_runs(basis: Basis, owner: dict[str, str]) -> list[tuple[str, list[tup
     return runs
 
 
-def _exp_ord(
+def _discharge(
+    bd: Derivation,
     d: InterDerivation,
-    supply: FreshSupply,
-    owner: dict[str, str],
-    prefer_left: bool,
+    flavor: Flavor,
+    owner: dict[str, tuple[str, InterType]],
     at_fun: bool,
+    prefer_left: bool,
 ) -> Derivation:
-    """The induced ordered derivation, whose subject is the expanded term.
-    `owner` maps each drawn variable to the variable it was drawn for."""
-    if d.rule == "ax":
-        x = d.subject.name
-        y = supply.fresh(x)
-        owner[y] = x
-        oty = translate(d.ty, Target.ORDERED)
-        return Derivation(System.ORDERED, "ax", Basis(((y, oty),)), Var(y), oty)
-
-    if d.rule == "arrow_i_prime":
-        raise ExpansionError(
-            "ordered expansion needs every binder to occur in its body"
-        )
-
-    if d.rule == "arrow_i":
-        (p,) = d.premises
-        bd = _exp_ord(p, supply, owner, prefer_left, at_fun=False)
-        x = d.subject.binder
+    """Abstraction d over its built body bd: the bindings drawn for d's
+    binder become its domain members.  ACI first merges bindings of equal
+    type (ctr); the set flavors then move each binding into place (ex).
+    The ordered flavor has neither rule, so the bindings must already close
+    the basis (-o_r) or, on an abstraction applied as a function, open it
+    (-o_l)."""
+    x = d.subject.binder
+    if flavor is Flavor.A:
         tdoms = [translate(t, Target.ORDERED) for t in d.ty.doms]
         entries = bd.basis.entries
-        owned = tuple((y, t) for y, t in entries if owner[y] == x)
+        owned = tuple((y, t) for y, t in entries if owner[y][0] == x)
         types = [t for _, t in owned]
-        # -o_r discharges the bindings when they close the basis, -o_l (on
-        # an abstraction applied as a function) when they open it
         fits = {
             "arrow_i_r": entries[len(entries) - len(owned):] == owned and types == tdoms,
             "arrow_i_l": at_fun and entries[:len(owned)] == owned and types[::-1] == tdoms,
@@ -318,39 +184,187 @@ def _exp_ord(
             f"binder {x}: its bindings sit neither at the usable end of the "
             "context nor in the required order"
         )
+    items = [(y, ty) for y in bd.basis.vars() for o, ty in (owner[y],) if o == x]
+    if not items:
+        raise ExpansionError(f"binder {x} left no occurrence bindings")
+    idempotent = flavor is Flavor.ACI
+    if idempotent:
+        heads: dict[InterType, str] = {}
+        for y, ty in items:
+            if heads.setdefault(ty, y) != y:
+                bd = contract_pair(bd, heads[ty], y)
+        items = [(y, ty) for ty, y in heads.items()]
+    doms = dedup_members(d.ty.doms) if idempotent else list(d.ty.doms)
+    binders = [_take_by_type(items, t, lambda it: it[1]) for t in doms]
+    if items:
+        raise ExpansionError(f"binder {x} has occurrence types beyond its domain members")
+    for y, _ty in reversed(binders):
+        bd = intro(move_to_end(bd, y), "arrow_i")
+    return bd
 
-    if d.rule == "arrow_e":
-        pf, *pas = d.premises
-        fd = _exp_ord(pf, supply, owner, prefer_left, at_fun=True)
-        peeled: list[tuple[str, Type]] = []
-        t = fd.ty
-        for _ in pas:
-            if isinstance(t, LolliR):
-                peeled.append(("r", t.dom))
-            elif isinstance(t, LolliL):
-                peeled.append(("l", t.dom))
-            else:
-                raise OrderViolation(
-                    "function annotation has too few arrows for its arguments"
-                )
-            t = t.cod
-        senses = {s for s, _ in peeled}
-        if len(senses) != 1:
-            raise OrderViolation("function annotation mixes arrow senses")
-        rule = "arrow_e_l" if senses == {"l"} else "arrow_e_r"
 
-        parts = [_exp_ord(pa, supply, owner, prefer_left, at_fun=False) for pa in pas]
-        cur = fd
-        for ad, (_s, want) in zip(parts, peeled):
-            if ad.ty != want:
-                raise OrderViolation(
-                    "argument annotation does not match the function's domain"
-                )
-            cur = elim(cur, ad, rule)
-        _owner_runs(cur.basis, owner)
-        return cur
+def _arguments(
+    fd: Derivation, d: InterDerivation, flavor: Flavor
+) -> tuple[list[InterDerivation], str, list[Type] | None]:
+    """The argument premises of application d in the order they are applied
+    to its built function fd, the elimination rule, and for the ordered
+    flavor the domain each argument must have.  ACI drops repeated domain
+    members and AC keeps them; both pair each member with a premise of its
+    type.  The ordered flavor pairs by position, under one arrow sense."""
+    pf, *pas = d.premises
+    if flavor is not Flavor.A:
+        doms = dedup_members(pf.ty.doms) if flavor is Flavor.ACI else list(pf.ty.doms)
+        pool = list(pas)
+        return [_take_by_type(pool, t, lambda p: p.ty) for t in doms], "arrow_e", None
+    senses: set[type] = set()
+    wants: list[Type] = []
+    t = fd.ty
+    for _ in pas:
+        if not isinstance(t, (LolliR, LolliL)):
+            raise OrderViolation("function annotation has too few arrows for its arguments")
+        senses.add(type(t))
+        wants.append(t.dom)
+        t = t.cod
+    if len(senses) != 1:
+        raise OrderViolation("function annotation mixes arrow senses")
+    return pas, "arrow_e_l" if senses == {LolliL} else "arrow_e_r", wants
 
-    raise AssertionError(d.rule)
+
+def _walk(
+    d: InterDerivation,
+    flavor: Flavor,
+    supply: FreshSupply,
+    owner: dict[str, tuple[str, InterType]],
+    prefer_left: bool,
+) -> Derivation:
+    """The induced derivation of d's expansion, whose subject is the
+    expanded term.  `owner` maps each drawn variable to the variable it was
+    drawn for and that occurrence's type.
+
+    Each node is a frame on an explicit stack, so depth is bounded by
+    memory.  Fresh variables are drawn in post-order.  An application is
+    visited three times: on entry, once its function is built (to pick the
+    argument premises), and once its arguments are built (to apply them).
+    """
+    main, _strict, target = TRANSLATIONS[flavor]
+    ordered = flavor is Flavor.A
+    built: list[Derivation] = []
+    # (node, phase, in function position, what the last phase applies)
+    stack: list[tuple] = [(d, 0, False, None)]
+    while stack:
+        node, phase, at_fun, pending = stack.pop()
+        rule = node.rule
+        if phase == 0:
+            # down the spine of bodies and functions to its axiom
+            while rule != "ax":
+                stack.append((node, 1, at_fun, None))
+                node, at_fun = node.premises[0], rule == "arrow_e"
+                rule = node.rule
+            y = supply.fresh(node.subject.name)
+            owner[y] = (node.subject.name, node.ty)
+            ty = translate(node.ty, target)
+            built.append(Derivation(main, "ax", Basis(((y, ty),)), Var(y), ty))
+        elif rule == "arrow_i_prime":
+            y = supply.fresh(node.subject.binder)
+            dom = translate(node.ty.doms[0], target)
+            built.append(intro(weaken(built.pop(), y, dom), "arrow_i"))
+        elif rule == "arrow_i":
+            built.append(_discharge(built.pop(), node, flavor, owner, at_fun, prefer_left))
+        elif phase == 1:
+            args, elim_rule, wants = _arguments(built[-1], node, flavor)
+            stack.append((node, 2, at_fun, (len(args), elim_rule, wants)))
+            stack.extend([(a, 0, False, None) for a in reversed(args)])
+        else:
+            n, elim_rule, wants = pending
+            cur, *args = built[len(built) - n - 1:]
+            del built[len(built) - n - 1:]
+            for i, ad in enumerate(args):
+                if wants is not None and ad.ty != wants[i]:
+                    raise OrderViolation(
+                        "argument annotation does not match the function's domain"
+                    )
+                try:
+                    cur = elim(cur, ad, elim_rule)
+                except ValueError as exc:
+                    raise ExpansionError(
+                        f"induced {main.value} derivation cannot be built: {exc}"
+                    ) from exc
+            if ordered:
+                _owner_runs(cur.basis, owner)
+            built.append(cur)
+    return built[0]
+
+
+def _require_pass(built: Derivation) -> None:
+    res = check_derivation(built)
+    if not res:
+        error = OrderViolation if built.system is System.ORDERED else ExpansionError
+        raise error(
+            f"induced {built.system.value} derivation fails "
+            f"at {list(res.path)}: {res.reason}"
+        )
+
+
+def _expand(
+    d: InterDerivation, flavor: Flavor, supply: FreshSupply | None, orientation: str
+) -> ExpansionResult:
+    chk = check_inter(d, flavor)
+    if not chk:
+        raise ExpansionError(
+            f"input derivation fails the "
+            f"{'sequence' if flavor is Flavor.A else flavor.value} check "
+            f"at {list(chk.path)}: {chk.reason}"
+        )
+    lambda_i = classify(d.subject).is_lambda_i
+    if flavor is Flavor.A:
+        if not lambda_i:
+            raise ExpansionError("ordered expansion needs every binder to occur in its body")
+        if orientation not in ("right", "mixed"):
+            raise ValueError(f"unknown orientation {orientation!r}")
+    supply = FreshSupply() if supply is None else supply
+    supply.reserve(all_names(d.subject))
+    owner: dict[str, tuple[str, InterType]] = {}
+    built = _walk(d, flavor, supply, owner, orientation == "mixed")
+    if flavor is Flavor.A:
+        _require_pass(built)
+        ctx = ListExpCtx(_owner_runs(built.basis, owner))
+        return ExpansionResult(built.subject, built.ty, ctx, built, None)
+    # the root basis grouped by owner, in order of first appearance
+    ctx = SetExpCtx()
+    for y in built.basis.vars():
+        ctx.groups.setdefault(owner[y][0], {})[y] = owner[y][1]
+    induced = permute_basis(built, tuple(y for g in ctx.groups.values() for y in g))
+    _require_pass(induced)
+    strict = None
+    if lambda_i:
+        # a lI subject's expansion needs no weak node, and an AC expansion
+        # no ctr node, so the strict derivation is the induced one
+        # relabelled; relabel records its pass unless a node needs a rule
+        # the strict system lacks, and only then is it walked, to name that node
+        strict = relabel(induced, TRANSLATIONS[flavor][1])
+        _require_pass(strict)
+    return ExpansionResult(induced.subject, induced.ty, ctx, induced, strict)
+
+
+def expand_aci(
+    d: InterDerivation, supply: FreshSupply | None = None
+) -> ExpansionResult:
+    """Expand a set-flavored derivation; the output is simply typable.
+
+    Occurrences of a binder that carry equal types share a single fresh
+    variable, and equal argument copies collapse to one, so expanding an
+    already unshared term reproduces it.
+    """
+    return _expand(d, Flavor.ACI, supply, "right")
+
+
+def expand_ac(
+    d: InterDerivation, supply: FreshSupply | None = None
+) -> ExpansionResult:
+    """Expand a multiset-flavored derivation; the output is affine typable
+    (linear when the subject is a lI term).  Every occurrence gets its own
+    fresh variable."""
+    return _expand(d, Flavor.AC, supply, "right")
 
 
 def expand_ordered(
@@ -372,28 +386,7 @@ def expand_ordered(
     Raises OrderViolation when no arrangement of the clauses fits under
     the requested orientation.
     """
-    chk = check_inter(d, Flavor.A)
-    if not chk:
-        raise ExpansionError(
-            f"input derivation fails the sequence check "
-            f"at {list(chk.path)}: {chk.reason}"
-        )
-    if not classify(d.subject).is_lambda_i:
-        raise ExpansionError(
-            "ordered expansion needs every binder to occur in its body"
-        )
-    if orientation not in ("right", "mixed"):
-        raise ValueError(f"unknown orientation {orientation!r}")
-    supply = _supply_for(d.subject, supply)
-    owner: dict[str, str] = {}
-    deriv = _exp_ord(d, supply, owner, orientation == "mixed", at_fun=False)
-    res = check_derivation(deriv)
-    if not res:
-        raise OrderViolation(
-            f"induced ordered derivation fails at {list(res.path)}: {res.reason}"
-        )
-    ctx = ListExpCtx(_owner_runs(deriv.basis, owner))
-    return ExpansionResult(deriv.subject, deriv.ty, ctx, deriv, None)
+    return _expand(d, Flavor.A, supply, orientation)
 
 
 def expand(

@@ -334,11 +334,15 @@ def render_members(members: Iterable[Type], unicode: bool = False) -> str:
 
 
 def _type_text(t: Type, unicode: bool) -> str:
-    if isinstance(t, TVar):
-        return t.name
-    conn = _CONNECTIVE.get(type(t))
-    if conn is None:
-        raise TypeError(t)
-    doms = t.doms if isinstance(t, InterArrow) else (t.dom,)
-    spelling = conn.unicode if unicode and conn.shows_unicode else conn.ascii
-    return f"{render_members(doms, unicode)} {spelling} {_type_text(t.cod, unicode)}"
+    # arrows associate to the right, so the codomain chain is one loop
+    parts = []
+    while not isinstance(t, TVar):
+        conn = _CONNECTIVE.get(type(t))
+        if conn is None:
+            raise TypeError(t)
+        doms = t.doms if isinstance(t, InterArrow) else (t.dom,)
+        spelling = conn.unicode if unicode and conn.shows_unicode else conn.ascii
+        parts.append(f"{render_members(doms, unicode)} {spelling} ")
+        t = t.cod
+    parts.append(t.name)
+    return "".join(parts)

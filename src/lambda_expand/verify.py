@@ -72,6 +72,7 @@ from .expansion import (
     ExpansionError,
     ExpansionResult,
     OrderViolation,
+    TRANSLATIONS,
     expand,
     verify_beta_diagram_lambdai,
     verify_whd_diagram,
@@ -609,9 +610,6 @@ def _decision_matches(f: Facts, system: System) -> tuple[str, str]:
     return "ok", ""
 
 
-_TARGETS = {Flavor.ACI: Target.SIMPLE, Flavor.AC: Target.LINEAR, Flavor.A: Target.ORDERED}
-
-
 def _flavored_or_verdict(f: Facts, flavor: Flavor, fact: Callable[[Flavor], object]):
     """Shared premise: a per-flavor fact of the record (its expansion or
     beta-diagram report), or an early verdict."""
@@ -630,7 +628,7 @@ def _expansion_checks(f: Facts, flavor: Flavor) -> tuple[str, str]:
     if isinstance(r, tuple):
         return r
     lambda_i = f.term_class.is_lambda_i
-    target = _TARGETS[flavor]
+    target = TRANSLATIONS[flavor][2]
     # expand refuses unless the induced and strict derivations pass their checkers
     if r.ty != translate(f.derivation.ty, target):
         return "fail", "result type is not the translated source type"

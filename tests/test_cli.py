@@ -226,18 +226,37 @@ def test_infer_intersection_through_an_untypable_subterm(capsys):
     assert out.splitlines()[0].endswith(" : a -> a")
 
 
+TWO_THOUSAND_DEEP = "\\f x. " + "f (" * 1_999 + "f x" + ")" * 1_999
+
+
 def test_infer_types_a_normal_form_two_thousand_deep(capsys):
     # each occurrence of f gets its own arrow, chained through x's type;
     # flavor a shows the members in occurrence order
-    deep = "\\f x. " + "f (" * 1_999 + "f x" + ")" * 1_999
     assert 2_000 > sys.getrecursionlimit()
-    code, out, _ = run(capsys, "infer", "--system", "intersection", "--flavor", "a", deep)
+    code, out, _ = run(
+        capsys, "infer", "--system", "intersection", "--flavor", "a", TWO_THOUSAND_DEEP
+    )
     assert code == 0
     term, ty = out.split(" : ")
-    assert term == deep
+    assert term == TWO_THOUSAND_DEEP
     got = parse_inter_type(ty)
     assert len(got.doms) == 2_000 and len(got.cod.doms) == 1
     assert got.doms[-1].doms == got.cod.doms and got.doms[0].cod == got.cod.cod
+
+
+@pytest.mark.parametrize("flavor, system", [
+    ("aci", "curry"), ("ac", "affine"), ("ordered", "ordered"),
+])
+def test_expand_two_thousand_deep(capsys, flavor, system):
+    # every occurrence of f becomes its own fresh variable, bound in order
+    assert 2_000 > sys.getrecursionlimit()
+    code, out, err = run(capsys, "expand", "--flavor", flavor, TWO_THOUSAND_DEEP)
+    assert (code, err) == (0, "")
+    fs = [f"f{i}" for i in range(1, 2_001)]
+    term = "\\" + " ".join(fs) + " x1. " + " (".join(fs) + " x1" + ")" * 1_999
+    lines = out.splitlines()
+    assert lines[0].split(" : ")[0] == term
+    assert lines[2] == f"derivation ({system}): ok"
 
 
 def test_infer_nonterminating_term_is_inconclusive(capsys, monkeypatch):
@@ -587,6 +606,13 @@ def test_verify_rejects_unknown_bits(capsys):
     assert code == 3 and "corpus" in err
     code, _, err = run(capsys, "verify", "--corpus", "open:4:bogus")
     assert code == 3 and "filter" in err
+
+
+@pytest.mark.parametrize("props", ["", ",", " , "])
+def test_verify_rejects_a_property_list_that_names_none(capsys, props):
+    code, out, err = run(capsys, "verify", "--corpus", "closed:1", "--props", props)
+    assert (code, out) == (3, "")
+    assert err == f"usage error: --props {props!r} names no property"
 
 
 def test_importing_the_cli_leaves_the_property_matrix_unloaded():

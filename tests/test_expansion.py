@@ -6,6 +6,7 @@ where relevant the induced derivation's annotations.  Properties lean on
 check_derivation/check_inter as independent oracles.
 """
 
+import gc
 import hashlib
 
 import pytest
@@ -206,6 +207,41 @@ def test_set_expansion_builds_its_derivation_in_its_own_walk(monkeypatch):
     assert expanded == 2 * 268
     with pytest.raises(Reached):
         systems.decide(System.CURRY, t(r"\x. x"))
+
+
+def test_expansion_of_a_two_thousand_deep_term_passes_its_checker():
+    # the walk keeps its frames on a list, so depth is not bounded by
+    # the recursion limit
+    deep = t("\\f x. " + "f (" * 1_999 + "f x" + ")" * 1_999)
+    d = infer(deep)
+    for flavor in Flavor:
+        r = expand(d, flavor)
+        assert check_derivation(r.induced), flavor
+        body, binders = r.expanded, 0
+        while isinstance(body, Abs):
+            body, binders = body.body, binders + 1
+        assert binders == 2_001, flavor  # a fresh binder per use of f, then x
+
+
+def test_expansion_leaves_no_reference_cycle():
+    # a refusal is raised from inside the walk and caught here, and neither
+    # it nor a finished walk may leave a cycle for the collector
+    derivations = [infer(u) for u in enumerate_terms(6, closed_only=False)]
+    derivations = [d for d in derivations if d is not None]
+    refused = 0
+    gc.collect()
+    gc.disable()
+    try:
+        for d in derivations:
+            for flavor in Flavor:
+                try:
+                    expand(d, flavor)
+                except ExpansionError:
+                    refused += 1
+        assert refused > 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_generic_entry_point_dispatches_by_flavor():
