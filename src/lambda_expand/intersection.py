@@ -47,7 +47,6 @@ from .typelang import (
     TypeEnv,
     check_tree,
     env_eq,
-    env_meet,
     fold,
     inter_eq,
     inter_list_eq,
@@ -69,45 +68,44 @@ class InterDerivation:
         return dict(self.env)
 
 
-def _freeze_env(env: TypeEnv) -> tuple[tuple[str, tuple[InterType, ...]], ...]:
-    return tuple((x, tuple(members)) for x, members in env.items())
-
-
-def _node(
-    rule: str,
-    env: TypeEnv,
-    subject: Term,
-    ty: InterType,
-    premises: tuple[InterDerivation, ...] = (),
-) -> InterDerivation:
-    return InterDerivation(rule, _freeze_env(env), subject, ty, premises)
-
-
-def _env_without(env: TypeEnv, x: str) -> TypeEnv:
-    return {k: v for k, v in env.items() if k != x}
+def _ax(v: Var, ty: InterType) -> InterDerivation:
+    """The axiom deriving v at ty from the single assumption v : [ty]."""
+    return InterDerivation("ax", ((v.name, (ty,)),), v, ty)
 
 
 def _abs_node(
-    x: str, p: InterDerivation, vacuous_doms: tuple[InterType, ...]
+    subject: Abs, p: InterDerivation, vacuous_doms: tuple[InterType, ...]
 ) -> InterDerivation:
-    """Abstraction of x over p: arrow_i discharging x's whole list when x
-    occurs in p, else arrow_i_prime with domain `vacuous_doms`."""
-    penv = p.environment()
-    subject = Abs(x, p.subject)
-    if x in penv:
-        ty = InterArrow(penv[x], p.ty)
-        return _node("arrow_i", _env_without(penv, x), subject, ty, (p,))
-    return _node("arrow_i_prime", penv, subject, InterArrow(vacuous_doms, p.ty), (p,))
+    """The abstraction `subject` over p, which derives its body: arrow_i
+    discharging the binder's whole list when it occurs in p, else
+    arrow_i_prime with domain `vacuous_doms`."""
+    x = subject.binder
+    for i, (y, members) in enumerate(p.env):
+        if y == x:
+            env = p.env[:i] + p.env[i + 1 :]
+            return InterDerivation("arrow_i", env, subject, InterArrow(members, p.ty), (p,))
+    return InterDerivation("arrow_i_prime", p.env, subject, InterArrow(vacuous_doms, p.ty), (p,))
 
 
-def _app_node(
-    pf: InterDerivation, pas: list[InterDerivation], subject: Term
-) -> InterDerivation:
-    """arrow_e applying pf to the argument premises pas; the environments
-    meet pointwise."""
+def _met_env(
+    pf: InterDerivation, pas: list[InterDerivation]
+) -> tuple[tuple[str, tuple[InterType, ...]], ...]:
+    """The pointwise meet of the premises' environments (typelang.env_meet),
+    built on their env tuples: a copy of the function's, with each
+    argument's entries merged in and member tuples concatenated."""
+    env = dict(pf.env)
+    for a in pas:
+        for x, members in dict(a.env).items():
+            had = env.get(x)
+            env[x] = members if had is None else had + members
+    return tuple(env.items())
+
+
+def _app_node(pf: InterDerivation, pas: list[InterDerivation], subject: App) -> InterDerivation:
+    """arrow_e applying pf to the argument premises pas at `subject`; the
+    environments meet pointwise."""
     assert isinstance(pf.ty, InterArrow)
-    env = env_meet(pf.environment(), *[a.environment() for a in pas])
-    return _node("arrow_e", env, subject, pf.ty.cod, (pf, *pas))
+    return InterDerivation("arrow_e", _met_env(pf, pas), subject, pf.ty.cod, (pf, *pas))
 
 
 def check_inter(d: InterDerivation, flavor: Flavor = Flavor.A) -> CheckResult:
@@ -125,15 +123,16 @@ def check_inter(d: InterDerivation, flavor: Flavor = Flavor.A) -> CheckResult:
 
 
 def _icheck_node(flavor: Flavor, d: InterDerivation) -> str | None:
-    """The reason one node breaks its rule, or None."""
-    env = d.environment()
+    """The reason one node breaks its rule, or None.  A node's env tuple is
+    first compared with the one its rule expects, as given; dicts are built
+    for the flavored comparison only when the two differ."""
     if d.rule == "ax":
         if d.premises:
             return "ax takes no premises"
         if not isinstance(d.subject, Var):
             return "ax subject must be a variable"
-        want = {d.subject.name: (d.ty,)}
-        if env != want:
+        want = ((d.subject.name, (d.ty,)),)
+        if d.env != want and dict(d.env) != dict(want):
             return "ax environment must be the single assumption"
         return None
 
@@ -141,7 +140,6 @@ def _icheck_node(flavor: Flavor, d: InterDerivation) -> str | None:
         if len(d.premises) != 1:
             return f"{d.rule} takes one premise"
         (p,) = d.premises
-        penv = p.environment()
         if not isinstance(d.subject, Abs):
             return f"{d.rule} concludes an abstraction"
         x = d.subject.binder
@@ -151,17 +149,20 @@ def _icheck_node(flavor: Flavor, d: InterDerivation) -> str | None:
             return f"{d.rule} concludes an arrow"
         if not inter_eq(d.ty.cod, p.ty, flavor):
             return f"{d.rule} codomain must be the premise type"
+        rest = tuple(e for e in p.env if e[0] != x)
         if d.rule == "arrow_i":
-            if x not in penv:
+            if len(rest) == len(p.env):
                 return "arrow_i needs the binder in the environment"
-            if not inter_list_eq(d.ty.doms, penv[x], flavor):
+            # the binder's last entry, as a dict of p.env keeps it
+            members = next(ms for y, ms in reversed(p.env) if y == x)
+            if not inter_list_eq(d.ty.doms, members, flavor):
                 return "arrow_i discharges the binder's full list"
         else:
-            if x in penv:
+            if len(rest) != len(p.env):
                 return "arrow_i_prime needs the binder unused"
             if len(d.ty.doms) != 1:
                 return "arrow_i_prime domains are singletons"
-        if not env_eq(env, _env_without(penv, x), flavor):
+        if d.env != rest and not env_eq(dict(d.env), dict(rest), flavor):
             return f"{d.rule} environment must drop the binder"
         return None
 
@@ -183,8 +184,8 @@ def _icheck_node(flavor: Flavor, d: InterDerivation) -> str | None:
             return "argument premises must all derive the argument"
         if not inter_eq(d.ty, pf.ty.cod, flavor):
             return "arrow_e concludes the codomain"
-        met = env_meet(pf.environment(), *[a.environment() for a in pas])
-        if not env_eq(env, met, flavor):
+        met = _met_env(pf, pas)
+        if d.env != met and not env_eq(dict(d.env), dict(met), flavor):
             return "arrow_e environment must be the pointwise meet"
         return None
 
@@ -295,9 +296,11 @@ def infer_nf(t: Term, fresh: FreshSupply | None = None) -> InterDerivation:
     once.
 
     The walk runs on an explicit stack, so a normal form's depth is bounded
-    by memory: a str on the stack finishes the abstraction over that
-    binder, and a (head, count) pair the spine applying the head variable
-    to the last `count` derivations built.
+    by memory: an (abstraction, None) pair on the stack finishes that
+    abstraction over the last derivation built, and a (head, applications)
+    pair the spine applying the head variable to the last
+    len(applications) derivations built.  Every node's subject is the
+    subterm of t it derives.
     """
     if fresh is None:
         fresh = FreshSupply()
@@ -306,43 +309,44 @@ def infer_nf(t: Term, fresh: FreshSupply | None = None) -> InterDerivation:
     while stack:
         t = stack.pop()
         if isinstance(t, Var):
-            a = TVar(fresh.fresh("t"))
-            out.append(_node("ax", {t.name: (a,)}, t, a))
+            out.append(_ax(t, TVar(fresh.fresh("t"))))
         elif isinstance(t, Abs):
-            stack.append(t.binder)
+            stack.append((t, None))
             stack.append(t.body)
         elif isinstance(t, App):
-            spine, args = _spine(t)
-            if not isinstance(spine, Var):
+            head, apps = _spine(t)
+            if not isinstance(head, Var):
                 raise NotNormalError(f"redex in head position: {t}")
-            stack.append((spine, len(args)))
-            stack += args[::-1]
-        elif isinstance(t, str):
-            p = out.pop()
-            used = t in p.environment()
-            out.append(_abs_node(t, p, () if used else (TVar(fresh.fresh("t")),)))
+            stack.append((head, apps))
+            stack += [app.arg for app in reversed(apps)]
         elif isinstance(t, tuple):
-            spine, n = t
-            arg_ds = out[-n:]
-            del out[-n:]
-            head_ty: InterType = TVar(fresh.fresh("t"))
-            for a in reversed(arg_ds):
-                head_ty = InterArrow((a.ty,), head_ty)
-            d: InterDerivation = _node("ax", {spine.name: (head_ty,)}, spine, head_ty)
-            for a in arg_ds:
-                d = _app_node(d, [a], App(d.subject, a.subject))
-            out.append(d)
+            t, apps = t
+            if apps is None:
+                p = out.pop()
+                used = any(y == t.binder for y, _ in p.env)
+                out.append(_abs_node(t, p, () if used else (TVar(fresh.fresh("t")),)))
+            else:
+                arg_ds = out[-len(apps) :]
+                del out[-len(apps) :]
+                head_ty: InterType = TVar(fresh.fresh("t"))
+                for a in reversed(arg_ds):
+                    head_ty = InterArrow((a.ty,), head_ty)
+                d = _ax(t, head_ty)
+                for app, a in zip(apps, arg_ds):
+                    d = _app_node(d, [a], app)
+                out.append(d)
         else:
             raise TypeError(t)
     return out[0]
 
 
-def _spine(t: Term) -> tuple[Term, list[Term]]:
-    args: list[Term] = []
+def _spine(t: Term) -> tuple[Term, list[App]]:
+    """t's head and the applications along its spine, innermost first."""
+    apps: list[App] = []
     while isinstance(t, App):
-        args.append(t.arg)
+        apps.append(t)
         t = t.fun
-    return t, args[::-1]
+    return t, apps[::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +434,7 @@ def _at(
         p = _at(d.premises[0], term.body, rest, site)
         # the premise may have gained occurrences of the binder (an erased
         # argument mentioned it) or lost them all (the step erased them)
-        n = _abs_node(term.binder, p, d.ty.doms)  # type: ignore[union-attr]
+        n = _abs_node(term, p, d.ty.doms)  # type: ignore[union-attr]
         if d.rule == "arrow_i" and n.rule != "arrow_i" and len(n.ty.doms) != 1:
             raise ReductionTypeError(
                 "binder lost all occurrences but its domain is not a singleton"
@@ -474,7 +478,7 @@ def _respine(d: InterDerivation, ty: InterType) -> InterDerivation:
     """
     if d.rule == "ax":
         assert isinstance(d.subject, Var)
-        return _node("ax", {d.subject.name: (ty,)}, d.subject, ty)
+        return _ax(d.subject, ty)
     if d.rule == "arrow_e":
         pf, *pas = d.premises
         assert isinstance(pf.ty, InterArrow)
@@ -494,16 +498,15 @@ def _expand_site(
         # erasing step: the contractum is m itself
         body_d = retarget(d, m)
         arg_d = _infer(n, fuel, fresh)
-        lam = _abs_node(x, body_d, (arg_d.ty,))
+        lam = _abs_node(redex.fun, body_d, (arg_d.ty,))
         return _app_node(lam, [arg_d], redex)
 
     detached: list[InterDerivation] = []
     p = _extract(m, d, {}, x, detached)
-    penv = p.environment()
     doms = tuple(a.ty for a in detached)
-    if penv.get(x) != doms:
+    lam = _abs_node(redex.fun, p, doms)
+    if lam.rule != "arrow_i" or lam.ty.doms != doms:  # type: ignore[union-attr]
         raise ReplayError("detached occurrence types disagree with the environment")
-    lam = _abs_node(x, p, ())
     return _app_node(lam, [retarget(a, n) for a in detached], redex)
 
 
@@ -524,11 +527,11 @@ def _extract(
     match m:
         case Var(v) if v == x:
             detached.append(d)
-            return _node("ax", {x: (d.ty,)}, m, d.ty)
+            return _ax(m, d.ty)
         case Var(v):
             if d.rule != "ax" or d.subject != Var(ren.get(v, v)):
                 raise ReplayError("variable occurrence does not line up")
-            return _node("ax", {v: (d.ty,)}, m, d.ty)
+            return _ax(m, d.ty)
         case Abs(b, body):
             if d.rule not in ("arrow_i", "arrow_i_prime") or not isinstance(
                 d.subject, Abs
@@ -538,7 +541,7 @@ def _extract(
             if d.subject.binder != b:
                 inner[b] = d.subject.binder
             p = _extract(body, d.premises[0], inner, x, detached)
-            n = _abs_node(b, p, d.ty.doms)  # type: ignore[union-attr]
+            n = _abs_node(m, p, d.ty.doms)  # type: ignore[union-attr]
             if n.rule != d.rule:
                 raise ReplayError(
                     "binder gained occurrences during extraction"
@@ -555,7 +558,7 @@ def _extract(
             assert isinstance(nf.ty, InterArrow)
             if tuple(p.ty for p in nas) != nf.ty.doms:
                 raise ReplayError("extraction changed an argument type")
-            return _app_node(nf, nas, App(f, a))
+            return _app_node(nf, nas, m)
     raise TypeError(m)
 
 
@@ -693,7 +696,8 @@ def _graft(
             return a
         if n.rule in ("arrow_i", "arrow_i_prime"):
             assert isinstance(n.subject, Abs) and isinstance(n.ty, InterArrow)
-            out = _abs_node(n.subject.binder, premises[0], n.ty.doms)
+            subject = Abs(n.subject.binder, premises[0].subject)
+            out = _abs_node(subject, premises[0], n.ty.doms)
             if out.rule != n.rule or out.ty != n.ty:
                 raise ReplayError("grafting changed the discharged list")
             return out

@@ -52,7 +52,6 @@ from .typelang import (
     fold,
     has_passed,
     letter_names,
-    preorder,
     record_pass,
 )
 
@@ -155,7 +154,7 @@ def _check_ax(d: Derivation) -> str | None:
     if len(d.basis.entries) != 1:
         return "ax needs a singleton basis"
     x, ty = d.basis.entries[0]
-    if d.subject != Var(x):
+    if not isinstance(d.subject, Var) or d.subject.name != x:
         return "ax subject must be the basis variable"
     if d.ty != ty:
         return "ax type must match the basis entry"
@@ -202,10 +201,27 @@ def _check_structural(d: Derivation) -> str | None:
             return "ctr needs equal types on the merged pair"
         if ce != pe[:-1]:
             return "ctr keeps the basis prefix"
-        if d.subject != rename_free(p.subject, {y: x}):
+        if not _renames_to(p.subject, y, x, d.subject):
             return "ctr must rename the dropped variable"
         return None
     raise AssertionError(d.rule)
+
+
+def _renames_to(t: Term, y: str, x: str, u: Term) -> bool:
+    """Whether u == rename_free(t, {y: x}), walked without building it."""
+    stack = [(t, u, True)]  # live: y is free here, so renamed
+    while stack:
+        a, b, live = stack.pop()
+        if type(a) is not type(b) or isinstance(a, Abs) and a.binder != b.binder:
+            return False
+        if isinstance(a, Var):
+            if b.name != (x if live and a.name == y else a.name):
+                return False
+        elif isinstance(a, Abs):
+            stack.append((a.body, b.body, live and a.binder != y))
+        else:
+            stack += [(a.fun, b.fun, live), (a.arg, b.arg, live)]
+    return True
 
 
 def _check_intro(d: Derivation, conn: type) -> str | None:
@@ -223,9 +239,9 @@ def _check_intro(d: Derivation, conn: type) -> str | None:
         (x, tx), rest = pe[-1], pe[:-1]
     if d.basis.entries != rest:
         return f"{d.rule} keeps the remaining basis in order"
-    if d.subject != Abs(x, p.subject):
+    if d.subject.binder != x or d.subject.body != p.subject:
         return f"{d.rule} subject must bind the discharged variable"
-    if d.ty != conn(tx, p.ty):
+    if not isinstance(d.ty, conn) or d.ty.dom != tx or d.ty.cod != p.ty:
         return f"{d.rule} type must match the discharged entry"
     return None
 
@@ -240,14 +256,15 @@ def _check_elim(d: Derivation, conn: type) -> str | None:
         return f"{d.rule} argument type must match the domain"
     if d.ty != pf.ty.cod:
         return f"{d.rule} concludes the codomain"
-    if d.subject != App(pf.subject, pa.subject):
+    s = d.subject
+    if not isinstance(s, App) or s.fun != pf.subject or s.arg != pa.subject:
         return f"{d.rule} subject must apply fun to arg"
     first, second = (pa, pf) if d.rule == "arrow_e_l" else (pf, pa)
     if d.basis.entries != first.basis.entries + second.basis.entries:
         return f"{d.rule} arranges the premise bases the other way"
-    shared = set(pf.basis.vars()) & set(pa.basis.vars())
-    if shared:
-        return f"premise bases share {sorted(shared)}"
+    names = set(pf.basis.vars())
+    if not names.isdisjoint(pa.basis.vars()):
+        return f"premise bases share {sorted(names.intersection(pa.basis.vars()))}"
     return None
 
 
@@ -276,12 +293,17 @@ def relabel(d: Derivation, system: System) -> Derivation:
     rule table reads the system.  So when d's pass is recorded and its
     rules are admitted, the copy is recorded as passed without a walk;
     otherwise check_derivation walks it and names the rule it lacks."""
-    out = fold(d, lambda n, ps: Derivation(system, n.rule, n.basis, n.subject, n.ty, ps))
-    admitted = {"ax", *STRUCTURAL[system], *CONNECTIVE[system]}
+    rules: set[str] = set()
+
+    def build(n: Derivation, ps: tuple[Derivation, ...]) -> Derivation:
+        rules.add(n.rule)
+        return Derivation(system, n.rule, n.basis, n.subject, n.ty, ps)
+
+    out = fold(d, build)
     if (
         CONNECTIVE[system] == CONNECTIVE[d.system]
         and has_passed(d, _CHECKED)
-        and all(n.rule in admitted for n in preorder(d))
+        and rules <= {"ax", *STRUCTURAL[system], *CONNECTIVE[system]}
     ):
         record_pass(out, _CHECKED)
     return out

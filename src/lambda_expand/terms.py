@@ -280,7 +280,10 @@ def _rebind(
             return t if b2 == b and body is t.body else Abs(b2, body)
         raise TypeError(t)
 
-    return go(t, empty, table)
+    try:
+        return go(t, empty, table)
+    finally:
+        go = None  # the closure refers to itself; break the cycle
 
 
 def _capture_names(

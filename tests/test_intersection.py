@@ -8,7 +8,9 @@ everything the replay produces.
 import gc
 import time
 import tracemalloc
-from functools import lru_cache
+from collections import Counter
+from dataclasses import replace
+from functools import lru_cache, partial
 from itertools import permutations, product
 
 import pytest
@@ -22,6 +24,8 @@ from lambda_expand.intersection import (
     ReplayError,
     _abs_node,
     _deriv_ty_vars,
+    _doms_matched,
+    _icheck_node,
     _infer,
     _match_ty,
     check_inter,
@@ -51,7 +55,11 @@ from lambda_expand.typelang import (
     Flavor,
     InterArrow,
     TVar,
+    check_tree,
+    env_eq,
+    env_meet,
     inter_eq,
+    inter_list_eq,
     letter_names,
     normal_members,
     normalize,
@@ -310,7 +318,7 @@ def test_check_inter_rejects_broken_env():
 def test_vacuous_binder_chain_past_the_recursion_limit():
     d = infer(t("x"))
     for i in range(5000):
-        d = _abs_node(f"z{i}", d, (B,))
+        d = _abs_node(Abs(f"z{i}", d.subject), d, (B,))
     assert d.rule == "arrow_i_prime"
     for flavor in Flavor:
         assert check_inter(d, flavor)
@@ -723,12 +731,190 @@ def test_infer_builds_no_node_past_the_replay(monkeypatch):
 
 
 def test_renaming_type_variables_leaves_no_reference_cycle():
-    # a beta-step still leaves terms._rebind's closure cycle, so the naming
-    # is watched on a normal form, which infer types without a step
-    d = infer(parse_term(r"(\x. x x)(\y. y) z"))
+    # watched on a normal form, which infer types without a step, and on a
+    # run that takes a beta-step (terms._rebind) before its replay
+    stepped = parse_term(r"(\x. x x)(\y. y) z")
+    d = infer(stepped)
     nf = parse_term(r"\x y. x (y x) (\z. y)")
     infer(nf)
     gc.collect()
     infer(nf)
+    infer(stepped)
     rename_tyvars(d, {"a": d.ty})
     assert gc.collect() == 0
+
+
+def test_infer_shares_every_subject_with_its_input():
+    # each node derives the very object at its position of the root
+    # subject, and every argument premise its application's argument
+    for u in [*enumerate_terms(7, closed_only=False), *map(t, CHURCH_TERMS)]:
+        d = infer(u)
+        if d is None:
+            continue
+        if canonicalize(u, FreshSupply()) == u:  # u keeps the binder convention
+            assert d.subject is u, u
+        stack = [(d, d.subject)]
+        while stack:
+            n, at = stack.pop()
+            assert n.subject is at, u
+            if isinstance(at, Abs):
+                stack.append((n.premises[0], at.body))
+            elif isinstance(at, App):
+                pf, *pas = n.premises
+                stack.append((pf, at.fun))
+                stack += [(a, at.arg) for a in pas]
+
+
+def test_infer_builds_no_term_node_on_a_normal_form(monkeypatch):
+    forms = [
+        u
+        for u in enumerate_terms(7, closed_only=False)
+        if next(redex_positions(u), None) is None and canonicalize(u, FreshSupply()) == u
+    ]
+    built = 0
+
+    def count(cls):
+        init = cls.__init__
+
+        def counting_init(self, *args):
+            nonlocal built
+            built += 1
+            init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counting_init)
+
+    for cls in (Var, Abs, App):
+        count(cls)
+    for u in forms:
+        assert infer(u).subject is u
+    assert len(forms) > 100 and built == 0
+
+
+def _dict_icheck_node(flavor, d):
+    """The node check as it stood with dict environments: the oracle for
+    _icheck_node, which compares env tuples first."""
+    env = d.environment()
+    if d.rule == "ax":
+        if d.premises:
+            return "ax takes no premises"
+        if not isinstance(d.subject, Var):
+            return "ax subject must be a variable"
+        if env != {d.subject.name: (d.ty,)}:
+            return "ax environment must be the single assumption"
+        return None
+    if d.rule in ("arrow_i", "arrow_i_prime"):
+        if len(d.premises) != 1:
+            return f"{d.rule} takes one premise"
+        (p,) = d.premises
+        penv = p.environment()
+        if not isinstance(d.subject, Abs):
+            return f"{d.rule} concludes an abstraction"
+        x = d.subject.binder
+        if d.subject.body != p.subject:
+            return f"{d.rule} premise subject must be the body"
+        if not isinstance(d.ty, InterArrow):
+            return f"{d.rule} concludes an arrow"
+        if not inter_eq(d.ty.cod, p.ty, flavor):
+            return f"{d.rule} codomain must be the premise type"
+        if d.rule == "arrow_i":
+            if x not in penv:
+                return "arrow_i needs the binder in the environment"
+            if not inter_list_eq(d.ty.doms, penv[x], flavor):
+                return "arrow_i discharges the binder's full list"
+        else:
+            if x in penv:
+                return "arrow_i_prime needs the binder unused"
+            if len(d.ty.doms) != 1:
+                return "arrow_i_prime domains are singletons"
+        if not env_eq(env, {k: v for k, v in penv.items() if k != x}, flavor):
+            return f"{d.rule} environment must drop the binder"
+        return None
+    if d.rule == "arrow_e":
+        if len(d.premises) < 2:
+            return "arrow_e takes a function and argument premises"
+        pf, *pas = d.premises
+        if not isinstance(pf.ty, InterArrow):
+            return "arrow_e function premise needs an arrow type"
+        if len(pas) != len(pf.ty.doms):
+            return "arrow_e needs one argument premise per member"
+        if not _doms_matched(pf.ty.doms, [a.ty for a in pas], flavor):
+            return "argument types must match the domain members"
+        if not isinstance(d.subject, App):
+            return "arrow_e concludes an application"
+        if d.subject.fun != pf.subject:
+            return "arrow_e function premise subject mismatch"
+        if any(a.subject != d.subject.arg for a in pas):
+            return "argument premises must all derive the argument"
+        if not inter_eq(d.ty, pf.ty.cod, flavor):
+            return "arrow_e concludes the codomain"
+        met = env_meet(pf.environment(), *[a.environment() for a in pas])
+        if not env_eq(env, met, flavor):
+            return "arrow_e environment must be the pointwise meet"
+        return None
+    return f"unknown rule {d.rule!r}"
+
+
+def _env_mutants(n):
+    """n with its env or type broken, or not, in the ways a tuple compare
+    and a dict compare could tell apart."""
+    env = n.env
+    out = []
+    if len(env) > 1:  # the same mapping in another order
+        out.append(replace(n, env=env[::-1]))
+    for i, (x, members) in enumerate(env):
+        if len(members) > 1:  # one member list reordered
+            out.append(replace(n, env=(*env[:i], (x, members[::-1]), *env[i + 1 :])))
+            break
+    if env:  # a key repeated, with the same members and with others
+        out.append(replace(n, env=(*env, env[0])))
+        out.append(replace(n, env=(*env, (env[0][0], (TVar("zz"),)))))
+        out.append(replace(n, env=((env[0][0], (TVar("zz"),)), *env)))
+    if isinstance(n.ty, InterArrow):  # a wrong codomain
+        out.append(replace(n, ty=InterArrow(n.ty.doms, TVar("zz"))))
+    return out
+
+
+def test_env_tuple_checks_agree_with_the_dict_checks():
+    # every node of the open derivations up to size 5, broken in turn; the
+    # broken node and its parent get the same verdict and reason as the
+    # dict-based check gives, and so does the whole derivation
+    verdicts = Counter()
+    for u in enumerate_terms(5, closed_only=False):
+        d = infer(u)
+        if d is None:
+            continue
+        for path, n in _node_paths(d):
+            for bad_node in _env_mutants(n):
+                bad = _replaced_at(d, path, bad_node)
+                parent = _node_at(bad, path[:-1]) if path else None
+                for flavor in Flavor:
+                    for m in (_node_at(bad, path), parent):
+                        if m is not None:
+                            reason = _icheck_node(flavor, m)
+                            assert reason == _dict_icheck_node(flavor, m), (u, path)
+                            verdicts[reason] += 1
+                    oracle = partial(_dict_icheck_node, flavor)
+                    assert check_inter(bad, flavor) == check_tree(bad, oracle, ("dict", flavor))
+    assert verdicts[None] and len(verdicts) > 4
+
+
+def _node_paths(d, prefix=()):
+    """(path, node) for every node of d."""
+    yield prefix, d
+    for i, p in enumerate(d.premises):
+        yield from _node_paths(p, prefix + (i,))
+
+
+def _node_at(d, path):
+    for i in path:
+        d = d.premises[i]
+    return d
+
+
+def _replaced_at(d, path, node):
+    """d with the node at `path` replaced by `node`."""
+    if not path:
+        return node
+    premises = list(d.premises)
+    premises[path[0]] = _replaced_at(premises[path[0]], path[1:], node)
+    return replace(d, premises=tuple(premises))

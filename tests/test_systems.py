@@ -32,7 +32,7 @@ from lambda_expand.systems import (
     relabel,
     rename_in_derivation,
 )
-from lambda_expand.terms import Abs, App, Var, canonicalize, FreshSupply
+from lambda_expand.terms import Abs, App, Var, canonicalize, FreshSupply, rename_free
 from lambda_expand.typelang import Arrow, Basis, Flavor, Lolli, LolliL, LolliR, TVar, fold, preorder
 from lambda_expand.verify import enumerate_terms
 
@@ -306,6 +306,145 @@ def test_checkers_fail_first_where_a_recursive_check_fails_first():
                 bads.append(_replaced_at(_retyped_at(d, path + (0,)), path, moved))
             for bad in bads:
                 same(check_derivation(bad), reference_check(bad))
+
+
+def _built_check_ax(d):
+    """_check_ax as it stood, comparing against a built Var: the oracle."""
+    if d.premises:
+        return "ax takes no premises"
+    if len(d.basis.entries) != 1:
+        return "ax needs a singleton basis"
+    x, ty = d.basis.entries[0]
+    if d.subject != Var(x):
+        return "ax subject must be the basis variable"
+    if d.ty != ty:
+        return "ax type must match the basis entry"
+    return None
+
+
+def _built_check_intro(d, conn):
+    """_check_intro as it stood, comparing against a built Abs and arrow."""
+    if len(d.premises) != 1:
+        return f"{d.rule} takes one premise"
+    (p,) = d.premises
+    if not isinstance(d.subject, Abs):
+        return f"{d.rule} concludes an abstraction"
+    pe = p.basis.entries
+    if not pe:
+        return f"{d.rule} discharges a basis entry"
+    (x, tx), rest = (pe[0], pe[1:]) if d.rule == "arrow_i_l" else (pe[-1], pe[:-1])
+    if d.basis.entries != rest:
+        return f"{d.rule} keeps the remaining basis in order"
+    if d.subject != Abs(x, p.subject):
+        return f"{d.rule} subject must bind the discharged variable"
+    if d.ty != conn(tx, p.ty):
+        return f"{d.rule} type must match the discharged entry"
+    return None
+
+
+def _built_check_elim(d, conn):
+    """_check_elim as it stood, comparing against a built App."""
+    if len(d.premises) != 2:
+        return f"{d.rule} takes two premises"
+    pf, pa = d.premises
+    if not isinstance(pf.ty, conn):
+        return f"{d.rule} function premise needs {conn.__name__}"
+    if pf.ty.dom != pa.ty:
+        return f"{d.rule} argument type must match the domain"
+    if d.ty != pf.ty.cod:
+        return f"{d.rule} concludes the codomain"
+    if d.subject != App(pf.subject, pa.subject):
+        return f"{d.rule} subject must apply fun to arg"
+    first, second = (pa, pf) if d.rule == "arrow_e_l" else (pf, pa)
+    if d.basis.entries != first.basis.entries + second.basis.entries:
+        return f"{d.rule} arranges the premise bases the other way"
+    shared = set(pf.basis.vars()) & set(pa.basis.vars())
+    if shared:
+        return f"premise bases share {sorted(shared)}"
+    return None
+
+
+# each arrow class with another of the same arity in its place
+_OTHER_ARROW = {Arrow: Lolli, Lolli: Arrow, LolliL: LolliR, LolliR: LolliL}
+
+
+def _subject_mutants(n):
+    """n with a wrong subject or arrow class, by rule."""
+    zz = Var("zz")
+    if n.rule == "ax":
+        return [dataclasses.replace(n, subject=s) for s in (zz, App(n.subject, zz))]
+    if n.rule.startswith("arrow_i"):
+        other = _OTHER_ARROW[type(n.ty)](n.ty.dom, n.ty.cod)
+        return [
+            dataclasses.replace(n, subject=Abs("zz", n.subject.body)),
+            dataclasses.replace(n, subject=Abs(n.subject.binder, zz)),
+            dataclasses.replace(n, subject=zz),
+            dataclasses.replace(n, ty=other),
+        ]
+    if n.rule.startswith("arrow_e"):
+        return [
+            dataclasses.replace(n, subject=App(n.subject.fun, zz)),
+            dataclasses.replace(n, subject=App(zz, n.subject.arg)),
+            dataclasses.replace(n, subject=zz),
+        ]
+    return []
+
+
+def test_field_checks_agree_with_the_built_node_checks():
+    # every node of the induced and strict derivations of the open terms up
+    # to size 5, with a wrong subject or arrow class: the same reason as
+    # the checks that built a node to compare against
+    reasons = set()
+    for u in enumerate_terms(5, closed_only=False):
+        d = infer(u)
+        if d is None:
+            continue
+        for flavor in Flavor:
+            try:
+                r = expand(d, flavor)
+            except ExpansionError:
+                continue
+            for root in [r.induced] + ([r.strict] if r.strict else []):
+                for n in preorder(root):
+                    for bad in [n, *_subject_mutants(n)]:
+                        if bad.rule == "ax":
+                            got, want = systems._check_ax(bad), _built_check_ax(bad)
+                        elif bad.rule.startswith("arrow_"):
+                            conn = CONNECTIVE[bad.system][bad.rule]
+                            new, old = (
+                                (systems._check_intro, _built_check_intro)
+                                if bad.rule.startswith("arrow_i")
+                                else (systems._check_elim, _built_check_elim)
+                            )
+                            got, want = new(bad, conn), old(bad, conn)
+                        else:
+                            continue
+                        assert got == want, (u, bad)
+                        reasons.add(got)
+    assert None in reasons and len(reasons) >= 8
+
+
+def test_contraction_check_agrees_with_the_renamed_subject():
+    # the ctr check walks the premise's subject against the conclusion's
+    # instead of building the renamed term: every ctr node of the curry
+    # witnesses up to size 6, with its subject right and spelled wrong
+    checked = 0
+    for u in enumerate_terms(6, closed_only=False):
+        d = decide(System.CURRY, u)
+        for n in preorder(d) if d is not None else ():
+            if n.rule != "ctr":
+                continue
+            (p,) = n.premises
+            (x, _), (y, _) = p.basis.entries[-2:]
+            want = rename_free(p.subject, {y: x})
+            for s in (want, p.subject, rename_free(p.subject, {y: "zz"}), Var(x)):
+                reason = systems._check_structural(dataclasses.replace(n, subject=s))
+                assert reason == (None if s == want else "ctr must rename the dropped variable")
+                checked += 1
+    assert checked > 100
+    # a binder that shadows the dropped name keeps its own occurrences
+    assert systems._renames_to(t("y (\\y. y)"), "y", "x", t("x (\\y. y)"))
+    assert not systems._renames_to(t("y (\\y. y)"), "y", "x", t("x (\\y. x)"))
 
 
 def test_axiom_type_must_match_entry():
