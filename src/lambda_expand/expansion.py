@@ -36,6 +36,7 @@ caller's question.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .intersection import (
     InterDerivation,
@@ -98,16 +99,32 @@ class ExpansionResult:
     """A rebuilt term with its context and the derivations it induces.
 
     `induced` types `expanded` in the target system of the flavor that
-    produced it (simple/curry for ACI, affine for AC, ordered for A);
-    `strict` is the contraction-free counterpart (relevant or linear)
-    available when the original subject was a lI term, else None.
+    produced it (simple/curry for ACI, affine for AC, ordered for A).
+    `strict_system` names the contraction-free counterpart (relevant or
+    linear) when the original subject was a lI term, else it is None.
+
+    `strict`, the induced derivation relabelled into `strict_system`, is
+    built and checked on its first read and kept.  A lI subject's
+    expansion has no weak node and an AC expansion no ctr node, so it
+    passes its checker whenever the induced one does.  Equality compares
+    the fields only.
     """
 
     expanded: Term
     ty: Type
     context: SetExpCtx | ListExpCtx
     induced: Derivation
-    strict: Derivation | None = None
+    strict_system: System | None = None
+
+    @cached_property
+    def strict(self) -> Derivation | None:
+        if self.strict_system is None:
+            return None
+        # relabel records the copy's pass when the induced one has passed;
+        # only a node whose rule strict_system lacks gets it walked
+        strict = relabel(self.induced, self.strict_system)
+        _require_pass(strict)
+        return strict
 
 
 # ---------------------------------------------------------------------------
@@ -123,14 +140,25 @@ TRANSLATIONS: dict[Flavor, tuple[System, System | None, Target]] = {
 }
 
 
-def _take_by_type(pool: list, ty: InterType, key) -> object:
-    for i, item in enumerate(pool):
-        if key(item) == ty:
-            return pool.pop(i)
-    raise ExpansionError(
-        "domain member has no matching counterpart; the derivation equates "
-        "types only up to its flavor, but expansion needs them spelled alike"
-    )
+def _take_by_type(doms: list, pool: list, key) -> list:
+    """For each member of doms in order, the first item of pool not yet
+    taken whose key equals it; one pass over each list.  When the items
+    already stand in the members' order, as in the derivations infer
+    builds, those are the first len(doms) items, and no type is hashed."""
+    keys = [key(item) for item in pool]
+    if keys[: len(doms)] == doms:
+        return pool[: len(doms)]
+    # each type's items, last first, so that pop takes the first
+    by_type: dict[InterType, list] = {}
+    for item, k in zip(reversed(pool), reversed(keys)):
+        by_type.setdefault(k, []).append(item)
+    try:
+        return [by_type[t].pop() for t in doms]
+    except (KeyError, IndexError):
+        raise ExpansionError(
+            "domain member has no matching counterpart; the derivation equates "
+            "types only up to its flavor, but expansion needs them spelled alike"
+        ) from None
 
 
 def _owner_runs(basis: Basis, owner: dict) -> list[tuple[str, list[tuple[str, Type]]]]:
@@ -195,8 +223,8 @@ def _discharge(
                 bd = contract_pair(bd, heads[ty], y)
         items = [(y, ty) for ty, y in heads.items()]
     doms = dedup_members(d.ty.doms) if idempotent else list(d.ty.doms)
-    binders = [_take_by_type(items, t, lambda it: it[1]) for t in doms]
-    if items:
+    binders = _take_by_type(doms, items, lambda it: it[1])
+    if len(items) > len(binders):
         raise ExpansionError(f"binder {x} has occurrence types beyond its domain members")
     for y, _ty in reversed(binders):
         bd = intro(move_to_end(bd, y), "arrow_i")
@@ -214,8 +242,7 @@ def _arguments(
     pf, *pas = d.premises
     if flavor is not Flavor.A:
         doms = dedup_members(pf.ty.doms) if flavor is Flavor.ACI else list(pf.ty.doms)
-        pool = list(pas)
-        return [_take_by_type(pool, t, lambda p: p.ty) for t in doms], "arrow_e", None
+        return _take_by_type(doms, pas, lambda p: p.ty), "arrow_e", None
     senses: set[type] = set()
     wants: list[Type] = []
     t = fd.ty
@@ -328,22 +355,15 @@ def _expand(
     if flavor is Flavor.A:
         _require_pass(built)
         ctx = ListExpCtx(_owner_runs(built.basis, owner))
-        return ExpansionResult(built.subject, built.ty, ctx, built, None)
+        return ExpansionResult(built.subject, built.ty, ctx, built)
     # the root basis grouped by owner, in order of first appearance
     ctx = SetExpCtx()
     for y in built.basis.vars():
         ctx.groups.setdefault(owner[y][0], {})[y] = owner[y][1]
     induced = permute_basis(built, tuple(y for g in ctx.groups.values() for y in g))
     _require_pass(induced)
-    strict = None
-    if lambda_i:
-        # a lI subject's expansion needs no weak node, and an AC expansion
-        # no ctr node, so the strict derivation is the induced one
-        # relabelled; relabel records its pass unless a node needs a rule
-        # the strict system lacks, and only then is it walked, to name that node
-        strict = relabel(induced, TRANSLATIONS[flavor][1])
-        _require_pass(strict)
-    return ExpansionResult(induced.subject, induced.ty, ctx, induced, strict)
+    strict_system = TRANSLATIONS[flavor][1] if lambda_i else None
+    return ExpansionResult(induced.subject, induced.ty, ctx, induced, strict_system)
 
 
 def expand_aci(

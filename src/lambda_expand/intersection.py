@@ -48,11 +48,13 @@ from .typelang import (
     check_tree,
     env_eq,
     fold,
+    has_passed,
     inter_eq,
     inter_list_eq,
     letter_names,
     normalize,
     preorder,
+    record_pass,
 )
 
 
@@ -114,12 +116,25 @@ def check_inter(d: InterDerivation, flavor: Flavor = Flavor.A) -> CheckResult:
     The flavor controls how intersection lists are compared, each by its
     normal form (typelang.normalize): A demands the exact sequences, AC
     equal multisets, ACI equal sets.  Argument premises pair one to one
-    with domain members under every flavor.  Derivations produced by this
-    module are A-strict and therefore pass under every flavor.  A pass is
-    recorded on d under its flavor (typelang.check_tree), so d is walked
-    once per flavor; a pass under ACI says nothing about A.
+    with domain members under every flavor.
+
+    Every AC and ACI comparison first tries equality as given, so a pass
+    under A is a pass under every flavor.  Derivations produced by this
+    module are A-strict, so d is first replayed under A, and a pass is
+    recorded on d under all three flavors (typelang.check_tree): d is
+    walked once whatever flavors are asked for.  Only a d that fails under
+    A is walked again under the requested flavor, which names the path
+    and reason; a pass under ACI says nothing about A.
     """
-    return check_tree(d, partial(_icheck_node, flavor), flavor)
+    if has_passed(d, flavor):
+        return CheckResult(True)
+    res = check_tree(d, _icheck_exact, Flavor.A)
+    if res:
+        record_pass(d, Flavor.AC)
+        record_pass(d, Flavor.ACI)
+    elif flavor is not Flavor.A:
+        res = check_tree(d, partial(_icheck_node, flavor), flavor)
+    return res
 
 
 def _icheck_node(flavor: Flavor, d: InterDerivation) -> str | None:
@@ -190,6 +205,9 @@ def _icheck_node(flavor: Flavor, d: InterDerivation) -> str | None:
         return None
 
     return f"unknown rule {d.rule!r}"
+
+
+_icheck_exact = partial(_icheck_node, Flavor.A)
 
 
 def _doms_matched(

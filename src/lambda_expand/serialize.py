@@ -108,14 +108,14 @@ def to_jsonable(value: Any) -> Any:
                 "type": to_jsonable(ty),
                 "premises": [to_jsonable(p) for p in premises],
             }
-        case ExpansionResult(expanded, ty, context, induced, strict):
+        case ExpansionResult(expanded, ty, context, induced):
             return {
                 "kind": "expansion",
                 "expanded": to_jsonable(expanded),
                 "type": to_jsonable(ty),
                 "context": to_jsonable(context),
                 "derivation": to_jsonable(induced),
-                "strict": None if strict is None else to_jsonable(strict),
+                "strict": None if value.strict is None else to_jsonable(value.strict),
             }
     raise SerializeError(f"cannot serialize {type(value).__name__}")
 
@@ -181,13 +181,18 @@ def from_jsonable(data: Any) -> Any:
                     tuple(from_jsonable(p) for p in data["premises"]),
                 )
             case "expansion":
-                return ExpansionResult(
+                strict = None if data["strict"] is None else from_jsonable(data["strict"])
+                r = ExpansionResult(
                     from_jsonable(data["expanded"]),
                     from_jsonable(data["type"]),
                     from_jsonable(data["context"]),
                     from_jsonable(data["derivation"]),
-                    None if data["strict"] is None else from_jsonable(data["strict"]),
+                    None if strict is None else strict.system,
                 )
+                # a document carries its strict derivation, so that one is
+                # kept as the first read of r.strict rather than rebuilt
+                vars(r)["strict"] = strict
+                return r
     except (KeyError, TypeError, ValueError) as exc:
         raise SerializeError(f"malformed {kind} object: {exc}") from exc
     raise SerializeError(f"unknown kind {kind!r}")

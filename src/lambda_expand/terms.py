@@ -430,7 +430,7 @@ def de_bruijn(t: Term, ren: dict[str, str] | None = None):
 
 
 def alpha_eq(a: Term, b: Term) -> bool:
-    return alpha_eq_renamed(a, {}, b)
+    return a is b or alpha_eq_renamed(a, {}, b)
 
 
 def alpha_eq_renamed(t: Term, ren: dict[str, str], u: Term) -> bool:

@@ -168,13 +168,13 @@ _ARROW_OF = {
 
 
 def dedup_members(members) -> list[InterType]:
-    """Distinct members in first-occurrence order.  Members are compared
-    with == and never hashed, so a list without repeats costs one scan."""
-    out: list[InterType] = []
-    for t in members:
-        if t not in out:
-            out.append(t)
-    return out
+    """Distinct members in first-occurrence order, in one pass.  Each
+    member of a longer list is hashed into a dict that lives only for the
+    call, since infer renames type variables in place; hashing walks the
+    whole type, so a single member is not hashed."""
+    if len(members) < 2:
+        return list(members)
+    return list(dict.fromkeys(members))
 
 
 def translate(t: InterType, target: Target) -> Type:

@@ -696,3 +696,43 @@ def test_the_strict_derivation_passes_a_full_check_of_a_fresh_copy():
             assert check_derivation(copy), (render_term(u), flavor)
             checked += 1
     assert checked == 2 * 66  # the typable lI subjects, under each flavor
+
+
+def test_the_strict_derivation_is_built_on_its_first_read(monkeypatch):
+    calls = []
+    real = expansion.relabel
+    monkeypatch.setattr(expansion, "relabel", lambda d, system: calls.append(system) or real(d, system))
+    d = infer(t(r"\x. \y. x (x y)"))
+    for flavor, system in ((Flavor.ACI, System.RELEVANT), (Flavor.AC, System.LINEAR)):
+        calls.clear()
+        r = expand(d, flavor)
+        assert calls == [] and r.strict_system is system
+        strict = r.strict
+        assert calls == [system] and check_derivation(strict)
+        assert r.strict is strict and len(calls) == 1
+        # equality compares the fields, not whether strict was read
+        assert r == expand(d, flavor)
+    r = expand(infer(t(r"\x. \y. x")), Flavor.ACI)
+    assert r.strict_system is None and r.strict is None and calls == [System.LINEAR]
+
+
+def _take_by_scan(doms, pool, key):
+    """The pairing expansion._take_by_type must give: for each member, a
+    scan of the items left for the first one of its type."""
+    pool, out = list(pool), []
+    for ty in doms:
+        out.append(pool.pop(next(i for i, item in enumerate(pool) if key(item) == ty)))
+    return out
+
+
+@given(st.lists(st.sampled_from([TVar("a"), TVar("b"), ity("a -> b")]), min_size=1, max_size=7), st.data())
+@settings(max_examples=150, deadline=None)
+def test_pairing_by_type_takes_the_first_item_of_each_type(types, data):
+    # infer's derivations list their items in the members' order; one that
+    # agrees only up to its flavor pairs through the dict of types
+    pool = list(enumerate(types))
+    doms = data.draw(st.permutations(types))[: data.draw(st.integers(1, len(types)))]
+    key = lambda item: item[1]
+    assert expansion._take_by_type(doms, pool, key) == _take_by_scan(doms, pool, key)
+    with pytest.raises(ExpansionError):
+        expansion._take_by_type([*doms, ity("b -> a")], pool, key)

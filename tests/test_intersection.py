@@ -14,7 +14,7 @@ from functools import lru_cache, partial
 from itertools import permutations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lambda_expand import intersection, reduction
@@ -50,6 +50,7 @@ from lambda_expand.terms import (
     canonicalize,
     classify,
     free_vars,
+    size,
 )
 from lambda_expand.typelang import (
     Flavor,
@@ -58,6 +59,7 @@ from lambda_expand.typelang import (
     check_tree,
     env_eq,
     env_meet,
+    fold,
     inter_eq,
     inter_list_eq,
     letter_names,
@@ -622,6 +624,11 @@ def test_simply_typable_terms_are_inter_typable(u):
 
 
 @given(terms)
+# subject_reduce reorders the binder's domain here, so the reduct's type
+# lists its members in another order (ROADMAP, Defects)
+@example(t(r"\z. (\x. x z) z")).xfail(
+    raises=AssertionError, reason="subject_reduce reorders a binder's domain members"
+)
 @settings(max_examples=60, deadline=None)
 def test_lambda_i_round_trip(u):
     if not classify(u).is_lambda_i:
@@ -918,3 +925,32 @@ def _replaced_at(d, path, node):
     premises = list(d.premises)
     premises[path[0]] = _replaced_at(premises[path[0]], path[1:], node)
     return replace(d, premises=tuple(premises))
+
+
+def _fresh(d):
+    """A copy of d's tree with no pass recorded on any node."""
+    return fold(d, lambda n, premises: replace(n, premises=premises))
+
+
+def test_a_pass_under_a_is_a_pass_under_every_flavor():
+    # check_inter records AC and ACI passes from a pass under A alone; a
+    # walk under each flavor of a fresh copy must agree, over infer's
+    # derivations and over every env mutant of the ones up to size 5
+    derivations = [d for u in enumerate_terms(6, closed_only=False) if (d := infer(u))]
+    mutants = [
+        _replaced_at(d, path, bad)
+        for d in derivations
+        if size(d.subject) <= 5
+        for path, n in _node_paths(d)
+        for bad in _env_mutants(n)
+    ]
+    passed = failed = 0
+    for d in derivations + mutants:
+        if not check_inter(_fresh(d), Flavor.A):
+            failed += 1
+            continue
+        passed += 1
+        for flavor in (Flavor.AC, Flavor.ACI):
+            walked = check_tree(_fresh(d), partial(_icheck_node, flavor), ("walk", flavor))
+            assert walked and check_inter(_fresh(d), flavor), (d.subject, flavor)
+    assert passed > len(derivations) and failed

@@ -100,3 +100,11 @@ def test_dot_accepts_expansions_and_rejects_terms():
     assert to_dot(r).startswith("digraph")
     with pytest.raises(SerializeError):
         to_dot(parse_term("x"))
+
+
+def test_an_expansion_document_keeps_its_strict_derivation():
+    r = expand(infer(parse_term("\\x. x x")), Flavor.AC)
+    back = loads(dumps(r))
+    assert back == r and back.strict == r.strict
+    assert back.strict.system is r.strict_system is System.LINEAR
+    assert dumps(back) == dumps(r)

@@ -382,11 +382,17 @@ def test_matrix_walks_each_derivation_once_per_check(monkeypatch):
     monkeypatch.setattr(intersection, "check_tree", counted_tree)
     monkeypatch.setattr(systems, "check_tree", counted_tree)
     run_matrix(enumerated_corpus(7, closed_only=False))
-    inter = [n for (i, key), n in walks.items() if isinstance(held[i], InterDerivation)]
+    # check_inter replays under A first, and a pass there is a pass under
+    # every flavor, so an intersection derivation is walked under one key
+    inter = Counter()
+    for (i, key), n in walks.items():
+        if isinstance(held[i], InterDerivation):
+            inter[i] += n
     built = [n for (i, key), n in walks.items() if isinstance(held[i], Derivation)]
-    assert len(inter) > 4000 and len(built) > 5000
-    # at most once per (derivation, flavor) and once per built derivation
-    assert set(inter) == {1} and set(built) == {1}
+    assert len(inter) > 2000 and len(built) > 5000
+    # at most once per intersection derivation across all flavors, and
+    # once per built derivation
+    assert set(inter.values()) == {1} and set(built) == {1}
 
 
 def test_a_bare_term_gets_the_verdict_the_matrix_gives():
