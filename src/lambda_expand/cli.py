@@ -20,9 +20,6 @@ import json
 import os
 import sys
 
-from . import serialize
-from .expansion import ExpansionError, expand
-from .intersection import ReplayError, check_inter, infer, match_requested
 from .reduction import Strategy, reduce
 from .syntax import (
     ParseError,
@@ -178,7 +175,17 @@ def _context_text(ctx, unicode: bool) -> str:
 
 
 def _stamped(payload: dict) -> str:
+    from . import serialize
+
     return json.dumps({"schema": serialize.SCHEMA, **payload})
+
+
+def _raised_by(module: str, name: str) -> tuple[type[Exception], ...]:
+    """The exception class `name` of this package's `module` as a 1-tuple,
+    or () (which an except clause never matches) when no subcommand has
+    imported that module, since then none of its code ran to raise it."""
+    mod = sys.modules.get(f"{__package__}.{module}")
+    return () if mod is None else (getattr(mod, name),)
 
 
 def _parse_basis(spec: str, system: System) -> Basis:
@@ -208,11 +215,14 @@ def _parse_basis(spec: str, system: System) -> Basis:
 
 
 # --------------------------------------------------------------------------
-# commands
+# commands: each imports serialize, expansion and intersection where it uses
+# them, so a subcommand that does not starts without them
 
 def _cmd_parse(args) -> int:
     t = _input_term(args)
     if args.format == "json":
+        from . import serialize
+
         print(serialize.dumps(t))
     else:
         print(render_term(t, args.unicode))
@@ -235,6 +245,8 @@ def _cmd_check(args) -> int:
             ty = infer_ordered(basis, t)
             ok = ty is not None
         if args.format == "json":
+            from . import serialize
+
             print(_stamped({"valid": ok, "type": None if ty is None else serialize.to_jsonable(ty)}))
         elif ok:
             print(f"valid: {render_term(t, args.unicode)} : {render_type(ty, args.unicode)}")
@@ -252,6 +264,8 @@ def _cmd_check(args) -> int:
         print("invalid")
         return EXIT_ABSENT
 
+    from . import serialize
+
     if args.format == "json":
         print(serialize.dumps(d))
     elif args.format == "dot":
@@ -262,6 +276,9 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_infer(args) -> int:
+    from . import serialize
+    from .intersection import check_inter, infer
+
     t = _input_term(args)
     if args.system == "curry":
         ty = infer_curry(t)
@@ -300,6 +317,10 @@ def _cmd_infer(args) -> int:
 
 
 def _cmd_expand(args) -> int:
+    from . import serialize
+    from .expansion import ExpansionError, expand
+    from .intersection import infer, match_requested
+
     t = _input_term(args)
     fuel = _fuel(args)
     flavor = _FLAVORS[args.flavor]
@@ -337,6 +358,8 @@ def _cmd_reduce(args) -> int:
     t = _input_term(args)
     r = reduce(t, Strategy(args.strategy), fuel=_fuel(args))
     if args.format == "json":
+        from . import serialize
+
         print(_stamped({
             "status": r.status,
             "start": serialize.to_jsonable(r.trace.start),
@@ -436,10 +459,10 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         print(f"syntax error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except serialize.SerializeError as exc:
+    except _raised_by("serialize", "SerializeError") as exc:
         print(f"serialization error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (SizeBoundExceeded, ReplayError, RecursionError) as exc:
+    except (SizeBoundExceeded, RecursionError, *_raised_by("intersection", "ReplayError")) as exc:
         print(f"inconclusive: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
 

@@ -229,32 +229,40 @@ def _doms_matched(
 # type-variable plumbing
 
 
-def _deriv_ty_vars(root: InterDerivation | InterType) -> list[TVar]:
+def _deriv_ty_vars(root: InterDerivation | InterType, drawn: int = -1) -> list[TVar]:
     """The type variable objects under root, a derivation or a type, in
     first-occurrence order: nodes in left-first preorder, a node's type
-    before its environment, domains before the codomain.  The walk runs on
-    an explicit stack and enters each node, member tuple and type object
-    once, so a shared subtree costs one visit."""
+    before its environment's members, domains before the codomain.  The
+    walk runs on explicit stacks and enters each type object once, so a
+    shared type costs one visit.
+
+    A caller that knows root holds at most `drawn` variable objects passes
+    that bound, and the walk stops at the variable that reaches it: the
+    list is the same, and on a normal form from infer the walk ends inside
+    the root's type and env."""
     out: list[TVar] = []
     seen: set[int] = set()
-    stack: list = [root]
-    while stack:
-        x = stack.pop()
-        if id(x) in seen:
-            continue
-        seen.add(id(x))
-        if isinstance(x, TVar):
-            out.append(x)
-        elif isinstance(x, InterArrow):
-            stack.append(x.cod)
-            stack += x.doms[::-1]
-        elif isinstance(x, tuple):  # an environment's member tuple
-            stack += x[::-1]
-        else:
-            stack += x.premises[::-1]
-            stack += [members for _, members in x.env[::-1]]
-            stack.append(x.ty)
-    return out
+    nodes, types = ([root], []) if isinstance(root, InterDerivation) else ([], [root])
+    while True:
+        while types:
+            x = types.pop()
+            if id(x) not in seen:
+                seen.add(id(x))
+                if type(x) is TVar:
+                    out.append(x)
+                    if len(out) == drawn:
+                        return out
+                else:
+                    types.append(x.cod)
+                    types += x.doms[::-1]
+        if not nodes:
+            return out
+        n = nodes.pop()
+        nodes += n.premises[::-1]
+        types = [n.ty]
+        for _, members in n.env:
+            types += members
+        types.reverse()
 
 
 def ty_vars(root: InterDerivation | InterType) -> list[str]:
@@ -594,7 +602,10 @@ def infer(t: Term, fuel: int = 10_000) -> InterDerivation | None:
     own supply (infer_nf), so nothing outside the call can reach it before the
     call returns.  That lets infer give each one its letter in place, once,
     without rebuilding the derivation; no type is hashed into a container
-    that outlives the renaming.
+    that outlives the renaming.  The naming walk stops once it has met as
+    many variables as the supply drew: on a normal form, inside the root's
+    type and env.  It runs to the end only where the replay dropped a
+    variable, as when an erased argument retypes a vacuous binder.
 
     A leftmost step is a function of the term's alpha class, so a run that
     meets a term it has already met never lands.  The run compares each
@@ -613,12 +624,13 @@ def infer(t: Term, fuel: int = 10_000) -> InterDerivation | None:
     holds no more terms than that.
     """
     t = canonicalize(t, FreshSupply())
+    fresh = FreshSupply()
     try:
-        d = _infer(t, fuel, FreshSupply())
+        d = _infer(t, fuel, fresh)
     except FuelExhausted:
         return None
     # infer_nf draws each name once, into one object
-    for v, letter in zip(_deriv_ty_vars(d), letter_names()):
+    for v, letter in zip(_deriv_ty_vars(d, fresh.drawn), letter_names()):
         object.__setattr__(v, "name", letter)
     return d
 

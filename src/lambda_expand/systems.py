@@ -63,6 +63,8 @@ class System(Enum):
     LINEAR = "linear"
     ORDERED = "ordered"
 
+    __hash__ = object.__hash__  # as typelang.Flavor's
+
 
 # Structural rules each system admits.  Ordered admits none.
 STRUCTURAL: dict[System, frozenset[str]] = {
@@ -583,26 +585,39 @@ def _curry_solve(term: Term, conn: type, fixed: dict[str, Type], goal: Type | No
     env.update(fixed)
     binders: list[tuple[Abs, object]] = []
 
-    def go(t: Term, env: dict[str, object]) -> object | None:
+    # an explicit stack, so a term's depth is bounded by memory: a (term,
+    # scope) pair types the term under scope; once its parts are typed, an
+    # abstraction comes back paired with its binder's metavariable, to finish
+    # over the last type produced, and an application paired with None, to
+    # finish over the last two; one untypable part makes the whole untypable
+    out: list[object] = []
+    stack: list = [(term, env)]
+    while stack:
+        t, scope = stack.pop()
         match t:
             case Var(x):
-                return env[x]
-            case Abs(b, body):
+                out.append(scope[x])
+            case Abs(b, body) if isinstance(scope, dict):
                 v = _MVar()
                 binders.append((t, v))
-                r = go(body, {**env, b: v})
-                return None if r is None else conn(v, r)
-            case App(f, a):
-                tf = go(f, env)
-                ta = go(a, env)
-                if tf is None or ta is None:
-                    return None
+                stack.append((t, v))
+                stack.append((body, {**scope, b: v}))
+            case Abs():
+                out.append(conn(scope, out.pop()))
+            case App(f, a) if scope is not None:
+                stack.append((t, None))
+                stack.append((a, scope))
+                stack.append((f, scope))
+            case App():
+                ta = out.pop()
                 res = _MVar()
-                return res if _munify(tf, conn(ta, res), trail) else None
-        raise AssertionError
-
-    raw = go(term, env)
-    if raw is None or (goal is not None and not _munify(raw, goal, trail)):
+                if not _munify(out.pop(), conn(ta, res), trail):
+                    return None
+                out.append(res)
+            case _:
+                raise AssertionError
+    (raw,) = out
+    if goal is not None and not _munify(raw, goal, trail):
         return None
     return raw, env, binders
 

@@ -185,11 +185,13 @@ class FreshSupply:
 
     fresh("x") yields x1, x2, ...; a base that already carries a trailing
     index restarts from its stem, so fresh("x1") also continues the x row.
+    `drawn` counts the names fresh() has handed out.
     """
 
     def __init__(self, reserved: set[str] | None = None):
         self._used: set[str] = set(reserved) if reserved else set()
         self._next: dict[str, int] = {}
+        self.drawn = 0
 
     def reserve(self, names) -> None:
         self._used.update(names)
@@ -203,6 +205,7 @@ class FreshSupply:
             name = f"{stem}{k}"
         self._next[stem] = k + 1
         self._used.add(name)
+        self.drawn += 1
         return name
 
 

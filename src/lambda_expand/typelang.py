@@ -20,9 +20,30 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 
+# The type classes answer == by identity first: derivations share their type
+# objects, so most comparisons the checkers make are of an object with itself.
+# Otherwise each __eq__ is the one dataclass would generate, and since it is
+# defined in the class body, dataclass still generates __hash__.
+
+
+def _eq_dom_cod(self, other):
+    if self is other:
+        return True
+    if other.__class__ is self.__class__:
+        return (self.dom, self.cod) == (other.dom, other.cod)
+    return NotImplemented
+
+
 @dataclass(frozen=True)
 class TVar:
     name: str
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is self.__class__:
+            return self.name == other.name
+        return NotImplemented
 
 
 @dataclass(frozen=True)
@@ -30,11 +51,15 @@ class Arrow:
     dom: "SimpleType"
     cod: "SimpleType"
 
+    __eq__ = _eq_dom_cod
+
 
 @dataclass(frozen=True)
 class Lolli:
     dom: "LinearType"
     cod: "LinearType"
+
+    __eq__ = _eq_dom_cod
 
 
 @dataclass(frozen=True)
@@ -42,11 +67,15 @@ class LolliL:
     dom: "OrderedType"
     cod: "OrderedType"
 
+    __eq__ = _eq_dom_cod
+
 
 @dataclass(frozen=True)
 class LolliR:
     dom: "OrderedType"
     cod: "OrderedType"
+
+    __eq__ = _eq_dom_cod
 
 
 @dataclass(frozen=True)
@@ -57,6 +86,13 @@ class InterArrow:
     def __post_init__(self):
         if not self.doms:
             raise ValueError("arrow domain needs at least one member")
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is self.__class__:
+            return (self.doms, self.cod) == (other.doms, other.cod)
+        return NotImplemented
 
 
 SimpleType = TVar | Arrow
@@ -70,6 +106,10 @@ class Flavor(enum.Enum):
     ACI = "aci"
     AC = "ac"
     A = "a"
+
+    # members are singletons that compare by identity, so they may hash by
+    # it too, in C rather than through Enum.__hash__
+    __hash__ = object.__hash__
 
 
 def letter_names() -> Iterator[str]:
@@ -158,6 +198,8 @@ class Target(enum.Enum):
     SIMPLE = "simple"
     LINEAR = "linear"
     ORDERED = "ordered"
+
+    __hash__ = object.__hash__  # as Flavor's
 
 
 _ARROW_OF = {

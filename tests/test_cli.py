@@ -110,6 +110,14 @@ def test_check_ordered_past_the_search_budget_is_inconclusive(capsys):
     assert err.startswith("inconclusive: SizeBoundExceeded") and "\n" not in err
 
 
+def test_an_inconclusive_check_needs_neither_inference_nor_serialization(capsys, monkeypatch):
+    # as in a fresh process: `lexp check` imports neither module, and main
+    # still reports what the search raised
+    for m in ("serialize", "expansion", "intersection"):
+        monkeypatch.delitem(sys.modules, f"lambda_expand.{m}")
+    test_check_ordered_past_the_search_budget_is_inconclusive(capsys)
+
+
 def test_check_ordered_requires_a_basis(capsys):
     code, _, err = run(capsys, "check", "--system", "ordered", ORDERED_TERM)
     assert code == 3
@@ -244,6 +252,12 @@ def test_infer_types_a_normal_form_two_thousand_deep(capsys):
     assert got.doms[-1].doms == got.cod.doms and got.doms[0].cod == got.cod.cod
 
 
+def test_infer_curry_types_a_normal_form_two_thousand_deep(capsys):
+    assert 2_000 > sys.getrecursionlimit()
+    code, out, err = run(capsys, "infer", "--system", "curry", TWO_THOUSAND_DEEP)
+    assert (code, out, err) == (0, "(a -> a) -> a -> a", "")
+
+
 @pytest.mark.parametrize("flavor, system", [
     ("aci", "curry"), ("ac", "affine"), ("ordered", "ordered"),
 ])
@@ -291,7 +305,7 @@ def test_replay_failure_is_inconclusive(capsys, monkeypatch):
     def fail(term, fuel):
         raise ReplayError("path walks into a non-application")
 
-    monkeypatch.setattr("lambda_expand.cli.infer", fail)
+    monkeypatch.setattr("lambda_expand.intersection.infer", fail)
     code, out, err = run(capsys, "infer", "--system", "intersection", "x")
     assert (code, out) == (2, "")
     assert err == "inconclusive: ReplayError: path walks into a non-application"
@@ -625,6 +639,23 @@ def test_importing_the_cli_leaves_the_property_matrix_unloaded():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
     )
     assert (done.returncode, done.stdout.strip()) == (0, "False"), done.stderr
+
+
+def test_parse_runs_without_inference_expansion_or_serialization():
+    # the subcommands that need them import serialize, expansion and
+    # intersection themselves
+    src = os.path.dirname(os.path.dirname(lambda_expand.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    probe = (
+        "import sys; from lambda_expand.cli import main; code = main(['parse', 'x']); "
+        "print(code, [m for m in ('serialize', 'expansion', 'intersection', 'verify')"
+        " if 'lambda_expand.' + m in sys.modules])"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert (done.returncode, done.stdout) == (0, "x\n0 []\n"), done.stderr
 
 
 def test_unknown_subcommand_is_a_usage_error(capsys):

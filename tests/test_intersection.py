@@ -6,6 +6,7 @@ everything the replay produces.
 """
 
 import gc
+import hashlib
 import time
 import tracemalloc
 from collections import Counter
@@ -37,7 +38,7 @@ from lambda_expand.intersection import (
     subject_reduce,
     ty_vars,
 )
-from lambda_expand.reduction import Strategy, beta_step, redex_positions, reduce
+from lambda_expand.reduction import FuelExhausted, Strategy, beta_step, redex_positions, reduce
 from lambda_expand.serialize import dumps
 from lambda_expand.syntax import parse_inter_type, parse_term, render_type
 from lambda_expand.systems import infer_curry
@@ -701,6 +702,56 @@ def test_canonical_tyvars_matches_the_three_loop_renaming():
     for u in [*enumerate_terms(7, closed_only=False), *map(t, CHURCH_TERMS)]:
         raw = _infer(canonicalize(u, FreshSupply()), 10_000, FreshSupply())
         assert infer(u) == _three_loop_canonical_tyvars(raw), u
+
+
+# sha256 of dumps(infer(u)) plus a newline, each in turn, over every open
+# term up to size 7 and then CHURCH_TERMS
+INFER_DUMPS_SHA256 = "a531ea439f54c5d0109d18aab3c79b55129f0a05aa3d32849bdb13f2cf96f3d4"
+
+
+def test_infer_output_is_pinned():
+    h = hashlib.sha256()
+    for u in [*enumerate_terms(7, closed_only=False), *map(t, CHURCH_TERMS)]:
+        h.update((dumps(infer(u)) + "\n").encode())
+    assert h.hexdigest() == INFER_DUMPS_SHA256
+
+
+# erasing redexes: the replay types each erased argument from scratch; in the
+# last two the typing of a binder's vacuous domain gives way to the argument's
+ERASING = (
+    r"(\x. y) (\z. z)",
+    r"(\x y. y) (\z. z) w",
+    r"\x1. (\x2. v1) x1",
+    r"\x1 x2. (\x3. x1) x2",
+)
+
+
+def test_the_stopping_walk_meets_what_the_full_walk_meets():
+    # infer's walk stops once it has met as many variables as the call drew;
+    # where the replay dropped one of them, the walk runs to the end
+    fell_back = 0
+    for u in [*enumerate_terms(7, closed_only=False), *map(t, CHURCH_TERMS), *map(t, ERASING)]:
+        fresh = FreshSupply()
+        try:
+            d = _infer(canonicalize(u, FreshSupply()), 10_000, fresh)
+        except FuelExhausted:
+            continue
+        full = _deriv_ty_vars(d)
+        stopped = _deriv_ty_vars(d, fresh.drawn)
+        assert len(stopped) == len(full), u
+        assert all(a is b for a, b in zip(stopped, full)), u
+        fell_back += len(full) < fresh.drawn
+    assert fell_back > 0
+
+
+def test_a_normal_form_has_every_variable_at_its_root():
+    # so on a normal form infer's naming walk ends inside the root
+    normal = [u for u in enumerate_terms(7, closed_only=False) if next(redex_positions(u), None) is None]
+    assert len(normal) == 557
+    for u in normal:
+        d = infer(u)
+        at_root = {v for ty in (d.ty, *(m for _, ms in d.env for m in ms)) for v in ty_vars(ty)}
+        assert set(ty_vars(d)) == at_root, u
 
 
 def test_infer_results_share_no_type_variable():

@@ -15,6 +15,7 @@ from lambda_expand.typelang import (
     InterArrow,
     ListExpCtx,
     Lolli,
+    LolliL,
     LolliR,
     SetExpCtx,
     Target,
@@ -62,6 +63,55 @@ def test_inter_eq_flavors():
     assert inter_eq(dup, single, Flavor.ACI)
     assert not inter_eq(dup, single, Flavor.AC)
     assert not inter_eq(dup, single, Flavor.A)
+
+
+def _copy(t):
+    """A copy of t built from new objects all the way down."""
+    if isinstance(t, TVar):
+        return TVar(str(t.name))
+    if isinstance(t, InterArrow):
+        return InterArrow(tuple(_copy(m) for m in t.doms), _copy(t.cod))
+    return type(t)(_copy(t.dom), _copy(t.cod))
+
+
+@pytest.mark.parametrize("t", [
+    A,
+    it("a & (a -> b) -> b"),
+    Arrow(A, Arrow(B, A)),
+    Lolli(Lolli(A, B), A),
+    LolliL(A, LolliR(B, A)),
+    LolliR(LolliL(A, B), A),
+])
+def test_types_compare_by_structure_and_hash_by_their_fields(t):
+    # == answers True for the object itself before it compares fields; a
+    # distinct equal copy gets the same answer and the same hash
+    u = _copy(t)
+    assert u is not t
+    assert t == t and not t != t
+    assert t == u and u == t and not t != u
+    fields = tuple(getattr(t, f) for f in t.__dataclass_fields__)
+    assert hash(t) == hash(u) == hash(fields)
+    assert {t: 1}[u] == 1
+    if not isinstance(t, TVar):
+        other = type(t)(*fields[:-1], C)
+        assert t != other and not t == other
+
+
+def test_connectives_with_the_same_fields_differ():
+    assert LolliL(A, B) != LolliR(A, B) and not LolliL(A, B) == LolliR(A, B)
+    assert Arrow(A, B) != Lolli(A, B) and not Arrow(A, B) == Lolli(A, B)
+    assert InterArrow((A,), B) != Arrow(A, B)
+    assert A != "a" and A == TVar("a")
+
+
+@pytest.mark.parametrize("enum", [Flavor, Target, System])
+def test_enum_members_key_tables_and_compare_by_identity(enum):
+    table = {m: m.value for m in enum}
+    for m in enum:
+        assert enum(m.value) is m
+        assert table[enum(m.value)] == m.value
+        assert (m, "key") in {(enum(m.value), "key")}
+        assert [n == m for n in enum] == [n is m for n in enum]
 
 
 def test_flavor_refinement_chain():
