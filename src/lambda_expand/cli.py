@@ -258,6 +258,9 @@ def _cmd_check(args) -> int:
         raise UsageError("--type needs --basis (which fixes the assumptions)")
     try:
         d = decide(system, t, basis, requested)
+    except _raised_by("expansion", "ExpansionError") as exc:  # past decide's gate
+        print(f"internal error: decision witness cannot be built: {exc}", file=sys.stderr)
+        return EXIT_INCONCLUSIVE
     except ValueError as exc:  # a free variable without a basis entry
         raise UsageError(str(exc)) from None
     if d is None:

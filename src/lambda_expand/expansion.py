@@ -50,7 +50,7 @@ from .systems import (
     Derivation,
     System,
     check_derivation,
-    contract_pair,
+    contract,
     elim,
     intro,
     move_to_end,
@@ -189,7 +189,8 @@ def _discharge(
 ) -> Derivation:
     """Abstraction d over its built body bd: the bindings drawn for d's
     binder become its domain members.  ACI first merges bindings of equal
-    type (ctr); the set flavors then move each binding into place (ex).
+    type into the first of them (ctr, through systems.contract); the set
+    flavors then move each binding into place (ex).
     The ordered flavor has neither rule, so the bindings must already close
     the basis (-o_r) or, on an abstraction applied as a function, open it
     (-o_l)."""
@@ -217,11 +218,12 @@ def _discharge(
         raise ExpansionError(f"binder {x} left no occurrence bindings")
     idempotent = flavor is Flavor.ACI
     if idempotent:
-        heads: dict[InterType, str] = {}
+        by_type: dict[InterType, list[str]] = {}
         for y, ty in items:
-            if heads.setdefault(ty, y) != y:
-                bd = contract_pair(bd, heads[ty], y)
-        items = [(y, ty) for ty, y in heads.items()]
+            by_type.setdefault(ty, []).append(y)
+        for head, *rest in by_type.values():
+            bd = contract(bd, head, rest)
+        items = [(ys[0], ty) for ty, ys in by_type.items()]
     doms = dedup_members(d.ty.doms) if idempotent else list(d.ty.doms)
     binders = _take_by_type(doms, items, lambda it: it[1])
     if len(items) > len(binders):

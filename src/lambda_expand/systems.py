@@ -17,7 +17,7 @@ its system.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import compress, count
 from operator import ne
@@ -29,17 +29,18 @@ from .terms import (
     FreshSupply,
     Term,
     Var,
-    all_names,
     canonicalize,
     classify,
     free_vars,
-    occurrence_counts,
     rename_free,
 )
 from .typelang import (
     Arrow,
     Basis,
     CheckResult,
+    Flavor,
+    InterArrow,
+    InterType,
     Lolli,
     LolliL,
     LolliR,
@@ -270,22 +271,6 @@ def _check_elim(d: Derivation, conn: type) -> str | None:
     return None
 
 
-def rename_in_derivation(d: Derivation, ren: dict[str, str]) -> Derivation:
-    """Rename free term variables throughout a derivation.
-
-    The renaming is applied to basis entries and subjects consistently;
-    binders shadow as usual.  Callers must pick targets that do not
-    collide with existing names.
-    """
-
-    def build(n: Derivation, prems: tuple[Derivation, ...]) -> Derivation:
-        entries = tuple((ren.get(x, x), t) for x, t in n.basis.entries)
-        subject = rename_free(n.subject, ren)
-        return Derivation(n.system, n.rule, Basis(entries), subject, n.ty, prems)
-
-    return fold(d, build)
-
-
 def relabel(d: Derivation, system: System) -> Derivation:
     """d's tree with every node in `system`.
 
@@ -353,13 +338,15 @@ def move_to_end(d: Derivation, x: str) -> Derivation:
     return cur
 
 
-def contract_pair(d: Derivation, x: str, y: str) -> Derivation:
-    """Merge y into x: move both to the end, then one ctr node."""
-    cur = move_to_end(d, x)
-    cur = move_to_end(cur, y)
-    entries = cur.basis.entries[:-1]
-    subject = rename_free(cur.subject, {y: x})
-    return Derivation(d.system, "ctr", Basis(entries), subject, d.ty, (cur,))
+def contract(d: Derivation, x: str, ys: list[str]) -> Derivation:
+    """Merge each of ys into x, the last first: move x, then y, to the
+    end, then one ctr node.  x stays at the end, so merging k names that
+    stand together at the end costs 2k-2 ex nodes, not k(k+1)/2."""
+    for y in reversed(ys):
+        d = move_to_end(move_to_end(d, x), y)
+        subject = rename_free(d.subject, {y: x})
+        d = Derivation(d.system, "ctr", Basis(d.basis.entries[:-1]), subject, d.ty, (d,))
+    return d
 
 
 def weaken(d: Derivation, x: str, ty: Type) -> Derivation:
@@ -386,87 +373,6 @@ def elim(pf: Derivation, pa: Derivation, rule: str) -> Derivation:
     basis = Basis(first.basis.entries + second.basis.entries)
     subject = App(pf.subject, pa.subject)
     return Derivation(pf.system, rule, basis, subject, pf.ty.cod, (pf, pa))
-
-
-# ---------------------------------------------------------------------------
-# building derivations for the four set-like systems
-
-
-def build_derivation(
-    system: System,
-    term: Term,
-    var_types: dict[str, Type],
-    basis_order: tuple[str, ...] | None = None,
-) -> Derivation:
-    """Build an explicit derivation for `term` in `system`.
-
-    var_types assigns a type to every free and bound variable name (the
-    term is assumed to follow the distinct-binder convention).  The
-    construction is syntax-directed and inserts whatever structural
-    nodes the term's variable usage demands; it raises ValueError when
-    a demanded structural rule is not admitted.  `basis_order`, when
-    given, fixes the root basis: variables it lists beyond the free
-    variables of the term are weakened in.
-
-    Serves `decide`; check_ordered searches for ordered derivations instead.
-    """
-    if system is System.ORDERED:
-        raise ValueError("use check_ordered for the ordered system")
-    supply = FreshSupply(all_names(term) | set(var_types))
-
-    binder_uses, _ = occurrence_counts(term)
-    d = _build(system, term, var_types, supply, binder_uses)
-    if basis_order is not None:
-        present = set(d.basis.vars())
-        for x in basis_order:
-            if x not in present:
-                if "weak" not in STRUCTURAL[system]:
-                    raise ValueError(f"{system.value} cannot weaken in {x!r}")
-                d = weaken(d, x, var_types[x])
-        d = permute_basis(d, basis_order)
-    return d
-
-
-def _build(
-    system: System,
-    term: Term,
-    var_types: dict[str, Type],
-    supply: FreshSupply,
-    binder_uses: dict[int, int],
-) -> Derivation:
-    """Core builder; the resulting basis lists the free variables of
-    the term in first-occurrence order, one entry each.  binder_uses
-    counts each abstraction's binder occurrences (terms.occurrence_counts)."""
-    match term:
-        case Var(x):
-            ty = var_types[x]
-            return Derivation(system, "ax", Basis(((x, ty),)), term, ty)
-        case Abs(x, body):
-            used = binder_uses[id(term)]
-            if not used and "weak" not in STRUCTURAL[system]:
-                raise ValueError(f"{system.value} cannot discharge unused {x!r}")
-            p = _build(system, body, var_types, supply, binder_uses)
-            p = move_to_end(p, x) if used else weaken(p, x, var_types[x])
-            return intro(p, "arrow_i")
-        case App(f, a):
-            df = _build(system, f, var_types, supply, binder_uses)
-            da = _build(system, a, var_types, supply, binder_uses)
-            # free variables of the application in first-occurrence order
-            order = tuple(dict.fromkeys(df.basis.vars() + da.basis.vars()))
-            overlap = [x for x in da.basis.vars() if x in set(df.basis.vars())]
-            ren: dict[str, str] = {}
-            for x in overlap:
-                if "ctr" not in STRUCTURAL[system]:
-                    raise ValueError(f"{system.value} cannot merge duplicated {x!r}")
-                ren[x] = supply.fresh(x)
-            if ren:
-                da = rename_in_derivation(da, ren)
-            d = elim(df, da, "arrow_e")
-            for x, y in ren.items():
-                d = contract_pair(d, x, y)
-            d = permute_basis(d, order)
-            return d
-    raise AssertionError
 
 
 # ---------------------------------------------------------------------------
@@ -537,10 +443,11 @@ def _munify(a: object, b: object, trail: _Trail) -> bool:
     return a == b
 
 
-def _freezer(rigid: Iterable[Type] = ()):
+def _freezer(rigid: Iterable[Type] = (), arrow=None):
     """Read solved types back: each unbound metavariable becomes a type
     variable named a, b, c, ... in first-occurrence order, skipping every
-    type variable of the `rigid` types, nested ones included."""
+    type variable of the `rigid` types, nested ones included.  `arrow`,
+    when given, builds every arrow in place of its own connective."""
     taken: set[Type] = set()
     pending = list(rigid)
     while pending:
@@ -553,14 +460,24 @@ def _freezer(rigid: Iterable[Type] = ()):
     seen: dict[int, TVar] = {}
 
     def freeze(t: object) -> Type:
-        t = _mwalk(t)
-        if isinstance(t, _MVar):
-            if id(t) not in seen:
-                seen[id(t)] = next(names)
-            return seen[id(t)]
-        if isinstance(t, _ARROWS):
-            return type(t)(freeze(t.dom), freeze(t.cod))
-        return t  # type: ignore[return-value]
+        # an explicit stack, so a type's depth is bounded by memory: an
+        # arrow's builder comes back to build it over its frozen parts
+        out: list = []
+        stack: list = [t]
+        while stack:
+            t = _mwalk(stack.pop())
+            if callable(t):
+                cod = out.pop()
+                out.append(t(out.pop(), cod))
+            elif isinstance(t, _MVar):
+                if id(t) not in seen:
+                    seen[id(t)] = next(names)
+                out.append(seen[id(t)])
+            elif isinstance(t, _ARROWS):
+                stack += (arrow or type(t), t.cod, t.dom)
+            else:
+                out.append(t)
+        return out[0]
 
     return freeze
 
@@ -646,15 +563,19 @@ def decide(
 
     Characterisations: curry is plain simple typability; relevant adds
     that every binder is used; affine requires every variable to occur
-    at most once; linear exactly once.  The witness derivation types
-    the canonicalized term at its principal type, with -o arrows for
-    affine and linear.
+    at most once; linear exactly once.  The witness types the
+    canonicalized term at its principal type, with -o arrows for affine
+    and linear.  It is the expansion of the term's Curry typing, lifted
+    (_lift): under ACI for curry and relevant, so its ctr nodes are the
+    repeated occurrences (idempotence), under AC for affine and linear,
+    and strict for relevant and linear.
 
     With a basis it judges `basis |- term : ty`: the basis types every
     free variable (ValueError when one has no entry, or when a name
     repeats) and lists the witness's root basis, `ty` is unified with the subject's type, and
     the type variables of both are rigid.  Binders are renamed apart from
     the basis names; entries the term does not use need weakening.
+    Without a basis, the root basis lists the free variables in order.
     """
     cls = classify(term)
     gate = {
@@ -683,13 +604,86 @@ def decide(
     if solved is None:
         return None
     raw, env, binders = solved
-    freeze = _freezer([*fixed.values()] + ([] if ty is None else [ty]))
-    freeze(raw)  # subject-type variables get the infer_curry names
-    var_types = {x: freeze(t) for x, t in env.items()}
+    # the types lifted: each arrow an intersection arrow of one member
+    rigid = [*fixed.values()] + ([] if ty is None else [ty])
+    lift = _freezer(rigid, lambda dom, cod: InterArrow((dom,), cod))
+    lift(raw)  # subject-type variables get the infer_curry names
+    var_types = {x: lift(t) for x, t in env.items()}
     for node, v in binders:
-        var_types[node.binder] = freeze(v)
-    order = basis.vars() if basis is not None else None
-    return build_derivation(system, subject, var_types, basis_order=order)
+        var_types[node.binder] = lift(v)
+
+    from . import expansion  # which imports this module
+
+    flavor = Flavor.ACI if "ctr" in STRUCTURAL[system] else Flavor.AC
+    r = expansion.expand(_lift(subject, var_types), flavor, FreshSupply(var_types))
+    d = r.induced if r.induced.system is system else r.strict
+    if flavor is Flavor.ACI:
+        for head, *rest in r.context.groups.values():
+            d = contract(d, head, rest)
+    d = _named_back(d, subject)
+    order = tuple(free) if basis is None else basis.vars()
+    for x in order:
+        if x not in free:
+            d = weaken(d, x, fixed[x])
+    return permute_basis(d, order)
+
+
+def _lift(subject: Term, var_types: dict[str, InterType]):
+    """subject's intersection derivation at var_types, on an explicit stack.
+    A binder discharges its one member however often it occurs: ACI reads
+    the copies as one, and an affine term has no binder that occurs twice."""
+    from .intersection import _abs_node, _app_node, _ax
+
+    out: list = []
+    stack: list[tuple[Term, bool]] = [(subject, True)]
+    while stack:
+        t, enter = stack.pop()
+        if isinstance(t, Var):
+            out.append(_ax(t, var_types[t.name]))
+        elif enter:
+            stack.append((t, False))
+            stack += [(t.body, True)] if isinstance(t, Abs) else [(t.arg, True), (t.fun, True)]
+        elif isinstance(t, Abs):
+            dom = (var_types[t.binder],)
+            d = _abs_node(t, out.pop(), dom)
+            out.append(replace(d, ty=InterArrow(dom, d.ty.cod)) if len(d.ty.doms) > 1 else d)
+        else:
+            pa = out.pop()
+            out.append(_app_node(out.pop(), [pa], t))
+    return out[0]
+
+
+def _named_back(d: Derivation, subject: Term) -> Derivation:
+    """d, an expansion of subject's lift, with each name left in its subject
+    renamed to the one of subject it stands for; the names a ctr drops stay
+    apart.  One post-order pass builds each subject from the premises'."""
+    ren: dict[str, str] = {}
+    stack = [(d.subject, subject)]
+    while stack:
+        a, b = stack.pop()
+        if isinstance(a, App):
+            stack += [(a.fun, b.fun), (a.arg, b.arg)]
+        elif isinstance(a, Abs):
+            ren[a.binder] = b.binder
+            stack.append((a.body, b.body))
+        else:
+            ren[a.name] = b.name
+
+    def build(n: Derivation, ps: tuple[Derivation, ...]) -> Derivation:
+        entries = tuple((ren.get(y, y), t) for y, t in n.basis.entries)
+        if n.rule == "ax":
+            s = Var(entries[0][0])
+        elif n.rule == "arrow_i":
+            s = Abs(ren[n.subject.binder], ps[0].subject)
+        elif n.rule == "arrow_e":
+            s = App(ps[0].subject, ps[1].subject)
+        elif n.rule == "ctr":  # the premise's last name into the kept one
+            s = rename_free(ps[0].subject, {ps[0].basis.entries[-1][0]: entries[-1][0]})
+        else:
+            s = ps[0].subject
+        return Derivation(n.system, n.rule, Basis(entries), s, n.ty, ps)
+
+    return fold(d, build)
 
 
 # ---------------------------------------------------------------------------

@@ -131,6 +131,23 @@ def test_check_decides_without_a_basis(capsys):
     assert code == 1 and out == "invalid"
 
 
+def test_a_witness_that_cannot_be_built_is_an_internal_error(capsys, monkeypatch):
+    # decide's witness is the expansion of its Curry typing; the gate has
+    # already said yes, so an expansion that fails is the program's fault
+    from lambda_expand import expansion
+
+    def refuse(d, flavor, *args, **kwargs):
+        raise expansion.ExpansionError("induced curry derivation fails at [0]: broken")
+
+    monkeypatch.setattr(expansion, "expand", refuse)
+    code, out, err = run(capsys, "check", "--system", "curry", "\\x. x")
+    assert (code, out) == (2, "")
+    assert err == (
+        "internal error: decision witness cannot be built: "
+        "induced curry derivation fails at [0]: broken"
+    )
+
+
 def test_check_with_basis_and_type(capsys):
     code, out, _ = run(
         capsys, "check", "--system", "curry",
@@ -257,6 +274,16 @@ def test_infer_curry_types_a_normal_form_two_thousand_deep(capsys):
     code, out, err = run(capsys, "infer", "--system", "curry", TWO_THOUSAND_DEEP)
     assert (code, out, err) == (0, "(a -> a) -> a -> a", "")
 
+
+
+def test_infer_curry_types_fifteen_hundred_nested_binders(capsys):
+    # the solved type nests 1,500 arrows deep, and freezing it walks a stack
+    assert 1_500 > sys.getrecursionlimit()
+    term = "\\" + " ".join(f"x{i}" for i in range(1, 1_501)) + ". x1"
+    code, out, err = run(capsys, "infer", "--system", "curry", term)
+    assert (code, err) == (0, "")
+    names = out.split(" -> ")
+    assert len(names) == 1_501 and names[:3] == ["a", "b", "c"] and names[-1] == "a"
 
 @pytest.mark.parametrize("flavor, system", [
     ("aci", "curry"), ("ac", "affine"), ("ordered", "ordered"),

@@ -184,27 +184,45 @@ def test_an_induced_derivation_that_cannot_be_built_is_an_expansion_error(monkey
         expand_ac(infer(t("\\x. x x")))
 
 
-def test_set_expansion_builds_its_derivation_in_its_own_walk(monkeypatch):
-    # the walk that rebuilds the term builds its induced derivation, so
-    # systems.build_derivation, which decide still uses, is never reached
+def test_decides_witness_comes_from_expand(monkeypatch):
+    # decide builds no derivation of its own: it expands the lift of its
+    # Curry typing, whose every arrow has one member, under ACI for curry
+    # and relevant and under AC for affine and linear
+    calls = []
+    real = expansion.expand
+
+    def recorded(d, flavor, *args, **kwargs):
+        r = real(d, flavor, *args, **kwargs)
+        calls.append((d, flavor, r))
+        return r
+
+    monkeypatch.setattr(expansion, "expand", recorded)
+    flavors = {System.CURRY: Flavor.ACI, System.RELEVANT: Flavor.ACI,
+               System.AFFINE: Flavor.AC, System.LINEAR: Flavor.AC}
+    for u in (t("\\x y z. x z (y z)"), t("\\f x. f (f x)"), t("\\x y. y x"), t("v (\\x. w)")):
+        for system, flavor in flavors.items():
+            calls.clear()
+            w = systems.decide(system, u)
+            if w is None:
+                assert calls == []
+                continue
+            ((lift, used, r),) = calls
+            assert used is flavor and lift.subject == w.subject
+            types = [n.ty for n in preorder(lift)]
+            while types:
+                ty = types.pop()
+                if isinstance(ty, InterArrow):
+                    assert len(ty.doms) == 1
+                    types += [*ty.doms, ty.cod]
+            assert w.ty == r.ty
+
     class Reached(Exception):
         pass
 
     def reached(*args, **kwargs):
         raise Reached
 
-    monkeypatch.setattr(systems, "build_derivation", reached)
-    # a module that imported build_derivation by name still reaches _build
-    monkeypatch.setattr(systems, "_build", reached)
-    expanded = 0
-    for u in enumerate_terms(6, closed_only=False):
-        d = infer(u)
-        if d is None:
-            continue
-        for flavor in (Flavor.ACI, Flavor.AC):
-            assert check_derivation(expand(d, flavor).induced)
-            expanded += 1
-    assert expanded == 2 * 268
+    monkeypatch.setattr(expansion, "expand", reached)
     with pytest.raises(Reached):
         systems.decide(System.CURRY, t(r"\x. x"))
 
@@ -556,6 +574,18 @@ def test_collapsed_derivations_contract_exactly_under_aci():
         ac.update(serialize.dumps(r).encode())
     assert (aci.hexdigest(), ac.hexdigest()) == (COLLAPSED_ACI, COLLAPSED_AC)
 
+
+def test_collapsed_church_numerals_merge_with_linearly_many_exchanges():
+    # f's n copies in the collapsed \f x. f^n x are one member under ACI.
+    # Merged last first, the head passes the other copies once and each
+    # merged copy passes only the head: at most 2n ex nodes, not n^2/2
+    a = TVar("a")
+    for n in (50, 100):
+        d = infer(t("\\f x. " + "f (" * (n - 1) + "f x" + ")" * (n - 1)))
+        r = expand(rename_tyvars(d, {v: a for v in ty_vars(d)}), Flavor.ACI)
+        rules = [m.rule for m in preorder(r.induced)]
+        assert rules.count("ctr") == n - 1
+        assert rules.count("ex") <= 2 * n
 
 @given(terms)
 @settings(max_examples=60, deadline=None)

@@ -1,12 +1,13 @@
-"""Checker, builder, and decision procedures for the five basic systems."""
+"""Checker and decision procedures for the five basic systems."""
 
 import dataclasses
+import hashlib
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lambda_expand import systems
+from lambda_expand import serialize, systems
 from lambda_expand.expansion import ExpansionError, expand
 from lambda_expand.intersection import _icheck_node, check_inter, infer
 from lambda_expand.syntax import (
@@ -14,6 +15,7 @@ from lambda_expand.syntax import (
     parse_ordered_type,
     parse_simple_type,
     parse_term,
+    render_term,
 )
 from lambda_expand.systems import (
     CONNECTIVE,
@@ -22,7 +24,6 @@ from lambda_expand.systems import (
     Derivation,
     SizeBoundExceeded,
     System,
-    build_derivation,
     check_derivation,
     check_ordered,
     decide,
@@ -30,9 +31,17 @@ from lambda_expand.systems import (
     infer_ordered,
     permute_basis,
     relabel,
-    rename_in_derivation,
 )
-from lambda_expand.terms import Abs, App, Var, canonicalize, FreshSupply, rename_free
+from lambda_expand.terms import (
+    Abs,
+    App,
+    FreshSupply,
+    Var,
+    canonicalize,
+    free_vars,
+    occurrence_counts,
+    rename_free,
+)
 from lambda_expand.typelang import Arrow, Basis, Flavor, Lolli, LolliL, LolliR, TVar, fold, preorder
 from lambda_expand.verify import enumerate_terms
 
@@ -505,90 +514,121 @@ def test_contraction_rejected_in_affine_and_linear():
         assert not res and "not available" in res.reason
 
 
-# --- building derivations in the set-like systems ---------------------------
+# --- decision witnesses: the expanded lift of the Curry typing ---------------
+
+
+def _rules(d) -> list[str]:
+    return [n.rule for n in preorder(d)]
 
 
 def test_build_curry_s_combinator():
     term = t("\\x y z. x z (y z)")
-    vt = {"x": sty("a -> b -> c"), "y": sty("a -> b"), "z": A}
-    d = build_derivation(System.CURRY, term, vt)
+    d = decide(System.CURRY, term)
     assert check_derivation(d)
     assert d.subject == term
     assert d.basis.entries == ()
     assert d.ty == sty("(a -> b -> c) -> (a -> b) -> a -> c")
-    rules = set()
-
-    def collect(n):
-        rules.add(n.rule)
-        for q in n.premises:
-            collect(q)
-
-    collect(d)
-    assert "ctr" in rules  # z is shared between function and argument
+    # z occurs twice: its two copies are one member, merged by one ctr
+    assert _rules(d).count("ctr") == 1
 
 
 def test_build_linear_identity():
-    d = build_derivation(System.LINEAR, t("\\x. x"), {"x": A})
+    d = decide(System.LINEAR, t("\\x. x"))
     assert check_derivation(d)
     assert d.ty == Lolli(A, A)
 
 
 def test_build_linear_rejects_duplication():
-    with pytest.raises(ValueError):
-        build_derivation(System.LINEAR, t("\\x. x x"), {"x": Lolli(A, A)})
+    church_two = t("\\f x. f (f x)")
+    assert decide(System.CURRY, church_two) is not None
+    assert decide(System.LINEAR, church_two) is None
+    assert decide(System.AFFINE, church_two) is None
 
 
 def test_build_relevant_rejects_vacuous_binder():
-    with pytest.raises(ValueError):
-        build_derivation(System.RELEVANT, t("\\x. y"), {"x": A, "y": B})
+    assert decide(System.RELEVANT, t("\\x. y")) is None
 
 
 def test_build_affine_weakens_vacuous_binder():
-    d = build_derivation(System.AFFINE, t("\\x. y"), {"x": A, "y": B})
+    d = decide(System.AFFINE, t("\\x. y"))
     assert check_derivation(d)
     assert d.ty == Lolli(A, B)
     assert d.basis.entries == (("y", B),)
+    assert _rules(d) == ["arrow_i", "weak", "ax"]
 
 
 def test_build_open_term_first_occurrence_basis():
-    d = build_derivation(System.CURRY, t("x z (y z)"),
-                         {"x": sty("a -> b -> c"), "y": sty("a -> b"), "z": A})
+    d = decide(System.CURRY, t("x z (y z)"))
     assert check_derivation(d)
-    assert d.basis.vars() == ("x", "z", "y")
-    assert d.ty == TVar("c")
+    assert d.basis.entries == (("x", sty("b -> c -> a")), ("z", B), ("y", sty("b -> c")))
+    assert d.ty == A
 
 
 def test_build_with_basis_order_and_weakening():
-    vt = {"x": A, "w": B}
-    d = build_derivation(System.CURRY, Var("x"), vt, basis_order=("w", "x"))
+    wx = Basis((("w", B), ("x", A)))
+    d = decide(System.CURRY, Var("x"), wx)
     assert check_derivation(d)
-    assert d.basis.vars() == ("w", "x")
-    with pytest.raises(ValueError):
-        build_derivation(System.RELEVANT, Var("x"), vt, basis_order=("w", "x"))
+    assert d.basis == wx and "weak" in _rules(d)
+    assert decide(System.RELEVANT, Var("x"), wx) is None
 
 
 def test_permute_basis_all_orders():
     from itertools import permutations
 
-    vt = {"x": sty("b -> c"), "y": sty("a -> b"), "z": A}
-    d = build_derivation(System.CURRY, t("x (y z)"), vt)
+    d = decide(System.CURRY, t("x (y z)"))
     for order in permutations(["x", "y", "z"]):
         p = permute_basis(d, tuple(order))
         assert p.basis.vars() == tuple(order)
         assert check_derivation(p)
 
 
-def test_rename_in_derivation():
-    d = build_derivation(System.CURRY, t("x z"), {"x": Arrow(A, B), "z": A})
-    r = rename_in_derivation(d, {"z": "w"})
-    assert check_derivation(r)
-    assert r.subject == t("x w")
-    assert r.basis.vars() == ("x", "w")
-
-
 def test_build_argument_type_mismatch():
-    with pytest.raises(ValueError):
-        build_derivation(System.CURRY, t("x z"), {"x": Arrow(B, B), "z": A})
+    xz = Basis((("x", Arrow(B, B)), ("z", A)))
+    assert decide(System.CURRY, t("x z"), xz) is None
+    xz = Basis((("x", Arrow(A, B)), ("z", A)))
+    assert decide(System.CURRY, t("x z"), xz, A) is None
+    assert decide(System.CURRY, t("x z"), xz, B).ty == B
+
+
+def test_witnesses_expand_the_term_to_size_7():
+    # every witness is the canonical term's, with its free variables in
+    # order of first occurrence; its contractions are the variables'
+    # extra occurrences (idempotence) and its weakenings the vacuous
+    # binders, in each system that has the rule
+    witnesses = 0
+    for u in enumerate_terms(7, closed_only=False):
+        c = canonicalize(u)
+        binder_uses, free_uses = occurrence_counts(c)
+        uses = [*binder_uses.values(), *free_uses.values()]
+        for system in (System.CURRY, System.RELEVANT, System.AFFINE, System.LINEAR):
+            d = decide(system, u)
+            if d is None:
+                continue
+            witnesses += 1
+            assert check_derivation(d), (render_term(u), system)
+            assert d.subject == c
+            assert d.basis.vars() == tuple(free_vars(c))
+            rules = _rules(d)
+            assert rules.count("ctr") == sum(n - 1 for n in uses if n > 1)
+            assert rules.count("weak") == uses.count(0)
+    assert witnesses == 735 + 126 + 517 + 85
+
+
+# sha256 of the affine and linear witnesses' JSON documents to size 7, in
+# enumeration order, as the syntax-directed builder gave them
+AFFINE_WITNESSES = "faa272baf6e998680e0254def57bce6cedddf5810f77d44fd6c0d6b013b1644b"
+LINEAR_WITNESSES = "9799cf6325ce7dee086262787061aaee966963e791c4cf4a1e75fe8063beb6bc"
+
+
+def test_affine_and_linear_witnesses_are_pinned():
+    digests = {System.AFFINE: hashlib.sha256(), System.LINEAR: hashlib.sha256()}
+    for u in enumerate_terms(7, closed_only=False):
+        for system, h in digests.items():
+            d = decide(system, u)
+            if d is not None:
+                h.update(serialize.dumps(d).encode())
+    got = tuple(h.hexdigest() for h in digests.values())
+    assert got == (AFFINE_WITNESSES, LINEAR_WITNESSES)
 
 
 # --- principal simple types --------------------------------------------------
