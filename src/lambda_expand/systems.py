@@ -380,6 +380,8 @@ def elim(pf: Derivation, pa: Derivation, rule: str) -> Derivation:
 # ordered search.  Metavariables stand for unknown types inside Arrow,
 # Lolli, LolliL and LolliR nodes; arrows unify only with the same
 # connective.  Type variables are rigid: each unifies only with itself.
+# The walkers over solved types run on explicit stacks, so a type's depth
+# is bounded by memory, and visit dom before cod, as recursive ones would.
 
 
 class _MVar:
@@ -401,11 +403,13 @@ def _mwalk(t: object) -> object:
 
 
 def _moccurs(v: _MVar, t: object) -> bool:
-    t = _mwalk(t)
-    if t is v:
-        return True
-    if isinstance(t, _ARROWS):
-        return _moccurs(v, t.dom) or _moccurs(v, t.cod)
+    stack = [t]
+    while stack:
+        t = _mwalk(stack.pop())
+        if t is v:
+            return True
+        if isinstance(t, _ARROWS):
+            stack += (t.cod, t.dom)
     return False
 
 
@@ -428,19 +432,27 @@ class _Trail:
 
 
 def _munify(a: object, b: object, trail: _Trail) -> bool:
-    a, b = _mwalk(a), _mwalk(b)
-    if a is b:
-        return True
-    if isinstance(a, _MVar):
-        if _moccurs(a, b):
-            return False
-        trail.bind(a, b)
-        return True
-    if isinstance(b, _MVar):
-        return _munify(b, a, trail)
-    if type(a) is type(b) and isinstance(a, _ARROWS):
-        return _munify(a.dom, b.dom, trail) and _munify(a.cod, b.cod, trail)
-    return a == b
+    # a pair is walked when it is reached, after the bindings of the pairs
+    # before it; doms are entered at once and cods stacked
+    stack: list = []
+    while True:
+        a, b = _mwalk(a), _mwalk(b)
+        if a is not b:
+            if isinstance(b, _MVar) and not isinstance(a, _MVar):
+                a, b = b, a
+            if isinstance(a, _MVar):
+                if _moccurs(a, b):
+                    return False
+                trail.bind(a, b)
+            elif type(a) is type(b) and isinstance(a, _ARROWS):
+                stack.append((a.cod, b.cod))
+                a, b = a.dom, b.dom
+                continue
+            elif a != b:
+                return False
+        if not stack:
+            return True
+        a, b = stack.pop()
 
 
 def _freezer(rigid: Iterable[Type] = (), arrow=None):
@@ -615,17 +627,34 @@ def decide(
     from . import expansion  # which imports this module
 
     flavor = Flavor.ACI if "ctr" in STRUCTURAL[system] else Flavor.AC
-    r = expansion.expand(_lift(subject, var_types), flavor, FreshSupply(var_types))
+    r = expansion.expand(_lift(subject, var_types), flavor, _SubjectNames(var_types))
     d = r.induced if r.induced.system is system else r.strict
     if flavor is Flavor.ACI:
         for head, *rest in r.context.groups.values():
             d = contract(d, head, rest)
-    d = _named_back(d, subject)
     order = tuple(free) if basis is None else basis.vars()
     for x in order:
         if x not in free:
             d = weaken(d, x, fixed[x])
     return permute_basis(d, order)
+
+
+class _SubjectNames(FreshSupply):
+    """A supply whose first draw for each of `names` is that name itself,
+    the copy each contraction keeps, since the bases keep a name's copies
+    in the order they were drawn.  Every draw still takes FreshSupply's
+    next name, so the copies a ctr drops are spelled as FreshSupply's."""
+
+    def __init__(self, names):
+        super().__init__(names)
+        self._first = set(names)
+
+    def fresh(self, base: str) -> str:
+        name = super().fresh(base)
+        if base in self._first:
+            self._first.remove(base)
+            return base
+        return name
 
 
 def _lift(subject: Term, var_types: dict[str, InterType]):
@@ -653,39 +682,6 @@ def _lift(subject: Term, var_types: dict[str, InterType]):
     return out[0]
 
 
-def _named_back(d: Derivation, subject: Term) -> Derivation:
-    """d, an expansion of subject's lift, with each name left in its subject
-    renamed to the one of subject it stands for; the names a ctr drops stay
-    apart.  One post-order pass builds each subject from the premises'."""
-    ren: dict[str, str] = {}
-    stack = [(d.subject, subject)]
-    while stack:
-        a, b = stack.pop()
-        if isinstance(a, App):
-            stack += [(a.fun, b.fun), (a.arg, b.arg)]
-        elif isinstance(a, Abs):
-            ren[a.binder] = b.binder
-            stack.append((a.body, b.body))
-        else:
-            ren[a.name] = b.name
-
-    def build(n: Derivation, ps: tuple[Derivation, ...]) -> Derivation:
-        entries = tuple((ren.get(y, y), t) for y, t in n.basis.entries)
-        if n.rule == "ax":
-            s = Var(entries[0][0])
-        elif n.rule == "arrow_i":
-            s = Abs(ren[n.subject.binder], ps[0].subject)
-        elif n.rule == "arrow_e":
-            s = App(ps[0].subject, ps[1].subject)
-        elif n.rule == "ctr":  # the premise's last name into the kept one
-            s = rename_free(ps[0].subject, {ps[0].basis.entries[-1][0]: entries[-1][0]})
-        else:
-            s = ps[0].subject
-        return Derivation(n.system, n.rule, Basis(entries), s, n.ty, ps)
-
-    return fold(d, build)
-
-
 # ---------------------------------------------------------------------------
 # ordered typability: backtracking proof search
 
@@ -694,22 +690,24 @@ class SizeBoundExceeded(Exception):
     """Raised when the ordered search exceeds its node budget."""
 
 
-def _mground(t: object) -> bool:
-    t = _mwalk(t)
-    if isinstance(t, _MVar):
-        return False
-    if isinstance(t, _ARROWS):
-        return _mground(t.dom) and _mground(t.cod)
-    return True
-
-
 def _mkey(t: object) -> object:
-    t = _mwalk(t)
-    if isinstance(t, LolliL):
-        return ("l", _mkey(t.dom), _mkey(t.cod))
-    if isinstance(t, LolliR):
-        return ("r", _mkey(t.dom), _mkey(t.cod))
-    return t
+    """The solved type t as nested tuples, or None if t is not ground."""
+    out: list = []
+    stack: list = [t]
+    while stack:
+        t = stack.pop()
+        if type(t) is tuple:  # an arrow's class, back to key it over its parts
+            cod = out.pop()
+            out.append((t[0], out.pop(), cod))
+            continue
+        t = _mwalk(t)
+        if isinstance(t, _MVar):
+            return None
+        if isinstance(t, _ARROWS):
+            stack += ((type(t),), t.cod, t.dom)
+        else:
+            out.append(t)
+    return out[0]
 
 
 class _OrderedSearch:
@@ -739,9 +737,10 @@ class _OrderedSearch:
         self, entries: tuple[tuple[str, object], ...], t: Term, goal: object
     ) -> Iterator[None]:
         self.tick()
-        key = None
-        if _mground(goal) and all(_mground(ty) for _, ty in entries):
-            key = (tuple((x, _mkey(ty)) for x, ty in entries), t, _mkey(goal))
+        key = _mkey(goal)
+        if key is not None:
+            keys = tuple((x, _mkey(ty)) for x, ty in entries)
+            key = (keys, t, key) if all(k is not None for _, k in keys) else None
             if key in self.failed:
                 return
             if key in self.proved:

@@ -285,6 +285,28 @@ def test_infer_curry_types_fifteen_hundred_nested_binders(capsys):
     names = out.split(" -> ")
     assert len(names) == 1_501 and names[:3] == ["a", "b", "c"] and names[-1] == "a"
 
+
+FIFTEEN_HUNDRED_BINDERS = "\\" + " ".join(f"x{i}" for i in range(1, 1_501)) + ". x1"
+
+
+@pytest.mark.parametrize("term, arrows, tail", [
+    (f"\\f. f ({FIFTEEN_HUNDRED_BINDERS})", 1_502, "r57 -> a) -> s57) -> s57"),
+    (
+        f"\\f u. u (f ({FIFTEEN_HUNDRED_BINDERS})) (f ({FIFTEEN_HUNDRED_BINDERS}))",
+        1_505,
+        "r57 -> a) -> s57) -> (s57 -> s57 -> t57) -> t57",
+    ),
+], ids=["applied-once", "applied-twice"])
+def test_infer_curry_unifies_types_fifteen_hundred_arrows_deep(capsys, term, arrows, tail):
+    # f's argument is typed 1,500 arrows deep: binding f's type runs the
+    # occurs check through it, and applying f twice unifies two such types
+    assert 1_500 > sys.getrecursionlimit()
+    code, out, err = run(capsys, "infer", "--system", "curry", term)
+    assert (code, err) == (0, "")
+    assert out.startswith("((a -> b -> c -> ") and out.endswith(tail)
+    assert out.count(" -> ") == arrows
+
+
 @pytest.mark.parametrize("flavor, system", [
     ("aci", "curry"), ("ac", "affine"), ("ordered", "ordered"),
 ])

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -42,7 +43,7 @@ from lambda_expand.terms import (
     occurrence_counts,
     rename_free,
 )
-from lambda_expand.typelang import Arrow, Basis, Flavor, Lolli, LolliL, LolliR, TVar, fold, preorder
+from lambda_expand.typelang import Arrow, Basis, Flavor, Lolli, LolliL, LolliR, TVar, fold, has_passed, preorder
 from lambda_expand.verify import enumerate_terms
 
 
@@ -128,6 +129,29 @@ def test_infer_ordered_fresh_names_avoid_nested_basis_variables():
 
 def test_infer_ordered_exhausted():
     assert infer_ordered(Basis(()), t("\\x. x x")) is None
+
+
+def _right_chain(n):
+    # a -o_r (… (a -o_r a)), n arrows deep, built here since the parser
+    # recurses
+    ty = A
+    for _ in range(n):
+        ty = LolliR(A, ty)
+    return ty
+
+
+def test_ordered_search_takes_a_type_two_thousand_arrows_deep():
+    # the search's ground test and memo key, and the unifier with its
+    # occurs check, walk types on explicit stacks
+    assert 2_000 > sys.getrecursionlimit()
+    x = Basis((("x", _right_chain(2_000)),))
+    assert check_ordered(x, t("x"), x.entries[0][1])
+    assert check_ordered(x, t("x"), _right_chain(2_000))
+    assert not check_ordered(x, t("x"), _right_chain(1_999))
+    got, arrows = infer_ordered(x, t("x")), 0
+    while isinstance(got, LolliR) and got.dom == A:
+        got, arrows = got.cod, arrows + 1
+    assert (arrows, got) == (2_000, A)
 
 
 # --- explicit ordered derivations ------------------------------------------
@@ -614,21 +638,39 @@ def test_witnesses_expand_the_term_to_size_7():
     assert witnesses == 735 + 126 + 517 + 85
 
 
-# sha256 of the affine and linear witnesses' JSON documents to size 7, in
-# enumeration order, as the syntax-directed builder gave them
+# sha256 of the witnesses' JSON documents to size 7, in enumeration order:
+# the affine and linear ones as the syntax-directed builder gave them, the
+# curry and relevant ones as the expansion renamed back in a second pass gave
+# them
+CURRY_WITNESSES = "7046d800fb6803b3e5f73db486ee8ceaeebbb416c610e5f269dc9653bd547253"
+RELEVANT_WITNESSES = "317431b1123f5cd2e80af2c9e6cf401bccfbb45d90314617bb3cef2a8f38aeea"
 AFFINE_WITNESSES = "faa272baf6e998680e0254def57bce6cedddf5810f77d44fd6c0d6b013b1644b"
 LINEAR_WITNESSES = "9799cf6325ce7dee086262787061aaee966963e791c4cf4a1e75fe8063beb6bc"
 
 
 def test_affine_and_linear_witnesses_are_pinned():
-    digests = {System.AFFINE: hashlib.sha256(), System.LINEAR: hashlib.sha256()}
+    systems_ = (System.CURRY, System.RELEVANT, System.AFFINE, System.LINEAR)
+    digests = {system: hashlib.sha256() for system in systems_}
     for u in enumerate_terms(7, closed_only=False):
         for system, h in digests.items():
             d = decide(system, u)
             if d is not None:
                 h.update(serialize.dumps(d).encode())
     got = tuple(h.hexdigest() for h in digests.values())
-    assert got == (AFFINE_WITNESSES, LINEAR_WITNESSES)
+    assert got == (CURRY_WITNESSES, RELEVANT_WITNESSES, AFFINE_WITNESSES, LINEAR_WITNESSES)
+
+
+def test_affine_and_linear_witnesses_carry_the_expansions_pass():
+    # the witness is the very derivation the expansion checked, so a
+    # caller's check_derivation finds its pass recorded and walks nothing
+    witnesses = 0
+    for u in enumerate_terms(7, closed_only=False):
+        for system in (System.AFFINE, System.LINEAR):
+            d = decide(system, u)
+            if d is not None:
+                witnesses += 1
+                assert has_passed(d, systems._CHECKED), (render_term(u), system)
+    assert witnesses == 517 + 85
 
 
 # --- principal simple types --------------------------------------------------
