@@ -23,10 +23,10 @@ the procedure a function of the trace rather than of the type language.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterator
 
+from ._node import node
 from .reduction import FuelExhausted, RedexPosition, Strategy, beta_step, steps
 from .terms import (
     Abs,
@@ -43,6 +43,7 @@ from .typelang import (
     Flavor,
     InterArrow,
     InterType,
+    PassSlot,
     TVar,
     TypeEnv,
     check_tree,
@@ -58,8 +59,8 @@ from .typelang import (
 )
 
 
-@dataclass(frozen=True)
-class InterDerivation:
+@node
+class InterDerivation(PassSlot):
     rule: str  # ax | arrow_i | arrow_i_prime | arrow_e
     env: "tuple[tuple[str, tuple[InterType, ...]], ...]"
     subject: Term
@@ -90,14 +91,15 @@ def _abs_node(
 
 
 def _met_env(
-    pf: InterDerivation, pas: list[InterDerivation]
+    fun_env: tuple[tuple[str, tuple[InterType, ...]], ...], arg_envs: list
 ) -> tuple[tuple[str, tuple[InterType, ...]], ...]:
-    """The pointwise meet of the premises' environments (typelang.env_meet),
-    built on their env tuples: a copy of the function's, with each
-    argument's entries merged in and member tuples concatenated."""
-    env = dict(pf.env)
-    for a in pas:
-        for x, members in dict(a.env).items():
+    """The pointwise meet of the premises' environments (typelang.env_meet):
+    a copy of the function premise's env tuple, with the (name, members)
+    pairs of each argument premise's merged in and member tuples
+    concatenated."""
+    env = dict(fun_env)
+    for pairs in arg_envs:
+        for x, members in pairs:
             had = env.get(x)
             env[x] = members if had is None else had + members
     return tuple(env.items())
@@ -105,9 +107,11 @@ def _met_env(
 
 def _app_node(pf: InterDerivation, pas: list[InterDerivation], subject: App) -> InterDerivation:
     """arrow_e applying pf to the argument premises pas at `subject`; the
-    environments meet pointwise."""
+    environments meet pointwise.  The names of an env tuple this module
+    builds are distinct, so each argument's pairs are read as they stand."""
     assert isinstance(pf.ty, InterArrow)
-    return InterDerivation("arrow_e", _met_env(pf, pas), subject, pf.ty.cod, (pf, *pas))
+    met = _met_env(pf.env, [a.env for a in pas])
+    return InterDerivation("arrow_e", met, subject, pf.ty.cod, (pf, *pas))
 
 
 def check_inter(d: InterDerivation, flavor: Flavor = Flavor.A) -> CheckResult:
@@ -199,7 +203,9 @@ def _icheck_node(flavor: Flavor, d: InterDerivation) -> str | None:
             return "argument premises must all derive the argument"
         if not inter_eq(d.ty, pf.ty.cod, flavor):
             return "arrow_e concludes the codomain"
-        met = _met_env(pf, pas)
+        # an env tuple from outside may repeat a name: as a dict, its last
+        # entry counts
+        met = _met_env(pf.env, [dict(a.env).items() for a in pas])
         if d.env != met and not env_eq(dict(d.env), dict(met), flavor):
             return "arrow_e environment must be the pointwise meet"
         return None

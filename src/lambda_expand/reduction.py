@@ -6,6 +6,7 @@ import enum
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
+from ._node import node
 from .terms import Abs, App, Term, canonicalize, substitute
 
 # A redex position is a path from the root: "left" into an application's
@@ -26,7 +27,7 @@ class Strategy(enum.Enum):
     WEAK_HEAD = "weak-head"
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class TraceStep:
     position: RedexPosition
     result: Term

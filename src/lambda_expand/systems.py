@@ -17,12 +17,13 @@ its system.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from enum import Enum
 from itertools import compress, count
 from operator import ne
 from typing import Iterable, Iterator
 
+from ._node import node
 from .terms import (
     Abs,
     App,
@@ -45,6 +46,7 @@ from .typelang import (
     LolliL,
     LolliR,
     OrderedType,
+    PassSlot,
     SimpleType,
     TVar,
     Type,
@@ -95,8 +97,8 @@ CONNECTIVE: dict[System, dict[str, type]] = {
 }
 
 
-@dataclass(frozen=True)
-class Derivation:
+@node
+class Derivation(PassSlot):
     """One node of a typing derivation.
 
     premises are ordered; for the elimination rules the function premise

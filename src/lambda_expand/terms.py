@@ -1,6 +1,7 @@
 """Untyped lambda terms: construction, occurrence counting, substitution.
 
-Terms are plain trees of Var/Abs/App, frozen and slotted. Operations that
+Terms are plain trees of Var/Abs/App, frozen and slotted, and built by
+`_node.node`, which stores each field through its slot. Operations that
 produce terms keep the convention that no name is bound twice and no name
 occurs both free and bound; `canonicalize` establishes it, renaming binders
 only where needed. Those operations return every subterm they leave unchanged
@@ -11,21 +12,22 @@ already keeps the convention comes back from `canonicalize` as itself.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
+
+from ._node import node
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Var:
     name: str
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Abs:
     binder: str
     body: "Term"
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class App:
     fun: "Term"
     arg: "Term"
@@ -120,7 +122,7 @@ def all_names(t: Term) -> set[str]:
     return binders
 
 
-@dataclass(frozen=True)
+@node
 class TermClass:
     is_lambda_i: bool
     is_affine: bool
@@ -170,9 +172,9 @@ def classify(t: Term) -> TermClass:
     linear: every binder occurs exactly once, every free variable exactly once.
     """
     binders, frees = occurrence_counts(t)
-    at_least = all(n >= 1 for n in binders.values())
-    at_most = all(n <= 1 for n in binders.values())
-    frees_once = all(n == 1 for n in frees.values())
+    at_least = min(binders.values(), default=1) >= 1
+    at_most = max(binders.values(), default=0) <= 1
+    frees_once = set(frees.values()) <= {1}
     return TermClass(
         is_lambda_i=at_least,
         is_affine=at_most and frees_once,

@@ -19,6 +19,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterator
 
+from ._node import node
+
 
 # The type classes answer == by identity first: derivations share their type
 # objects, so most comparisons the checkers make are of an object with itself.
@@ -34,7 +36,7 @@ def _eq_dom_cod(self, other):
     return NotImplemented
 
 
-@dataclass(frozen=True)
+@node
 class TVar:
     name: str
 
@@ -46,7 +48,7 @@ class TVar:
         return NotImplemented
 
 
-@dataclass(frozen=True)
+@node
 class Arrow:
     dom: "SimpleType"
     cod: "SimpleType"
@@ -54,7 +56,7 @@ class Arrow:
     __eq__ = _eq_dom_cod
 
 
-@dataclass(frozen=True)
+@node
 class Lolli:
     dom: "LinearType"
     cod: "LinearType"
@@ -62,7 +64,7 @@ class Lolli:
     __eq__ = _eq_dom_cod
 
 
-@dataclass(frozen=True)
+@node
 class LolliL:
     dom: "OrderedType"
     cod: "OrderedType"
@@ -70,7 +72,7 @@ class LolliL:
     __eq__ = _eq_dom_cod
 
 
-@dataclass(frozen=True)
+@node
 class LolliR:
     dom: "OrderedType"
     cod: "OrderedType"
@@ -78,7 +80,7 @@ class LolliR:
     __eq__ = _eq_dom_cod
 
 
-@dataclass(frozen=True)
+@node
 class InterArrow:
     doms: tuple["InterType", ...]
     cod: "InterType"
@@ -240,19 +242,27 @@ def translate(t: InterType, target: Target) -> Type:
 # ---- bases ----
 
 
-@dataclass(frozen=True)
-class Basis:
+class _NamesSlot:
+    """Basis's slot for its names, which is not a field: the first vars()
+    call fills it in."""
+
+    __slots__ = ("_names",)
+
+
+@node
+class Basis(_NamesSlot):
     """Ordered assumption list.  Its names must be pairwise distinct: the
     typing rules keep them so, and `check_distinct` checks a basis that
     comes from outside them."""
 
     entries: tuple[tuple[str, Type], ...] = ()
-    _names = None  # not a field: the first vars() call fills it in
 
     def vars(self) -> tuple[str, ...]:
-        if self._names is None:
-            object.__setattr__(self, "_names", tuple(x for x, _ in self.entries))
-        return self._names
+        names = getattr(self, "_names", None)
+        if names is None:
+            names = tuple(x for x, _ in self.entries)
+            object.__setattr__(self, "_names", names)
+        return names
 
 
 def check_distinct(basis: Basis) -> None:
@@ -323,6 +333,13 @@ def check_tree(root, check, key) -> CheckResult:
     return _OK
 
 
+class PassSlot:
+    """Base of the derivation node classes: the slot for check_tree's pass
+    record, which is not a field."""
+
+    __slots__ = ("_passed",)
+
+
 def has_passed(root, key) -> bool:
     """Whether root's pass under key is recorded (see check_tree)."""
     return key in getattr(root, "_passed", ())
@@ -330,8 +347,8 @@ def has_passed(root, key) -> bool:
 
 def record_pass(root, key) -> None:
     """Record that the frozen tree under root passes the check named key,
-    as an attribute that is not a field, so equality and hashing ignore
-    it.  Only a check's owner records a pass it has not walked."""
+    in the slot PassSlot declares, which is not a field, so equality and
+    hashing ignore it.  Only a check's owner records a pass it has not walked."""
     object.__setattr__(root, "_passed", (*getattr(root, "_passed", ()), key))
 
 

@@ -40,8 +40,8 @@ from .terms import (
     alpha_eq,
     alpha_eq_renamed,
     classify,
-    count_free_occurrences,
     free_vars,
+    occurrence_counts,
     simultaneous_substitute,
     size,
 )
@@ -672,21 +672,24 @@ def _expansion_occurrences(f: Facts, flavor: Flavor) -> tuple[str, str]:
         groups = [(v, [y for y, _ in g]) for v, g in r.context.groups]
     else:
         groups = [(v, list(g)) for v, g in r.context.groups.items()]
+    counts = occurrence_counts(r.expanded)[1]
     seen: dict[str, int] = {}
     for owner, names in groups:
         seen[owner] = seen.get(owner, 0) + len(names)
         for y in names:
-            c = count_free_occurrences(r.expanded, y)
+            c = counts.get(y, 0)
             if flavor is Flavor.ACI:
                 if c < 1:
                     return "fail", f"drawn variable {y} vanished from the expansion"
             elif c != 1:
                 return "fail", f"drawn variable {y} occurs {c} times, wanted exactly 1"
-    for owner in free_vars(subject):
+    # its free names in first-occurrence order, with how often each occurs
+    counts = occurrence_counts(subject)[1]
+    for owner in counts:
         if owner not in seen:
             return "fail", f"free name {owner} drew no variables"
     for owner, k in seen.items():
-        occ = count_free_occurrences(subject, owner)
+        occ = counts.get(owner, 0)
         if occ == 0:
             return "fail", f"{owner} owns drawn variables but never occurs"
         if k < occ:

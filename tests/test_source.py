@@ -1,6 +1,7 @@
 """Rules the package's source keeps."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import lambda_expand
@@ -21,3 +22,44 @@ def test_no_module_raises_the_recursion_limit():
                     calls.append(f"{path.name}:{node.lineno}")
     assert calls == []
     assert len(list(SRC.rglob("*.py"))) > 5
+
+
+# every frozen tree node the package builds, by module
+NODE_CLASSES = {
+    "terms": {"Var", "Abs", "App", "TermClass"},
+    "reduction": {"TraceStep"},
+    "typelang": {"TVar", "Arrow", "Lolli", "LolliL", "LolliR", "InterArrow", "Basis"},
+    "intersection": {"InterDerivation"},
+    "systems": {"Derivation"},
+}
+
+
+def _decorator_name(d):
+    d = d.func if isinstance(d, ast.Call) else d
+    return d.attr if isinstance(d, ast.Attribute) else getattr(d, "id", None)
+
+
+def test_every_tree_node_is_built_by_the_one_decorator():
+    # a node class that set its fields through object.__setattr__, as a
+    # frozen dataclass's own __init__ does, would cost that on every build
+    decorated, slotted_elsewhere = {}, []
+    for path in sorted(SRC.rglob("*.py")):
+        for n in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(n, ast.ClassDef) and any(_decorator_name(d) == "node" for d in n.decorator_list):
+                assert len(n.decorator_list) == 1, f"{path.name}: {n.name}"
+                decorated.setdefault(path.stem, set()).add(n.name)
+            if (
+                isinstance(n, ast.Call)
+                and _decorator_name(n) == "dataclass"
+                and any(k.arg == "slots" for k in n.keywords)
+                and path.name != "_node.py"
+            ):
+                slotted_elsewhere.append(f"{path.name}:{n.lineno}")
+    assert decorated == NODE_CLASSES
+    assert slotted_elsewhere == []
+    for module, names in NODE_CLASSES.items():
+        mod = importlib.import_module(f"lambda_expand.{module}")
+        for name in names:
+            cls = getattr(mod, name)
+            assert cls.__init__.__module__ == "lambda_expand._node", name
+            assert "__slots__" in vars(cls), name

@@ -1,9 +1,14 @@
+import copy
+import dataclasses
+import pickle
 import re
 
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lambda_expand.reduction import beta_step
+from lambda_expand.intersection import InterDerivation
+from lambda_expand.reduction import TraceStep, beta_step
+from lambda_expand.systems import Derivation, System
 from lambda_expand.terms import (
     Abs,
     App,
@@ -18,6 +23,7 @@ from lambda_expand.terms import (
     count_free_occurrences,
     de_bruijn,
     free_vars,
+    occurrence_counts,
     rename_free,
     simultaneous_substitute,
     size,
@@ -25,6 +31,17 @@ from lambda_expand.terms import (
     TermClass,
 )
 from lambda_expand.syntax import parse_term, render_term
+from lambda_expand.typelang import (
+    Arrow,
+    Basis,
+    InterArrow,
+    Lolli,
+    LolliL,
+    LolliR,
+    TVar,
+    has_passed,
+    record_pass,
+)
 from lambda_expand.verify import enumerate_terms
 
 import pytest
@@ -120,6 +137,20 @@ def test_classify_matches_a_per_binder_count_on_every_open_term_to_size_7():
 @given(terms)
 def test_classify_matches_a_per_binder_count_with_shadowing(u):
     assert classify(u) == _classify_per_binder(u)
+
+
+def _classify_three_passes(t):
+    """Oracle: classify as one generator pass over the counts per property."""
+    binders, frees = occurrence_counts(t)
+    at_least = all(n >= 1 for n in binders.values())
+    at_most = all(n <= 1 for n in binders.values())
+    frees_once = all(n == 1 for n in frees.values())
+    return TermClass(at_least, at_most and frees_once, at_least and at_most and frees_once)
+
+
+def test_classify_reads_the_counts_as_one_pass_per_property_did():
+    for u in enumerate_terms(7, closed_only=False):
+        assert classify(u) == _classify_three_passes(u), u
 
 
 def test_fresh_supply_continues_indexed_bases():
@@ -225,15 +256,99 @@ def test_rename_free_runs_ten_thousand_deep_and_shares():
     assert size(out) == size(u)
 
 
-@pytest.mark.parametrize("node", [Var("x"), Abs("x", Var("x")), App(Var("x"), Var("y"))])
+_A, _B = TVar("a"), TVar("b")
+_AX = InterDerivation("ax", (("x", (_A,)),), Var("x"), _A)
+_AX_CURRY = Derivation(System.CURRY, "ax", Basis((("x", _A),)), Var("x"), _A)
+# one instance of every class built by lambda_expand._node.node
+NODES = [
+    Var("x"),
+    Abs("x", Var("x")),
+    App(Var("x"), Var("y")),
+    TermClass(True, False, False),
+    TraceStep(("fun",), Var("x")),
+    _A,
+    Arrow(_A, _B),
+    Lolli(_A, _B),
+    LolliL(_A, _B),
+    LolliR(_A, _B),
+    InterArrow((_A, _B), _A),
+    Basis((("x", _A), ("y", _B))),
+    InterDerivation("arrow_i", (), Abs("x", Var("x")), InterArrow((_A,), _A), (_AX,)),
+    Derivation(System.CURRY, "arrow_i", Basis(), Abs("x", Var("x")), Arrow(_A, _A), (_AX_CURRY,)),
+]
+
+
+def _field_values(node):
+    return tuple(getattr(node, f.name) for f in dataclasses.fields(node))
+
+
+@pytest.mark.parametrize("node", NODES)
 def test_term_nodes_are_slotted_and_frozen(node):
     assert not hasattr(node, "__dict__")
     # Python 3.11 raises TypeError here: the frozen __setattr__ of a slotted
     # dataclass calls super() with the class as it was before slots
     with pytest.raises((AttributeError, TypeError)):
         node.note = "extra"
-    with pytest.raises(AttributeError):
-        setattr(node, type(node).__slots__[0], "x")
+    for f in dataclasses.fields(node):
+        with pytest.raises(AttributeError):
+            setattr(node, f.name, "x")
+    assert _field_values(node) == tuple(getattr(node, n) for n in type(node).__match_args__)
+
+
+@pytest.mark.parametrize("node", NODES)
+def test_nodes_compare_and_hash_by_their_fields(node):
+    cls, values = type(node), _field_values(node)
+    names = [f.name for f in dataclasses.fields(node)]
+    again = cls(*values)
+    assert again == node and again is not node
+    assert hash(node) == hash(again) == hash(values)
+    assert cls(**dict(zip(names, values))) == node
+    assert node != values
+    for other in (copy.deepcopy(node), pickle.loads(pickle.dumps(node))):
+        assert other == node and hash(other) == hash(node)
+    assert repr(node) == f"{cls.__name__}({', '.join(f'{n}={v!r}' for n, v in zip(names, values))})"
+
+
+def test_nodes_of_different_classes_with_equal_fields_differ():
+    arrows = [Arrow(_A, _B), Lolli(_A, _B), LolliL(_A, _B), LolliR(_A, _B)]
+    for i, a in enumerate(arrows):
+        for b in arrows[i + 1 :]:
+            assert a != b
+
+
+def test_node_defaults_and_match_patterns():
+    assert Basis() == Basis(()) and Basis().entries == ()
+    assert _AX.premises == () and _AX_CURRY.premises == ()
+    assert InterDerivation(rule="ax", env=_AX.env, subject=Var("x"), ty=_A) == _AX
+    with pytest.raises(ValueError):
+        InterArrow((), _A)
+    match InterArrow((_A,), _B):
+        case InterArrow(doms, cod):
+            assert (doms, cod) == ((_A,), _B)
+    match _AX_CURRY:
+        case Derivation(sys, rule, basis, subject, ty, premises):
+            assert (sys, rule, subject, premises) == (System.CURRY, "ax", Var("x"), ())
+
+
+@pytest.mark.parametrize("root", [_AX, _AX_CURRY], ids=lambda n: type(n).__name__)
+def test_a_pass_record_is_no_field(root):
+    d = dataclasses.replace(root)
+    assert not has_passed(d, "k")
+    record_pass(d, "k")
+    record_pass(d, "j")
+    assert has_passed(d, "k") and has_passed(d, "j") and not has_passed(d, "i")
+    assert d == root and hash(d) == hash(root) and repr(d) == repr(root)
+    # copies and replacements start without it
+    assert not has_passed(dataclasses.replace(d), "k")
+    assert not has_passed(pickle.loads(pickle.dumps(d)), "k")
+
+
+def test_basis_vars_is_computed_once():
+    b = Basis((("x", _A), ("y", _B)))
+    names = b.vars()
+    assert names == ("x", "y") and b.vars() is names
+    assert b == Basis(b.entries) and hash(b) == hash(Basis(b.entries))
+    assert Basis().vars() == ()
 
 
 def test_canonicalize_renames_only_where_needed():
