@@ -35,7 +35,6 @@ from .terms import (
     Var,
     alpha_eq,
     canonicalize,
-    free_vars,
     FreshSupply,
 )
 from .typelang import (
@@ -382,47 +381,102 @@ def _spine(t: Term) -> tuple[Term, list[App]]:
 
 
 # ---------------------------------------------------------------------------
-# subject expansion: one backward beta step on a derivation
+# replay: carrying a derivation across one beta step
+#
+# Both directions of a step carry a derivation onto a term with one walk,
+# _carry: onto the step's source when expanding (subject_expand), onto its
+# reduct when reducing (subject_reduce).  _at walks the path to the redex,
+# where the site carries the redex body across; the two directions differ
+# only at an occurrence of the redex's binder.  Above the redex, _at
+# rebuilds the nodes on the path and carries the side each step leaves
+# untouched, which beta_step may spell apart, since it canonicalizes the
+# reduct as a whole.  Every walk here runs in loops, so a derivation's depth
+# is bounded by memory.
 
 
 class ReplayError(RuntimeError):
     """The derivation surgery hit a shape the replay cannot rebuild."""
 
 
-def retarget(d: InterDerivation, term: Term) -> InterDerivation:
-    """Rename the derivation's subject spelling onto an alpha-equal term.
+def _carry(
+    d: InterDerivation,
+    term: Term,
+    x: str | None = None,
+    args: Iterator[InterDerivation] | None = None,
+) -> tuple[InterDerivation, list[InterDerivation]]:
+    """d carried onto `term`, which spells d's subject, and the derivations
+    it detached (below).  d's nodes are rebuilt over term's own subterm
+    objects, with _ax, _abs_node and _app_node.  The walk checks that each
+    node lines up with the term: its rule with the term's constructor, and
+    a variable with the term's by the abstraction of d that binds it, or
+    by name when it is free, as alpha_eq_renamed compares the two sides.  A
+    subtree whose subject is the term node itself comes back as it is, so
+    a part a step left untouched costs one visit.
 
-    The walk is scoped, so duplicate binder names (as grafting produces)
-    rename independently per occurrence.
+    Given x, the walk crosses a redex whose binder is x, and the two
+    directions of the step differ there alone:
+    - expanding (no args), term is the redex body and d derives the
+      contractum: at each occurrence of x in term, d's copy of the argument
+      is detached, left to right, and an axiom for x at its type takes its
+      place;
+    - reducing, d derives the redex body and term is the contractum: each
+      axiom for x in d takes the next derivation of `args`, the redex's
+      argument premises, and carries it onto the copy of the argument at
+      that position.
+
+    The walk runs on an explicit stack: a (node, term, True) triple
+    finishes that node over the results of its premises.
     """
-    if d.subject == term:
-        return d
-    if not alpha_eq(d.subject, term):
-        raise ReplayError("retarget needs an alpha-equal spelling")
-    return _retarget(d, term, {})
-
-
-def _retarget(
-    d: InterDerivation, term: Term, ren: dict[str, str]
-) -> InterDerivation:
-    env = tuple((ren.get(x, x), members) for x, members in d.env)
-    if d.rule == "ax":
-        return InterDerivation("ax", env, term, d.ty, ())
-    if d.rule in ("arrow_i", "arrow_i_prime"):
-        if not isinstance(term, Abs) or not isinstance(d.subject, Abs):
-            raise ReplayError("retarget shapes diverged at an abstraction")
-        inner = dict(ren)
-        inner[d.subject.binder] = term.binder
-        p = _retarget(d.premises[0], term.body, inner)
-        return InterDerivation(d.rule, env, term, d.ty, (p,))
-    if d.rule == "arrow_e":
-        if not isinstance(term, App):
-            raise ReplayError("retarget shapes diverged at an application")
-        pf, *pas = d.premises
-        nf = _retarget(pf, term.fun, ren)
-        nas = tuple(_retarget(a, term.arg, ren) for a in pas)
-        return InterDerivation("arrow_e", env, term, d.ty, (nf, *nas))
-    raise ReplayError(f"unknown rule {d.rule!r}")
+    detached: list[InterDerivation] = []
+    out: list[InterDerivation] = []
+    # each name's enclosing binders on either side, innermost last, as the
+    # ids of the abstractions of d they belong to
+    left: dict[str, list[int]] = {}
+    right: dict[str, list[int]] = {}
+    stack: list = [(d, term, False)]
+    while stack:
+        d, term, finish = stack.pop()
+        if finish:
+            if d.rule == "arrow_e":
+                k = len(out) - len(d.premises)
+                out[k:] = [_app_node(out[k], out[k + 1 :], term)]
+                continue
+            left[d.subject.binder].pop()  # type: ignore[union-attr]
+            right[term.binder].pop()
+            n = _abs_node(term, out.pop(), d.ty.doms)  # type: ignore[union-attr]
+            if n.rule != d.rule:
+                raise ReplayError("binder occurrences do not line up")
+            out.append(n)
+        elif d.subject is term:
+            out.append(d)
+        elif args is not None and d.rule == "ax" and d.subject.name == x:  # type: ignore[union-attr]
+            a = next(args, None)
+            if a is None:
+                raise ReplayError("fewer argument derivations than occurrences")
+            if a.ty != d.ty:
+                raise ReplayError("argument type does not match the occurrence")
+            stack.append((a, term, False))
+        elif args is None and isinstance(term, Var) and term.name == x:
+            detached.append(d)
+            out.append(_ax(term, d.ty))
+        elif d.rule == "ax" and isinstance(term, Var):
+            v, w = d.subject.name, term.name  # type: ignore[union-attr]
+            at, bt = left.get(v), right.get(w)
+            if (at[-1] if at else v) != (bt[-1] if bt else w):
+                raise ReplayError("variable occurrence does not line up")
+            out.append(_ax(term, d.ty))
+        elif d.rule == "arrow_e" and isinstance(term, App):
+            stack.append((d, term, True))
+            stack += [(a, term.arg, False) for a in reversed(d.premises[1:])]
+            stack.append((d.premises[0], term.fun, False))
+        elif d.rule in ("arrow_i", "arrow_i_prime") and isinstance(term, Abs):
+            left.setdefault(d.subject.binder, []).append(id(d))  # type: ignore[union-attr]
+            right.setdefault(term.binder, []).append(id(d))
+            stack.append((d, term, True))
+            stack.append((d.premises[0], term.body, False))
+        else:
+            raise ReplayError(f"{d.rule} does not line up with the term")
+    return out[0], detached
 
 
 def subject_expand(
@@ -453,52 +507,61 @@ def _at(
 ) -> InterDerivation:
     """Carry d across one beta step to a derivation of `term`: the step's
     source when expanding, its reduct when reducing.  `site` does the
-    surgery at the redex; the nodes above it are rebuilt over `term`."""
-    if not path:
-        return site(d, term)
+    surgery at the redex; the nodes above it are rebuilt over `term`.
 
-    step, rest = path[0], path[1:]
-    if step == "under":
-        if not isinstance(term, Abs) or d.rule not in ("arrow_i", "arrow_i_prime"):
-            raise ReplayError("path walks under a non-abstraction")
-        if d.subject.binder != term.binder:  # type: ignore[union-attr]
-            raise ReplayError("binder spelling changed above the redex")
-        p = _at(d.premises[0], term.body, rest, site)
-        # the premise may have gained occurrences of the binder (an erased
-        # argument mentioned it) or lost them all (the step erased them)
-        n = _abs_node(term, p, d.ty.doms)  # type: ignore[union-attr]
-        if d.rule == "arrow_i" and n.rule != "arrow_i" and len(n.ty.doms) != 1:
-            raise ReductionTypeError(
-                "binder lost all occurrences but its domain is not a singleton"
-            )
-        return n
+    A step into an application's argument fans out over its argument
+    premises, so the walk down keeps the nodes at each depth of the path,
+    left to right, and the walk up rebuilds them from the results below."""
+    levels = []
+    nodes = [d]
+    for step in path:
+        levels.append((step, term, nodes))
+        if step == "under":
+            if not isinstance(term, Abs) or any(
+                n.rule not in ("arrow_i", "arrow_i_prime") for n in nodes
+            ):
+                raise ReplayError("path walks under a non-abstraction")
+            if any(n.subject.binder != term.binder for n in nodes):  # type: ignore[union-attr]
+                raise ReplayError("binder spelling changed above the redex")
+            term, nodes = term.body, [n.premises[0] for n in nodes]
+        elif not isinstance(term, App) or any(n.rule != "arrow_e" for n in nodes):
+            raise ReplayError("path walks into a non-application")
+        elif step == "left":
+            term, nodes = term.fun, [n.premises[0] for n in nodes]
+        elif step == "right":
+            term, nodes = term.arg, [a for n in nodes for a in n.premises[1:]]
+        else:
+            raise ReplayError(f"bad path component {step!r}")
 
-    if not isinstance(term, App) or d.rule != "arrow_e":
-        raise ReplayError("path walks into a non-application")
-    # the step's result was canonicalized as a whole, so the side the step
-    # did not touch may be spelled apart from `term`; retarget it
-    pf, *pas = d.premises
-    if step == "left":
-        pf = _at(pf, term.fun, rest, site)
-        pas = [retarget(a, term.arg) for a in pas]
-    elif step == "right":
-        pf = retarget(pf, term.fun)
-        pas = [_at(a, term.arg, rest, site) for a in pas]
-    else:
-        raise ReplayError(f"bad path component {step!r}")
-    return _rebuild_app(pf, pas, term)
-
-
-def _rebuild_app(
-    pf: InterDerivation, pas: list[InterDerivation], subject: App
-) -> InterDerivation:
-    """Application node over rebuilt premises, repairing the function's
-    domain when argument types shifted underneath it."""
-    assert isinstance(pf.ty, InterArrow)
-    arg_tys = tuple(a.ty for a in pas)
-    if pf.ty.doms != arg_tys:
-        pf = _respine(pf, InterArrow(arg_tys, pf.ty.cod))
-    return _app_node(pf, pas, subject)
+    done = [site(n, term) for n in nodes]
+    for step, term, nodes in reversed(levels):
+        below = iter(done)
+        done = []
+        for n in nodes:
+            if step == "under":
+                # the premise may have gained occurrences of the binder (an
+                # erased argument mentioned it) or lost them all (the step
+                # erased them)
+                lam = _abs_node(term, next(below), n.ty.doms)  # type: ignore[union-attr]
+                if n.rule == "arrow_i" and lam.rule != "arrow_i" and len(lam.ty.doms) != 1:
+                    raise ReductionTypeError(
+                        "binder lost all occurrences but its domain is not a singleton"
+                    )
+                done.append(lam)
+                continue
+            pf, *pas = n.premises
+            if step == "left":
+                pf = next(below)
+                pas = [_carry(a, term.arg)[0] for a in pas]
+            else:
+                pf = _carry(pf, term.fun)[0]
+                pas = [next(below) for _ in pas]
+            # repair the function's domain when argument types shifted
+            tys = tuple(a.ty for a in pas)
+            if pf.ty.doms != tys:  # type: ignore[union-attr]
+                pf = _respine(pf, InterArrow(tys, pf.ty.cod))  # type: ignore[union-attr]
+            done.append(_app_node(pf, pas, term))
+    return done[0]
 
 
 def _respine(d: InterDerivation, ty: InterType) -> InterDerivation:
@@ -508,90 +571,33 @@ def _respine(d: InterDerivation, ty: InterType) -> InterDerivation:
     other than a spine here would be an enclosing redex, which leftmost
     order rules out.
     """
-    if d.rule == "ax":
-        assert isinstance(d.subject, Var)
-        return _ax(d.subject, ty)
-    if d.rule == "arrow_e":
-        pf, *pas = d.premises
-        assert isinstance(pf.ty, InterArrow)
-        pf = _respine(pf, InterArrow(pf.ty.doms, ty))
-        return _app_node(pf, pas, d.subject)
-    raise ReplayError("cannot rewrite the type of a non-spine function")
+    spine = []
+    while d.rule == "arrow_e":
+        spine.append(d)
+        d = d.premises[0]
+        ty = InterArrow(d.ty.doms, ty)  # type: ignore[union-attr]
+    if d.rule != "ax":
+        raise ReplayError("cannot rewrite the type of a non-spine function")
+    d = _ax(d.subject, ty)  # type: ignore[arg-type]
+    for n in reversed(spine):
+        d = _app_node(d, n.premises[1:], n.subject)  # type: ignore[arg-type]
+    return d
 
 
 def _expand_site(
     d: InterDerivation, redex: Term, fuel: int, fresh: FreshSupply
 ) -> InterDerivation:
+    """d derives the contractum of `redex`: carry it onto the redex body,
+    detaching the argument's copies, each then carried onto the argument.
+    An erasing step detaches none, and the argument is typed from scratch."""
     if not isinstance(redex, App) or not isinstance(redex.fun, Abs):
         raise ReplayError("expansion site is not a redex")
-    x, m, n = redex.fun.binder, redex.fun.body, redex.arg
-
-    if x not in free_vars(m):
-        # erasing step: the contractum is m itself
-        body_d = retarget(d, m)
-        arg_d = _infer(n, fuel, fresh)
-        lam = _abs_node(redex.fun, body_d, (arg_d.ty,))
-        return _app_node(lam, [arg_d], redex)
-
-    detached: list[InterDerivation] = []
-    p = _extract(m, d, {}, x, detached)
-    doms = tuple(a.ty for a in detached)
-    lam = _abs_node(redex.fun, p, doms)
-    if lam.rule != "arrow_i" or lam.ty.doms != doms:  # type: ignore[union-attr]
+    p, detached = _carry(d, redex.fun.body, redex.fun.binder)
+    args = [_carry(a, redex.arg)[0] for a in detached] or [_infer(redex.arg, fuel, fresh)]
+    lam = _abs_node(redex.fun, p, (args[0].ty,))
+    if lam.ty.doms != tuple(a.ty for a in args):  # type: ignore[union-attr]
         raise ReplayError("detached occurrence types disagree with the environment")
-    return _app_node(lam, [retarget(a, n) for a in detached], redex)
-
-
-def _extract(
-    m: Term,
-    d: InterDerivation,
-    ren: dict[str, str],
-    x: str,
-    detached: list[InterDerivation],
-) -> InterDerivation:
-    """Walk the redex body m against the derivation of m[x := n].
-
-    At each occurrence of x the derivation fragment covering the
-    substituted copy of n is detached and replaced by an axiom for x at
-    the same type; environments are remet on the way out.  ren tracks
-    binder renamings the substitution performed on m.
-    """
-    match m:
-        case Var(v) if v == x:
-            detached.append(d)
-            return _ax(m, d.ty)
-        case Var(v):
-            if d.rule != "ax" or d.subject != Var(ren.get(v, v)):
-                raise ReplayError("variable occurrence does not line up")
-            return _ax(m, d.ty)
-        case Abs(b, body):
-            if d.rule not in ("arrow_i", "arrow_i_prime") or not isinstance(
-                d.subject, Abs
-            ):
-                raise ReplayError("abstraction does not line up")
-            inner = dict(ren)
-            if d.subject.binder != b:
-                inner[b] = d.subject.binder
-            p = _extract(body, d.premises[0], inner, x, detached)
-            n = _abs_node(m, p, d.ty.doms)  # type: ignore[union-attr]
-            if n.rule != d.rule:
-                raise ReplayError(
-                    "binder gained occurrences during extraction"
-                    if n.rule == "arrow_i"
-                    else "binder lost its occurrences during extraction"
-                )
-            return n
-        case App(f, a):
-            if d.rule != "arrow_e":
-                raise ReplayError("application does not line up")
-            pf, *pas = d.premises
-            nf = _extract(f, pf, ren, x, detached)
-            nas = [_extract(a, pa, ren, x, detached) for pa in pas]
-            assert isinstance(nf.ty, InterArrow)
-            if tuple(p.ty for p in nas) != nf.ty.doms:
-                raise ReplayError("extraction changed an argument type")
-            return _app_node(nf, nas, m)
-    raise TypeError(m)
+    return _app_node(lam, args, redex)
 
 
 # ---------------------------------------------------------------------------
@@ -668,8 +674,6 @@ def _infer(t: Term, fuel: int, fresh: FreshSupply) -> InterDerivation:
     d = infer_nf(nf, fresh)
     for i in range(len(positions) - 1, -1, -1):
         d = subject_expand(d, states[i], positions[i], fuel, fresh)
-        if d.subject != states[i]:
-            raise ReplayError("replay lost the subject spelling")
     return d
 
 
@@ -696,53 +700,18 @@ def subject_reduce(
 
 
 def _reduce_site(d: InterDerivation, contractum: Term) -> InterDerivation:
+    """Carry the redex body's derivation onto the contractum, grafting the
+    argument premises in at the binder's axioms, left to right."""
     if d.rule != "arrow_e":
         raise ReplayError("reduction site is not an application")
     lam, *args = d.premises
-    if lam.rule == "arrow_i_prime":
-        body_d = lam.premises[0]
-        return retarget(body_d, contractum)
-    if lam.rule != "arrow_i":
+    if lam.rule not in ("arrow_i", "arrow_i_prime"):
         raise ReplayError("reduction site function is not an abstraction")
-    assert isinstance(lam.subject, Abs)
-    x = lam.subject.binder
-    body_d = lam.premises[0]
-    grafted = _graft(body_d, x, args)
-    if args:
+    queue = iter(args if lam.rule == "arrow_i" else ())
+    out, _ = _carry(lam.premises[0], contractum, lam.subject.binder, queue)  # type: ignore[union-attr]
+    if next(queue, None) is not None:
         raise ReplayError("more argument derivations than occurrences")
-    return retarget(grafted, contractum)
-
-
-def _graft(
-    d: InterDerivation, x: str, queue: list[InterDerivation]
-) -> InterDerivation:
-    """Replace each axiom leaf for x (left to right) with the next
-    argument derivation, remeeting environments on the way out."""
-
-    def build(n: InterDerivation, premises: tuple) -> InterDerivation:
-        if n.rule == "ax":
-            assert isinstance(n.subject, Var)
-            if n.subject.name != x:
-                return n
-            if not queue:
-                raise ReplayError("fewer argument derivations than occurrences")
-            a = queue.pop(0)
-            if a.ty != n.ty:
-                raise ReplayError("argument type does not match the occurrence")
-            return a
-        if n.rule in ("arrow_i", "arrow_i_prime"):
-            assert isinstance(n.subject, Abs) and isinstance(n.ty, InterArrow)
-            subject = Abs(n.subject.binder, premises[0].subject)
-            out = _abs_node(subject, premises[0], n.ty.doms)
-            if out.rule != n.rule or out.ty != n.ty:
-                raise ReplayError("grafting changed the discharged list")
-            return out
-        if n.rule == "arrow_e":
-            nf, *nas = premises
-            return _app_node(nf, nas, App(nf.subject, nas[0].subject))
-        raise ReplayError(f"unknown rule {n.rule!r}")
-
-    return fold(d, build)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -269,17 +269,21 @@ class _TypeParser:
         self.arrows = {_CONNECTIVE[cls].kind: cls for cls in classes}
 
     def arrow_type(self) -> _Group:
-        dom = self.domain()
-        tok = self.cur.peek()
-        if tok.kind not in _ARROW_KINDS:
-            return dom
-        cls = self.arrows.get(tok.kind)
-        if cls is None:
-            raise ParseError(f"{tok.text!r} is not a connective of {self.language} types", tok.line, tok.col)
-        self.cur.next()
-        cod = _single(self.arrow_type())
-        ty = InterArrow(dom[0], cod) if cls is InterArrow else cls(_single(dom), cod)
-        return (ty,), None
+        # arrows associate to the right: the codomain chain is read in a
+        # loop and its arrows built from the end
+        arrows = []
+        group = self.domain()
+        while (tok := self.cur.peek()).kind in _ARROW_KINDS:
+            cls = self.arrows.get(tok.kind)
+            if cls is None:
+                raise ParseError(f"{tok.text!r} is not a connective of {self.language} types", tok.line, tok.col)
+            self.cur.next()
+            arrows.append((group, cls))
+            group = self.domain()
+        for dom, cls in reversed(arrows):
+            cod = _single(group)
+            group = (InterArrow(dom[0], cod) if cls is InterArrow else cls(_single(dom), cod),), None
+        return group
 
     def domain(self) -> _Group:
         group = self.atom()

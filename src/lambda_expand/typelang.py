@@ -224,19 +224,22 @@ def dedup_members(members) -> list[InterType]:
 def translate(t: InterType, target: Target) -> Type:
     """Curry each domain member into its own arrow of the target language.
     The simple target, which ACI expansion types its output in, curries
-    each distinct member once, as the expansion binds it once."""
-    match t:
-        case TVar():
-            return t
-        case InterArrow(doms, cod):
-            arrow = _ARROW_OF[target]
-            out = translate(cod, target)
-            if target is Target.SIMPLE:
-                doms = dedup_members(doms)
-            for d in reversed(doms):
-                out = arrow(translate(d, target), out)
-            return out
-    raise TypeError(t)
+    each distinct member once, as the expansion binds it once.  The
+    codomain chain is walked in a loop and curried from its end."""
+    chain = []
+    while isinstance(t, InterArrow):
+        chain.append(t.doms)
+        t = t.cod
+    if not isinstance(t, TVar):
+        raise TypeError(t)
+    arrow = _ARROW_OF[target]
+    out: Type = t
+    for doms in reversed(chain):
+        if target is Target.SIMPLE:
+            doms = dedup_members(doms)
+        for d in reversed(doms):
+            out = arrow(translate(d, target), out)
+    return out
 
 
 # ---- bases ----

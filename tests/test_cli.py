@@ -286,6 +286,14 @@ def test_infer_curry_types_fifteen_hundred_nested_binders(capsys):
     assert len(names) == 1_501 and names[:3] == ["a", "b", "c"] and names[-1] == "a"
 
 
+def test_check_takes_a_type_two_thousand_arrows_deep(capsys):
+    # the type parser reads a codomain chain in a loop
+    assert 2_000 > sys.getrecursionlimit()
+    ty = " -> ".join(["a"] * 2_001)
+    code, out, err = run(capsys, "check", "--system", "curry", "--basis", f"y: {ty}", "--type", ty, "y")
+    assert (code, out, err) == (0, f"valid: y : {ty}", "")
+
+
 FIFTEEN_HUNDRED_BINDERS = "\\" + " ".join(f"x{i}" for i in range(1, 1_501)) + ". x1"
 
 

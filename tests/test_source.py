@@ -63,3 +63,58 @@ def test_every_tree_node_is_built_by_the_one_decorator():
             cls = getattr(mod, name)
             assert cls.__init__.__module__ == "lambda_expand._node", name
             assert "__slots__" in vars(cls), name
+
+
+# The functions under src/ that call themselves, by their own name or as
+# self.<name>, qualified by module and enclosing class or function.  Every
+# other walk runs in a loop, so its depth is bounded by memory; recursion
+# through another function, such as the type parser's descent into
+# parentheses, does not show here.
+SELF_CALLING = {
+    "intersection._match_ty",
+    "intersection._place",
+    "intersection._sub_ty",
+    "serialize.from_jsonable",
+    "serialize.to_jsonable",
+    "terms._rebind.go",
+    "typelang.ctx_match.assign",
+    "typelang.normalize",
+    "typelang.translate",
+    "typelang.type_key",
+    "verify.enumerate_terms.gen",
+}
+
+
+def _self_calling(tree, prefix):
+    """Qualified names of the functions under tree whose bodies call them
+    by name or as self.<name>; a call on any other object does not count."""
+    found = set()
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            name = f"{prefix}.{node.name}"
+            for call in ast.walk(node):
+                f = getattr(call, "func", None)
+                on_self = isinstance(f, ast.Attribute) and getattr(f.value, "id", None) == "self"
+                if (f.attr if on_self else getattr(f, "id", None)) == node.name:
+                    found.add(name)
+            found |= _self_calling(node, name)
+        elif isinstance(node, ast.ClassDef):
+            found |= _self_calling(node, f"{prefix}.{node.name}")
+        else:
+            found |= _self_calling(node, prefix)
+    return found
+
+
+def test_the_functions_that_call_themselves_are_pinned():
+    sample = ast.parse(
+        "def dumps(x):\n    return json.dumps(x)\n"
+        "class C:\n"
+        "    def __init__(self):\n        super().__init__()\n"
+        "    def walk(self, n):\n        return [self.walk(m) for m in n]\n"
+        "def f():\n    def go():\n        go()\n    return other.f()\n"
+    )
+    assert _self_calling(sample, "m") == {"m.C.walk", "m.f.go"}
+    found = set()
+    for path in sorted(SRC.rglob("*.py")):
+        found |= _self_calling(ast.parse(path.read_text(), str(path)), path.stem)
+    assert found == SELF_CALLING

@@ -1,3 +1,5 @@
+import sys
+
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -44,6 +46,20 @@ def test_parse_errors_carry_position():
     with pytest.raises(ParseError) as e:
         parse_term("\\x\n y")
     assert e.value.line == 2
+
+
+@pytest.mark.parametrize("parse, arrow, dom", [
+    (parse_simple_type, "->", "a"),
+    (parse_linear_type, "-o", "a"),
+    (parse_ordered_type, "-o_r", "a"),
+    (parse_inter_type, "->", "a & b"),
+], ids=["simple", "linear", "ordered", "intersection"])
+def test_a_type_two_thousand_arrows_deep_parses_and_prints(parse, arrow, dom):
+    # the codomain chain is read in a loop; compared as text, since == on
+    # two types of this depth recurses
+    assert 2_000 > sys.getrecursionlimit()
+    src = f"{dom} {arrow} " * 2_000 + "a"
+    assert render_type(parse(src)) == src
 
 
 def test_parse_types():

@@ -17,6 +17,7 @@ from lambda_expand.syntax import (
     parse_simple_type,
     parse_term,
     render_term,
+    render_type,
 )
 from lambda_expand.systems import (
     CONNECTIVE,
@@ -132,8 +133,7 @@ def test_infer_ordered_exhausted():
 
 
 def _right_chain(n):
-    # a -o_r (… (a -o_r a)), n arrows deep, built here since the parser
-    # recurses
+    # a -o_r (… (a -o_r a)), n arrows deep
     ty = A
     for _ in range(n):
         ty = LolliR(A, ty)
@@ -152,6 +152,16 @@ def test_ordered_search_takes_a_type_two_thousand_arrows_deep():
     while isinstance(got, LolliR) and got.dom == A:
         got, arrows = got.cod, arrows + 1
     assert (arrows, got) == (2_000, A)
+
+
+def test_decide_curry_takes_a_basis_type_two_thousand_arrows_deep():
+    # the witness's types are translated along their codomain chains in a
+    # loop; compared as text, since == on types this deep recurses
+    assert 2_000 > sys.getrecursionlimit()
+    src = " -> ".join(["a"] * 2_001)
+    ty = parse_simple_type(src)
+    d = decide(System.CURRY, t("x"), Basis((("x", ty),)), ty)
+    assert d is not None and render_type(d.ty) == src
 
 
 # --- explicit ordered derivations ------------------------------------------

@@ -1,4 +1,5 @@
 import itertools
+import sys
 from dataclasses import dataclass
 
 from hypothesis import given
@@ -37,7 +38,7 @@ from lambda_expand.typelang import (
     type_key,
 )
 from lambda_expand.serialize import SerializeError, dumps, loads
-from lambda_expand.syntax import parse_inter_type, parse_ordered_type, parse_term
+from lambda_expand.syntax import parse_inter_type, parse_ordered_type, parse_term, render_type
 from lambda_expand.systems import System, check_ordered, decide, infer_ordered
 
 A, B, C = TVar("a"), TVar("b"), TVar("c")
@@ -173,6 +174,21 @@ def test_translate_examples():
     dup = it("((a & a -> a) -> b) -> b")
     assert translate(dup, Target.SIMPLE) == Arrow(Arrow(Arrow(A, A), B), B)
     assert translate(dup, Target.LINEAR) == Lolli(Lolli(Lolli(A, Lolli(A, A)), B), B)
+
+
+@pytest.mark.parametrize("target, text", [
+    (Target.SIMPLE, "a -> "),
+    (Target.LINEAR, "a -o a -o "),
+    (Target.ORDERED, "a -o_r a -o_r "),
+])
+def test_translate_walks_a_codomain_chain_two_thousand_arrows_deep(target, text):
+    # (a & a) -> ... -> a; the simple target curries the repeated member
+    # once.  Compared as text, since == on types this deep recurses
+    assert 2_000 > sys.getrecursionlimit()
+    ty = A
+    for _ in range(2_000):
+        ty = InterArrow((A, A), ty)
+    assert render_type(translate(ty, target)) == text * 2_000 + "a"
 
 
 def brute_translate(t, arrow, dedup=False):
